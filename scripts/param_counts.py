@@ -9,22 +9,13 @@ blocks. Run with --model to inspect one architecture's per-tensor breakdown.
 
 from argparse import ArgumentParser
 
-import numpy as np
-
 from vidmood.models import MODEL_NAMES, build_model, default_config
 
 BUDGETS = {"vivit": 21.13e6, "swin3d_t": 28.2e6, "cnn_lstm": 52.3e6}
 
 
-def count_parameters(model) -> int:
-    return sum(int(np.prod(p.data.shape)) for p in model.parameters())
-
-
 def breakdown(model) -> list[tuple[str, tuple, int]]:
-    rows = []
-    for name, p in model.named_parameters():
-        rows.append((name, tuple(p.data.shape), int(np.prod(p.data.shape))))
-    return rows
+    return [(name, p.shape, p.size) for name, p in model.named_parameters()]
 
 
 def main() -> None:
@@ -37,7 +28,7 @@ def main() -> None:
     print(f"{'model':10s} {'params':>14s} {'budget':>10s} {'delta':>8s}")
     for name in MODEL_NAMES:
         model = build_model(name, default_config(name, classes=args.classes), seed=0)
-        n = count_parameters(model)
+        n = model.num_parameters()
         budget = BUDGETS[name]
         print(f"{name:10s} {n:>14,d} {budget / 1e6:>9.2f}M {100 * (n - budget) / budget:>+7.1f}%")
         if args.model == name:

@@ -1,22 +1,14 @@
-"""Model weight persistence and content hashing.
-
-Weights are stored one tensor per file in the package's binary tensor
-format, tied together by a JSON index so a checkpoint stays diffable and
-partially inspectable.
-"""
+"""Content hashing of model weights."""
 
 from __future__ import annotations
 
 import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 
 from .nn import Module
-from .vten import read_vten, write_vten
 
-__all__ = ["save_weights", "load_weights", "weight_hash", "state_hash"]
+__all__ = ["weight_hash", "state_hash"]
 
 
 def state_hash(state: dict[str, np.ndarray]) -> str:
@@ -33,35 +25,3 @@ def state_hash(state: dict[str, np.ndarray]) -> str:
 
 def weight_hash(model: Module) -> str:
     return state_hash(model.state_dict())
-
-
-def save_weights(model: Module, out_dir) -> Path:
-    """Write every parameter as a tensor file plus an index; returns the
-    index path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    index = {"format": 1, "hash": weight_hash(model), "tensors": {}}
-    for i, (name, p) in enumerate(sorted(model.named_parameters())):
-        fname = f"w{i:04d}.vten"
-        write_vten(out / fname, p.data)
-        index["tensors"][name] = {"file": fname, "shape": list(p.shape),
-                                  "dtype": str(p.data.dtype)}
-    index_path = out / "weights.json"
-    index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-    return index_path
-
-
-def load_weights(model: Module, in_dir) -> None:
-    """Restore parameters saved by save_weights; verifies the content hash."""
-    root = Path(in_dir)
-    index_path = root / "weights.json"
-    if not index_path.exists():
-        raise FileNotFoundError(f"no weights.json under {root}")
-    index = json.loads(index_path.read_text())
-    state = {name: read_vten(root / entry["file"])
-             for name, entry in index["tensors"].items()}
-    got = state_hash(state)
-    if got != index["hash"]:
-        raise ValueError(f"weight hash mismatch in {root}: "
-                         f"index says {index['hash'][:12]}, files give {got[:12]}")
-    model.load_state_dict(state)

@@ -58,11 +58,9 @@ def load_run_config(path) -> dict:
 
 
 def _model_overrides(config: dict) -> dict:
-    over = {k: v for k, v in config.get("model", {}).items() if k != "name"}
-    for key in ("input_shape", "window", "depths", "heads", "channels"):
-        if key in over:
-            over[key] = tuple(over[key])  # JSON arrays arrive as lists
-    return over
+    # JSON arrays arrive as lists; model configs hold tuples
+    return {k: tuple(v) if isinstance(v, list) else v
+            for k, v in config.get("model", {}).items() if k != "name"}
 
 
 # -- synth ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .labels import BINARY_CLASSES, SEVERITY_CLASSES, gds_to_label
+from .labels import binary_class, severity_class
 from .loso import Fold, make_loso_folds
 from .manifest import STATES, VideoRecord
 from .metrics import aggregate_predictions, compute_metrics
@@ -43,10 +43,6 @@ class ExperimentSpec:
     def n_classes(self) -> int:
         return 2 if self.task == "binary" else 3
 
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return BINARY_CLASSES if self.task == "binary" else SEVERITY_CLASSES
-
     def as_dict(self) -> dict:
         return {"model": self.model, "task": self.task,
                 "state_filter": self.state_filter, "aggregation": self.aggregation}
@@ -62,10 +58,7 @@ def select_records(records: Sequence[VideoRecord], state_filter: str) -> list[Vi
 
 
 def _record_label(record: VideoRecord, task: str) -> int:
-    label = gds_to_label(record.gds)
-    if task == "binary":
-        return BINARY_CLASSES.index(label.binary)
-    return SEVERITY_CLASSES.index(label.severity)
+    return binary_class(record.gds) if task == "binary" else severity_class(record.gds)
 
 
 @dataclass

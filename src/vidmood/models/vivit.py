@@ -18,7 +18,7 @@ from .. import tensor as T
 from ..nn import Linear, Module, ModuleList, Parameter, TransformerBlock, trunc_normal
 from ..tensor import ShapeError, Tensor
 
-__all__ = ["ViViTConfig", "ViViTModel", "FactorizedBlock", "token_counts", "tubelet_tokens"]
+__all__ = ["ViViTConfig", "ViViTModel", "token_counts", "tubelet_tokens"]
 
 
 @dataclass(frozen=True)
@@ -61,26 +61,6 @@ def tubelet_tokens(frames: Tensor, frame_patch: int, image_patch: int) -> Tensor
     x = T.reshape(x, (b, n_t, t, n_h, p, n_w, p, c))
     x = T.transpose(x, (0, 1, 3, 5, 2, 4, 6, 7))  # [B, n_t, n_h, n_w, t, p, p, c]
     return T.reshape(x, (b, n_t, n_h * n_w, t * p * p * c))
-
-
-class FactorizedBlock(Module):
-    """Spatial attention within each temporal slot, then temporal attention
-    within each spatial position; both as pre-norm residual blocks."""
-
-    def __init__(self, dim: int, heads: int, mlp_dim: int, rng: np.random.Generator):
-        self.spatial = TransformerBlock(dim, heads, mlp_dim, rng)
-        self.temporal = TransformerBlock(dim, heads, mlp_dim, rng)
-
-    def forward(self, grid: Tensor) -> Tensor:
-        b, n_t, n_s, d = grid.shape
-        x = T.reshape(grid, (b * n_t, n_s, d))
-        x = self.spatial(x)
-        x = T.reshape(x, (b, n_t, n_s, d))
-        x = T.transpose(x, (0, 2, 1, 3))
-        x = T.reshape(x, (b * n_s, n_t, d))
-        x = self.temporal(x)
-        x = T.reshape(x, (b, n_s, n_t, d))
-        return T.transpose(x, (0, 2, 1, 3))
 
 
 class ViViTModel(Module):

@@ -3,8 +3,8 @@
 A Module is a plain object whose tensor-valued attributes (and
 sub-modules) are discovered by attribute traversal, giving every
 parameter a stable dotted name like ``blocks.2.attn.proj_w``. Those
-names are the checkpoint format's keys, so insertion order and spelling
-are load-bearing.
+names key ``state_dict`` and the weight hash, so insertion order and
+spelling are load-bearing.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class Module:
         for name, p in own.items():
             if state[name].shape != p.shape:
                 raise T.ShapeError(
-                    f"parameter {name}: checkpoint shape {state[name].shape} != model shape {p.shape}"
+                    f"parameter {name}: state shape {state[name].shape} != model shape {p.shape}"
                 )
             p.data = state[name].astype(p.data.dtype).copy()
 
@@ -111,8 +111,8 @@ class Linear(Module):
     """y = x @ W + b with W of shape [in_features, out_features]."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 bias: bool = True, std: float = 0.02):
-        self.weight = Parameter(trunc_normal(rng, (in_features, out_features), std))
+                 bias: bool = True):
+        self.weight = Parameter(trunc_normal(rng, (in_features, out_features)))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -125,19 +125,21 @@ class Linear(Module):
         return y
 
 
+LN_EPS = 1e-5
+
+
 class LayerNorm(Module):
     """Normalize the last axis to zero mean / unit variance, then affine."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = Parameter(np.ones(dim))
         self.beta = Parameter(np.zeros(dim))
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         mu = T.mean(x, axis=-1, keepdims=True)
         xc = T.sub(x, mu)
         var = T.mean(T.mul(xc, xc), axis=-1, keepdims=True)
-        inv = T.div(xc, T.sqrt(T.add(var, self.eps)))
+        inv = T.div(xc, T.sqrt(T.add(var, LN_EPS)))
         return T.add(T.mul(inv, self.gamma), self.beta)
 
 

@@ -10,31 +10,35 @@ from .nn import Module, Parameter
 
 __all__ = ["Adam", "AdamW", "PlateauSchedule", "CosineSchedule", "EarlyStopper"]
 
+BETA1, BETA2 = 0.9, 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+PLATEAU_FACTOR = 0.1
+PLATEAU_PATIENCE = 5
+MIN_IMPROVE = 1e-4  # a val-loss drop smaller than this is no improvement
+
 
 class Adam:
     """Adam with bias correction; a missing gradient counts as zero."""
 
-    def __init__(self, params: list[Parameter], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Parameter], lr: float):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
         self._v = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad if p.grad is not None else 0.0
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             self._decay(p)
             p.data = p.data - (self.lr * update).astype(p.data.dtype, copy=False)
 
@@ -45,35 +49,27 @@ class Adam:
 class AdamW(Adam):
     """Adam plus decoupled weight decay applied directly to the parameter."""
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
-        super().__init__(params, lr, betas, eps)
-        self.weight_decay = weight_decay
-
     def _decay(self, p: Parameter) -> None:
-        p.data = p.data - (self.lr * self.weight_decay) * p.data
+        p.data = p.data - (self.lr * WEIGHT_DECAY) * p.data
 
 
 class PlateauSchedule:
-    """Multiply lr by `factor` after `patience` consecutive non-improving
-    epochs (improvement = drop below best by more than `min_improve`)."""
+    """Multiply lr by PLATEAU_FACTOR after PLATEAU_PATIENCE consecutive
+    non-improving epochs."""
 
-    def __init__(self, optimizer, factor: float = 0.1, patience: int = 5,
-                 min_improve: float = 1e-4):
+    def __init__(self, optimizer):
         self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.min_improve = min_improve
         self.best = math.inf
         self.stale = 0
 
     def step(self, val_loss: float) -> float:
-        if val_loss < self.best - self.min_improve:
+        if val_loss < self.best - MIN_IMPROVE:
             self.best = val_loss
             self.stale = 0
         else:
             self.stale += 1
-            if self.stale >= self.patience:
-                self.optimizer.lr *= self.factor
+            if self.stale >= PLATEAU_PATIENCE:
+                self.optimizer.lr *= PLATEAU_FACTOR
                 self.stale = 0
         return self.optimizer.lr
 
@@ -98,9 +94,8 @@ class EarlyStopper:
     """Stop after `patience` consecutive epochs without val-loss improvement;
     keeps a copy of the best-epoch weights for restoring."""
 
-    def __init__(self, patience: int = 10, min_improve: float = 1e-4):
+    def __init__(self, patience: int = 10):
         self.patience = patience
-        self.min_improve = min_improve
         self.best = math.inf
         self.best_epoch = 0
         self.best_state: dict[str, np.ndarray] | None = None
@@ -108,7 +103,7 @@ class EarlyStopper:
 
     def update(self, epoch: int, val_loss: float, model: Module) -> bool:
         """Record epoch `epoch` (1-based); True means training should stop."""
-        if val_loss < self.best - self.min_improve:
+        if val_loss < self.best - MIN_IMPROVE:
             self.best = val_loss
             self.best_epoch = epoch
             self.best_state = model.state_dict()

@@ -1,28 +1,21 @@
 """Deterministic preprocessing: face crop, resize, length standardization,
-histogram equalization, clip segmentation, normalization, and seeded
-augmentation.
+histogram equalization, clip segmentation and normalization.
 
-Everything is pure given (input, config, seed); per-video randomness is
-keyed by global_seed XOR a stable hash of the video's source id. Pixel
-work happens on uint8 until the final /255 normalization so reruns are
-bit-identical.
+Everything is pure given (input, config). Pixel work happens on uint8
+until the final /255 normalization so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
-import hashlib
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
 __all__ = [
     "RawVideo",
-    "StandardVideo",
     "Clip",
     "PipelineConfig",
-    "AugmentConfig",
     "LocalizationError",
     "FaceLocalizer",
     "CenterSquareLocalizer",
@@ -33,9 +26,7 @@ __all__ = [
     "normalize_pixels",
     "equalize_histogram",
     "equalize_frames",
-    "augment",
     "preprocess_video",
-    "stable_hash64",
 ]
 
 
@@ -53,14 +44,6 @@ class RawVideo:
             raise ValueError(f"raw video needs [T, H, W, 3] frames, got {f.shape}")
         if f.dtype != np.uint8:
             raise ValueError(f"raw video frames must be uint8, got {f.dtype}")
-
-
-@dataclass
-class StandardVideo:
-    """Exactly L square uint8 frames [L, S, S, 3]."""
-
-    frames: np.ndarray
-    source_id: str
 
 
 @dataclass
@@ -111,28 +94,17 @@ class SidecarLocalizer:
         return self.rects
 
 
-def stable_hash64(text: str) -> int:
-    """Process-independent 64-bit hash (python's hash() is salted per run)."""
-    return int.from_bytes(hashlib.blake2s(text.encode()).digest()[:8], "little")
-
-
 # -- resampling ----------------------------------------------------------------
 
 
-def _bilinear_grid(frames: np.ndarray, yy: np.ndarray, xx: np.ndarray,
-                   fill: float | None) -> np.ndarray:
-    """Sample frames [T, H, W, C] at fractional coords yy/xx [Ho, Wo].
+def _bilinear_grid(frames: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Sample frames [T, H, W, C] at fractional coords yy/xx [Ho, Wo],
+    clamping coordinates to the frame (edge replication).
 
-    fill=None clamps coordinates to the frame (edge replication);
-    a number fills samples outside the frame with that value.
+    Each corner is gathered from the input and only then widened to
+    float64, so memory scales with the output, not the input.
     """
-    t, h, w, c = frames.shape
-    if fill is None:
-        inside = None
-    else:
-        # boundary samples can land at -1e-16 through rotation roundoff
-        eps = 1e-9
-        inside = (yy >= -eps) & (yy <= h - 1 + eps) & (xx >= -eps) & (xx <= w - 1 + eps)
+    h, w = frames.shape[1:3]
     yy = np.clip(yy, 0.0, h - 1.0)
     xx = np.clip(xx, 0.0, w - 1.0)
     y0 = np.floor(yy).astype(np.intp)
@@ -141,14 +113,25 @@ def _bilinear_grid(frames: np.ndarray, yy: np.ndarray, xx: np.ndarray,
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (yy - y0)[None, :, :, None]
     wx = (xx - x0)[None, :, :, None]
-    f = frames.astype(np.float64)
-    # lerp form: exact for constant fields regardless of weight roundoff
-    top = f[:, y0, x0] + wx * (f[:, y0, x1] - f[:, y0, x0])
-    bot = f[:, y1, x0] + wx * (f[:, y1, x1] - f[:, y1, x0])
-    out = top + wy * (bot - top)
-    if inside is not None:
-        out = np.where(inside[None, :, :, None], out, fill)
-    return out
+
+    def corner(yi, xi):
+        return frames[:, yi, xi].astype(np.float64)
+
+    top = _lerp_into(corner(y0, x0), corner(y0, x1), wx)
+    bot = _lerp_into(corner(y1, x0), corner(y1, x1), wx)
+    return _lerp_into(top, bot, wy)
+
+
+def _lerp_into(a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """a + wt * (b - a), computed in b's buffer.
+
+    The lerp form is exact for constant fields regardless of weight
+    roundoff.
+    """
+    b -= a
+    b *= wt
+    b += a
+    return b
 
 
 def _resize_frames_u8(frames: np.ndarray, side: int) -> np.ndarray:
@@ -160,23 +143,8 @@ def _resize_frames_u8(frames: np.ndarray, side: int) -> np.ndarray:
     ys = (np.arange(side) + 0.5) * (h / side) - 0.5
     xs = (np.arange(side) + 0.5) * (w / side) - 0.5
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    out = _bilinear_grid(frames, yy, xx, fill=None)
+    out = _bilinear_grid(frames, yy, xx)
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
-
-
-def _rotate_frames(frames: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Rotate float frames [T, S, S, C] about the center; zero outside."""
-    t, h, w, c = frames.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    th = math.radians(angle_deg)
-    cos, sin = math.cos(th), math.sin(th)
-    jj, ii = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64), indexing="xy")
-    yd, xd = ii - cy, jj - cx
-    # inverse map: destination pixel pulls from source rotated by -angle
-    ys = cos * yd + sin * xd + cy
-    xs = -sin * yd + cos * xd + cx
-    return _bilinear_grid(frames, ys, xs, fill=0.0).astype(frames.dtype)
 
 
 # -- pipeline stages -------------------------------------------------------------
@@ -250,43 +218,6 @@ def equalize_frames(frames: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- augmentation ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    max_rotation_deg: float = 10.0
-    flip_prob: float = 0.5
-    noise_sigma: float = 0.02
-
-    def __post_init__(self):
-        if self.max_rotation_deg < 0:
-            raise ValueError(f"rotation bound must be >= 0, got {self.max_rotation_deg}")
-        if not 0 <= self.flip_prob <= 1:
-            raise ValueError(f"flip probability must be in [0,1], got {self.flip_prob}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
-
-
-def augment(clip: Clip, cfg: AugmentConfig, seed: int) -> Clip:
-    """One rotation angle and flip decision per clip, then pixel noise.
-
-    Clip-wide transforms keep temporal coherence; output is clamped to
-    [0, 1] and fully determined by the seed.
-    """
-    rng = np.random.default_rng(seed)
-    frames = clip.frames
-    angle = rng.uniform(-cfg.max_rotation_deg, cfg.max_rotation_deg)
-    if angle != 0.0:
-        frames = _rotate_frames(frames, angle)
-    if rng.random() < cfg.flip_prob:
-        frames = frames[:, :, ::-1, :]
-    if cfg.noise_sigma > 0:
-        frames = frames + rng.normal(0.0, cfg.noise_sigma, size=frames.shape)
-    frames = np.clip(frames, 0.0, 1.0).astype(np.float32)
-    return Clip(frames=frames, parent_id=clip.parent_id, clip_index=clip.clip_index)
-
-
 # -- full chain -------------------------------------------------------------------
 
 
@@ -295,7 +226,6 @@ class PipelineConfig:
     side: int = 224
     length: int = 300
     clip_len: int = 30
-    augment_cfg: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
         if self.length % self.clip_len != 0:

@@ -105,12 +105,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 
@@ -321,10 +315,15 @@ def relu(x: Tensor) -> Tensor:
     return _unary(x, np.maximum(x.data, 0), (x.data > 0).astype(x.data.dtype))
 
 
+def _stable_sigmoid(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(d) given e = exp(-|d|): exp of a non-positive argument only,
+    so it stays finite for large |d|."""
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # stable for large |x|: exp of a non-positive argument only
     d = x.data
-    data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    data = _stable_sigmoid(d, np.exp(-np.abs(d)))
     return _unary(x, data, data * (1.0 - data))
 
 
@@ -347,29 +346,8 @@ def gelu(x: Tensor) -> Tensor:
 def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), computed as max(x, 0) + log1p(e^-|x|)."""
     d = x.data
-    data = np.maximum(d, 0) + np.log1p(np.exp(-np.abs(d)))
-    sig = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    return _unary(x, data, sig)
-
-
-UNARY_KINDS = {
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "neg": neg,
-}
-
-BINARY_KINDS = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def elementwise_unary(x: Tensor, kind: str) -> Tensor:
-    return UNARY_KINDS[kind](x)
-
-
-def elementwise_binary(a: Tensor, b, kind: str) -> Tensor:
-    return BINARY_KINDS[kind](a, b)
+    e = np.exp(-np.abs(d))
+    return _unary(x, np.maximum(d, 0) + np.log1p(e), _stable_sigmoid(d, e))
 
 
 # -- reductions --------------------------------------------------------------

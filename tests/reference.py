@@ -128,6 +128,36 @@ def block_ref(x, p, heads, mask=None, bias=None):
                        p["mlp.fc2.weight"], p["mlp.fc2.bias"])
 
 
+def bilinear_resize_reference(frames, side):
+    """Half-pixel-center bilinear resize of uint8 [T, H, W, C] to
+    [T, side, side, C], one output sample at a time.
+
+    Source coordinates are clamped to the frame (edge replication); each
+    interpolation uses the lerp form a + w * (b - a), rounded half to even.
+    """
+    t_len, h, w, c_len = frames.shape
+    f = frames.astype(np.float64)
+    out = np.zeros((t_len, side, side, c_len), dtype=np.uint8)
+
+    def lerp(a, b, wt):
+        return a + wt * (b - a)
+
+    for i in range(side):
+        sy = min(max((i + 0.5) * (h / side) - 0.5, 0.0), h - 1.0)
+        y0 = math.floor(sy)
+        y1 = min(y0 + 1, h - 1)
+        for j in range(side):
+            sx = min(max((j + 0.5) * (w / side) - 0.5, 0.0), w - 1.0)
+            x0 = math.floor(sx)
+            x1 = min(x0 + 1, w - 1)
+            for t in range(t_len):
+                for c in range(c_len):
+                    top = lerp(f[t, y0, x0, c], f[t, y0, x1, c], sx - x0)
+                    bot = lerp(f[t, y1, x0, c], f[t, y1, x1, c], sx - x0)
+                    out[t, i, j, c] = min(max(round(lerp(top, bot, sy - y0)), 0), 255)
+    return out
+
+
 def params_of(module):
     """named_parameters as a plain name -> float64 ndarray dict."""
     return {name: p.data.astype(np.float64) for name, p in module.named_parameters()}

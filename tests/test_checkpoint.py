@@ -1,31 +1,6 @@
-import json
-
 import numpy as np
-import pytest
 
-from vidmood.checkpoint import load_weights, save_weights, state_hash, weight_hash
-from vidmood.nn import Linear, Module
-
-
-class TwoLayer(Module):
-    def __init__(self, seed=0):
-        rng = np.random.default_rng(seed)
-        self.a = Linear(4, 3, rng)
-        self.b = Linear(3, 2, rng)
-
-    def forward(self, x):
-        return self.b(self.a(x))
-
-
-def test_round_trip_restores_exact_weights(tmp_path):
-    src = TwoLayer(seed=1)
-    save_weights(src, tmp_path / "ckpt")
-    dst = TwoLayer(seed=2)
-    assert weight_hash(dst) != weight_hash(src)
-    load_weights(dst, tmp_path / "ckpt")
-    assert weight_hash(dst) == weight_hash(src)
-    for (_, p), (_, q) in zip(sorted(src.named_parameters()), sorted(dst.named_parameters())):
-        np.testing.assert_array_equal(p.data, q.data)
+from vidmood.checkpoint import state_hash
 
 
 def test_hash_is_order_independent_but_value_sensitive():
@@ -42,20 +17,3 @@ def test_hash_distinguishes_shape_and_dtype():
     b = {"x": np.zeros((2, 2), dtype=np.float32)}
     c = {"x": np.zeros(4, dtype=np.float64)}
     assert len({state_hash(a), state_hash(b), state_hash(c)}) == 3
-
-
-def test_corrupt_tensor_file_is_detected(tmp_path):
-    model = TwoLayer()
-    index_path = save_weights(model, tmp_path / "ckpt")
-    index = json.loads(index_path.read_text())
-    victim = next(iter(index["tensors"].values()))["file"]
-    raw = bytearray((tmp_path / "ckpt" / victim).read_bytes())
-    raw[-1] ^= 0xFF
-    (tmp_path / "ckpt" / victim).write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="hash mismatch"):
-        load_weights(TwoLayer(), tmp_path / "ckpt")
-
-
-def test_missing_index_raises(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_weights(TwoLayer(), tmp_path / "nowhere")

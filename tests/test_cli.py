@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vidmood.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_run_config, main
+from vidmood.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _model_overrides,
+                         load_run_config, main)
+from vidmood.models import default_config
 from vidmood.vten import read_vten
 
 
@@ -198,6 +200,15 @@ def test_unknown_section_key_rejected(tmp_path):
     path.write_text(json.dumps({"train": {"learning_rate": 0.1}}))
     with pytest.raises(ValueError, match="train"):
         load_run_config(path)
+
+
+def test_model_overrides_turn_lists_into_tuples_only():
+    vivit = _model_overrides({"model": {"name": "vivit", "heads": 2, "input_shape": [8, 16, 16, 3]}})
+    assert vivit == {"heads": 2, "input_shape": (8, 16, 16, 3)}
+    assert default_config("vivit", **vivit).heads == 2
+    swin = _model_overrides({"model": {"name": "swin3d_t", "heads": [1, 2], "depths": [1, 1]}})
+    assert swin == {"heads": (1, 2), "depths": (1, 1)}
+    assert default_config("swin3d_t", **swin).heads == (1, 2)
 
 
 def test_bad_config_exits_two(tmp_path):

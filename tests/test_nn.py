@@ -93,7 +93,7 @@ class TestLayerNorm:
         np.testing.assert_allclose(y.std(axis=-1), 1.0, atol=1e-3)
 
     def test_matches_direct_formula(self):
-        ln = nn.LayerNorm(5, eps=1e-5)
+        ln = nn.LayerNorm(5)
         ln.gamma.data = rng(11).normal(size=5)
         ln.beta.data = rng(12).normal(size=5)
         x = rng(13).normal(size=(4, 5))

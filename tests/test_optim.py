@@ -75,7 +75,7 @@ def test_adam_descends_on_a_quadratic():
 def test_adamw_zero_gradient_decays_parameter():
     p = _param([4.0])
     p.grad = np.zeros(1)
-    opt = AdamW([p], lr=1e-3, weight_decay=0.01)
+    opt = AdamW([p], lr=1e-3)
     opt.step()
     np.testing.assert_allclose(p.data, [4.0 * (1 - 1e-3 * 0.01)], rtol=1e-14)
 
@@ -88,7 +88,7 @@ def test_adamw_decay_is_decoupled_from_gradient():
     pa.grad = g.copy()
     pw.grad = g.copy()
     Adam([pa], lr=1e-3).step()
-    AdamW([pw], lr=1e-3, weight_decay=0.01).step()
+    AdamW([pw], lr=1e-3).step()
     np.testing.assert_allclose(pw.data, pa.data - 1e-3 * 0.01 * 2.0, atol=1e-15)
 
 
@@ -106,7 +106,7 @@ def test_optimizer_preserves_float32_parameters():
 def test_plateau_reduces_after_patience_stagnant_epochs():
     p = _param([0.0])
     opt = Adam([p], lr=1e-4)
-    sched = PlateauSchedule(opt, factor=0.1, patience=5)
+    sched = PlateauSchedule(opt)
     sched.step(1.0)  # sets the best
     for _ in range(4):
         assert sched.step(1.0) == pytest.approx(1e-4)
@@ -115,7 +115,7 @@ def test_plateau_reduces_after_patience_stagnant_epochs():
 
 def test_plateau_improvement_resets_counter():
     opt = Adam([_param([0.0])], lr=1e-3)
-    sched = PlateauSchedule(opt, factor=0.1, patience=5)
+    sched = PlateauSchedule(opt)
     sched.step(1.0)
     for _ in range(4):
         sched.step(1.0)
@@ -127,7 +127,7 @@ def test_plateau_improvement_resets_counter():
 
 def test_plateau_tiny_improvement_does_not_reset():
     opt = Adam([_param([0.0])], lr=1e-3)
-    sched = PlateauSchedule(opt, factor=0.1, patience=5, min_improve=1e-4)
+    sched = PlateauSchedule(opt)
     sched.step(1.0)
     for i in range(5):
         sched.step(1.0 - (i + 1) * 1e-5)  # below the improvement threshold

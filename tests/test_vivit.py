@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vidmood import tensor as T
-from vidmood.gradcheck import gradcheck
-from vidmood.models.vivit import (FactorizedBlock, ViViTConfig, ViViTModel,
-                                  token_counts, tubelet_tokens)
+from vidmood.models.vivit import ViViTConfig, ViViTModel, token_counts, tubelet_tokens
 from vidmood.nn import MultiHeadAttention, TransformerBlock, scaled_dot_product_attention
-from vidmood.tensor import ShapeError, Tensor
+from vidmood.tensor import ShapeError
 
 from reference import block_ref, cast_params, params_of
 
@@ -100,54 +98,18 @@ def test_identical_tokens_give_identical_rows():
         np.testing.assert_allclose(out[0, i], out[0, 0], atol=1e-12)
 
 
-# -- factorized space/time block ---------------------------------------------
+# -- transformer block ----------------------------------------------------------
 
 
-def _rand_grid(rng, b=2, n_t=3, n_s=4, d=6):
-    return rng.normal(size=(b, n_t, n_s, d))
-
-
-def test_factorized_block_matches_numpy_oracle():
+def test_transformer_block_matches_numpy_oracle():
     rng = np.random.default_rng(3)
-    blk = cast_params(FactorizedBlock(6, 2, 12, rng))
-    x = _rand_grid(rng)
-    got = blk(T.tensor(x)).data
-
-    p = params_of(blk)
-    sp = {k[len("spatial."):]: v for k, v in p.items() if k.startswith("spatial.")}
-    tp = {k[len("temporal."):]: v for k, v in p.items() if k.startswith("temporal.")}
-
-    b, n_t, n_s, d = x.shape
-    mid = np.zeros_like(x)
-    for bi in range(b):
-        for it in range(n_t):
-            mid[bi, it] = block_ref(x[bi, it][None], sp, heads=2)[0]
-    want = np.zeros_like(x)
-    for bi in range(b):
-        for js in range(n_s):
-            want[bi, :, js, :] = block_ref(mid[bi, :, js, :][None], tp, heads=2)[0]
-
-    np.testing.assert_allclose(got, want, atol=1e-6)
-
-
-def test_factorized_block_temporal_permutation_equivariance():
-    rng = np.random.default_rng(4)
-    blk = cast_params(FactorizedBlock(6, 2, 12, rng))
-    x = _rand_grid(rng, n_t=4)
-    perm = rng.permutation(4)
-    out = blk(T.tensor(x)).data
-    out_p = blk(T.tensor(x[:, perm])).data
-    np.testing.assert_allclose(out_p, out[:, perm], atol=1e-10)
-
-
-def test_factorized_block_spatial_permutation_equivariance():
-    rng = np.random.default_rng(5)
-    blk = cast_params(FactorizedBlock(6, 2, 12, rng))
-    x = _rand_grid(rng, n_s=5)
-    perm = rng.permutation(5)
-    out = blk(T.tensor(x)).data
-    out_p = blk(T.tensor(x[:, :, perm])).data
-    np.testing.assert_allclose(out_p, out[:, :, perm], atol=1e-10)
+    blk = cast_params(TransformerBlock(6, 2, 12, rng))
+    x = rng.normal(size=(2, 5, 6))
+    mask = rng.random((5, 5)) < 0.6
+    np.fill_diagonal(mask, True)
+    got = blk(T.tensor(x), mask=mask).data
+    want = block_ref(x, params_of(blk), heads=2, mask=mask)
+    np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def _zero_residual_branches(module):
@@ -157,33 +119,12 @@ def _zero_residual_branches(module):
             p.data = np.zeros_like(p.data)
 
 
-def test_factorized_block_zero_projections_is_identity():
-    rng = np.random.default_rng(6)
-    blk = FactorizedBlock(6, 2, 12, rng)
-    _zero_residual_branches(blk)
-    x = _rand_grid(rng).astype(np.float32)
-    np.testing.assert_array_equal(blk(T.tensor(x)).data, x)
-
-
 def test_transformer_block_zero_projections_is_identity():
     rng = np.random.default_rng(7)
     blk = TransformerBlock(6, 2, 12, rng)
     _zero_residual_branches(blk)
     x = rng.normal(size=(2, 5, 6)).astype(np.float32)
     np.testing.assert_array_equal(blk(T.tensor(x)).data, x)
-
-
-def test_factorized_block_gradcheck():
-    rng = np.random.default_rng(8)
-    blk = cast_params(FactorizedBlock(4, 2, 8, rng))
-    x = Tensor(rng.normal(size=(1, 2, 3, 4)), requires_grad=True)
-    w = rng.normal(size=(1, 2, 3, 4))
-
-    def loss():
-        return T.sum_(T.mul(blk(x), T.tensor(w)))
-
-    res = gradcheck(loss, {"x": x}, max_coords_per_input=12, rng=np.random.default_rng(0))
-    assert res.passed, str(res)
 
 
 # -- full model ---------------------------------------------------------------
