@@ -36,6 +36,7 @@ _DATA_KEYS = {"manifest", "side", "length", "clip_len"}
 _EXPERIMENT_KEYS = {"task", "state_filter", "aggregation"}
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 _TOP_KEYS = {"data", "model", "train", "experiment", "output", "seed"}
+_DERIVED_MODEL_KEYS = {"input_shape", "classes"}  # loso sets them from the clips and the task
 
 
 def load_run_config(path) -> dict:
@@ -54,6 +55,8 @@ def load_run_config(path) -> dict:
     model = raw.get("model", {})
     if model and "name" in model and model["name"] not in MODEL_NAMES:
         raise ValueError(f"config model.name must be one of {MODEL_NAMES}")
+    for key in sorted(_DERIVED_MODEL_KEYS & set(model)):
+        raise ValueError(f"config model.{key} is not settable: it comes from the clips and the task")
     return raw
 
 

@@ -282,37 +282,39 @@ def div(a, b) -> Tensor:
 # -- elementwise unary -------------------------------------------------------
 
 
-def _unary(x: Tensor, data: np.ndarray, dlocal: np.ndarray) -> Tensor:
+def _unary(x: Tensor, data: np.ndarray, dlocal) -> Tensor:
+    """``dlocal()`` builds the local derivative; it runs only on backward,
+    so untaped calls never build it and the tape does not hold it."""
     def grad_fn(g):
-        x._accumulate(g * dlocal)
+        x._accumulate(g * dlocal())
 
     return _make(data, (x,), grad_fn)
 
 
 def neg(x: Tensor) -> Tensor:
-    return _unary(x, -x.data, np.full_like(x.data, -1))
+    return _unary(x, -x.data, lambda: np.full_like(x.data, -1))
 
 
 def exp(x: Tensor) -> Tensor:
     data = np.exp(x.data)
-    return _unary(x, data, data)
+    return _unary(x, data, lambda: data)
 
 
 def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0):
         raise NumericError("log requires strictly positive input")
-    return _unary(x, np.log(x.data), 1.0 / x.data)
+    return _unary(x, np.log(x.data), lambda: 1.0 / x.data)
 
 
 def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0):
         raise NumericError("sqrt requires non-negative input")
     data = np.sqrt(x.data)
-    return _unary(x, data, 0.5 / np.maximum(data, np.finfo(data.dtype).tiny))
+    return _unary(x, data, lambda: 0.5 / np.maximum(data, np.finfo(data.dtype).tiny))
 
 
 def relu(x: Tensor) -> Tensor:
-    return _unary(x, np.maximum(x.data, 0), (x.data > 0).astype(x.data.dtype))
+    return _unary(x, np.maximum(x.data, 0), lambda: (x.data > 0).astype(x.data.dtype))
 
 
 def _stable_sigmoid(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -324,12 +326,12 @@ def _stable_sigmoid(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     data = _stable_sigmoid(d, np.exp(-np.abs(d)))
-    return _unary(x, data, data * (1.0 - data))
+    return _unary(x, data, lambda: data * (1.0 - data))
 
 
 def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
-    return _unary(x, data, 1.0 - data * data)
+    return _unary(x, data, lambda: 1.0 - data * data)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -339,15 +341,14 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     d = x.data
     cdf = 0.5 * (1.0 + erf(d * _INV_SQRT2))
-    pdf = np.exp(-0.5 * d * d) * _INV_SQRT_2PI
-    return _unary(x, d * cdf, cdf + d * pdf)
+    return _unary(x, d * cdf, lambda: cdf + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI))
 
 
 def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), computed as max(x, 0) + log1p(e^-|x|)."""
     d = x.data
     e = np.exp(-np.abs(d))
-    return _unary(x, np.maximum(d, 0) + np.log1p(e), _stable_sigmoid(d, e))
+    return _unary(x, np.maximum(d, 0) + np.log1p(e), lambda: _stable_sigmoid(d, e))
 
 
 # -- reductions --------------------------------------------------------------
@@ -476,13 +477,25 @@ def pad(x: Tensor, pad_width: Sequence[tuple[int, int]]) -> Tensor:
     return _make(data, (x,), grad_fn)
 
 
+def _is_basic_key(key) -> bool:
+    """True when numpy indexes with ``key`` as a view: ints, slices, None
+    and Ellipsis, alone or in a tuple. Such a key never repeats an element."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice)) for k in parts)
+
+
 def take(x: Tensor, key) -> Tensor:
-    """Slicing / integer-array indexing with scatter-add gradient."""
+    """Slicing / integer-array indexing. The gradient of a basic key is a
+    plain write; an integer-array key may repeat elements, so it scatter-adds."""
     data = x.data[key]
+    basic = _is_basic_key(key)
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, key, g)
+        if basic:
+            gx[key] = g
+        else:
+            np.add.at(gx, key, g)
         x._accumulate(gx)
 
     return _make(data, (x,), grad_fn)
@@ -524,33 +537,26 @@ def _triple(v) -> tuple[int, int, int]:
     return (int(v),) * 3
 
 
-def _im2col(x: np.ndarray, kshape, stride):
-    """x: [B, C, T, H, W] already padded -> col [B, P, C*kt*kh*kw], out dims."""
-    kt, kh, kw = kshape
-    st, sh, sw = stride
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kt, kh, kw), axis=(2, 3, 4))
-    windows = windows[:, :, ::st, ::sh, ::sw]
-    b, c, ot, oh, ow = windows.shape[:5]
-    # [B, T', H', W', C, kt, kh, kw] -> [B, P, K]
-    col = windows.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(b, ot * oh * ow, c * kt * kh * kw)
-    return np.ascontiguousarray(col), (ot, oh, ow)
+def _taps(kshape, stride, out_dims):
+    """Each kernel tap (i, j, k) in row-major order, with the strided
+    (T, H, W) slices that pick its input for every output position."""
+    for tap in np.ndindex(*kshape):
+        yield tap, tuple(slice(o, o + s * (n - 1) + 1, s)
+                         for o, s, n in zip(tap, stride, out_dims))
 
 
-def _corr3d(x: np.ndarray, w: np.ndarray, stride, padding):
-    """Raw cross-correlation on [B, C, T, H, W] with kernel [O, C, kt, kh, kw]."""
-    pt, ph, pw = padding
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    kt, kh, kw = w.shape[2:]
-    if any(xp.shape[2 + i] < w.shape[2 + i] for i in range(3)):
-        raise ShapeError(
-            f"kernel {w.shape[2:]} larger than padded input {xp.shape[2:]}"
-        )
-    col, out_dims = _im2col(xp, (kt, kh, kw), stride)
-    wmat = w.reshape(w.shape[0], -1)
-    out = col @ wmat.T  # [B, P, O]
-    b = x.shape[0]
-    out = out.transpose(0, 2, 1).reshape(b, w.shape[0], *out_dims)
-    return out, col
+def _im2col(xp: np.ndarray, kshape, stride, out_dims) -> np.ndarray:
+    """Padded x [B, C, T, H, W] -> col [B, C*kt*kh*kw, T'*H'*W'].
+
+    Rows follow the kernel's own (C, kt, kh, kw) order, so
+    ``kernel.reshape(O, -1) @ col`` is the correlation. One strided copy
+    per kernel tap fills the buffer, each running along contiguous W.
+    """
+    b, c = xp.shape[:2]
+    col = np.empty((b, c, *kshape, *out_dims), dtype=xp.dtype)
+    for (i, j, k), (st, sh, sw) in _taps(kshape, stride, out_dims):
+        col[:, :, i, j, k] = xp[:, :, st, sh, sw]
+    return col.reshape(b, c * math.prod(kshape), math.prod(out_dims))
 
 
 def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
@@ -568,90 +574,95 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     if x.shape[-4] != kernel.shape[1]:
         raise ShapeError(f"conv3d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     xb = x.data if batched else x.data[None]
-
-    out, col = _corr3d(xb, kernel.data, stride, padding)
+    xp = np.pad(xb, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    kshape = kernel.shape[2:]
+    if any(n < k for n, k in zip(xp.shape[2:], kshape)):
+        raise ShapeError(f"kernel {kshape} larger than padded input {xp.shape[2:]}")
+    out_dims = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kshape, stride))
+    col = _im2col(xp, kshape, stride, out_dims)
+    wmat = kernel.data.reshape(kernel.shape[0], -1)
+    out = (wmat @ col).reshape(xb.shape[0], kernel.shape[0], *out_dims)  # [B, O, P] -> 5-D
     if bias is not None:
-        out = out + bias.data[None, :, None, None, None]
+        out += bias.data[:, None, None, None]
     if not batched:
         out = out[0]
-
-    kshape = kernel.shape
+    xp_shape = xp.shape  # the tape keeps col, not the padded input
 
     def grad_fn(g):
-        gb5 = g if batched else g[None]
-        bsz, cout = gb5.shape[:2]
-        g2 = gb5.reshape(bsz, cout, -1).transpose(0, 2, 1)  # [B, P, O]
-        gw = np.tensordot(g2, col, axes=([0, 1], [0, 1])).reshape(kshape)  # [O, K]
-        kernel._accumulate(gw)
+        g3 = g.reshape(col.shape[0], kernel.shape[0], -1)  # [B, O, P]
+        kernel._accumulate((g3 @ col.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape))
         if bias is not None:
-            bias._accumulate(gb5.sum(axis=(0, 2, 3, 4)))
+            bias._accumulate(g3.sum(axis=(0, 2)))
         if x.requires_grad or x._grad_fn is not None:
-            gx = _conv3d_input_grad(gb5, kernel.data, xb.shape, stride, padding)
+            gx = _conv3d_input_grad(wmat.T @ g3, xp_shape, kshape, stride, out_dims, padding)
             x._accumulate(gx if batched else gx[0])
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(out, parents, grad_fn)
 
 
-def _conv3d_input_grad(g: np.ndarray, w: np.ndarray, xshape, stride, padding) -> np.ndarray:
-    """Gradient wrt conv3d input: stride-dilate g, full-pad, correlate with
-    the spatially flipped, channel-swapped kernel, then crop to x."""
-    b, cin = xshape[0], xshape[1]
-    in_dims = xshape[2:]
-    k = w.shape[2:]
-    cout = w.shape[0]
-    out_dims = g.shape[2:]
+def _conv3d_input_grad(gcol: np.ndarray, xp_shape, kshape, stride, out_dims, padding) -> np.ndarray:
+    """col2im: gradient wrt conv3d input from gcol = W2d.T @ g, the
+    [B, C*kt*kh*kw, T'*H'*W'] column gradient in ``_im2col``'s row order.
 
-    dil_dims = tuple(stride[i] * (out_dims[i] - 1) + 1 for i in range(3))
-    gd = np.zeros((b, cout, *dil_dims), dtype=g.dtype)
-    gd[:, :, ::stride[0], ::stride[1], ::stride[2]] = g
-
-    wflip = w[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)  # [C_in, C_out, kt, kh, kw]
-    full_pad = tuple(k[i] - 1 for i in range(3))
-    gx_head, _ = _corr3d(gd, np.ascontiguousarray(wflip), (1, 1, 1), full_pad)
-
-    # head covers the first (in + 2*pad - remainder) padded positions; the
-    # remainder tail is never touched by a forward window
-    gxp = np.zeros((b, cin) + tuple(d + 2 * p for d, p in zip(in_dims, padding)), dtype=g.dtype)
-    hd = gx_head.shape[2:]
-    gxp[:, :, :hd[0], :hd[1], :hd[2]] = gx_head
-    sl = tuple(slice(p, p + d) for p, d in zip(padding, in_dims))
-    return gxp[:, :, sl[0], sl[1], sl[2]]
+    Each kernel tap's rows are added back through the same strided slices
+    that filled them, into a zero padded buffer that is then cropped to x;
+    the remainder tail that no forward window touched stays zero.
+    """
+    b, c = xp_shape[:2]
+    gcol = gcol.reshape(b, c, *kshape, *out_dims)
+    gxp = np.zeros(xp_shape, dtype=gcol.dtype)
+    for (i, j, k), (st, sh, sw) in _taps(kshape, stride, out_dims):
+        gxp[:, :, st, sh, sw] += gcol[:, :, i, j, k]
+    crop = tuple(slice(p, n - p) for p, n in zip(padding, xp_shape[2:]))
+    return gxp[(..., *crop)]
 
 
 # -- 3D max-pooling ------------------------------------------------------------
+
+
+def _select(out: np.ndarray, v: np.ndarray, mask: np.ndarray) -> None:
+    """out[mask] = v[mask] in place, bit for bit, as an xor blend of the raw
+    bits: numpy vectorizes it, where a masked copy goes element by element."""
+    bits = np.dtype(f"u{out.itemsize}")
+    ob = out.view(bits)
+    d = np.bitwise_xor(v.view(bits), ob)
+    d &= np.negative(mask, dtype=bits)
+    ob ^= d
 
 
 def maxpool3d(x: Tensor, window) -> Tensor:
     """Window max with stride = window; trailing remainder is truncated.
 
     Gradient routes to the first maximal element of each window in
-    row-major order.
+    row-major order; a window holding a NaN gives NaN and routes to it.
     """
-    pt, ph, pw = _triple(window)
+    window = _triple(window)
     batched = x.ndim == 5
     if x.ndim not in (4, 5):
         raise ShapeError(f"maxpool3d input must be 4-D or 5-D, got {x.shape}")
     xb = x.data if batched else x.data[None]
-    b, c, t, h, w = xb.shape
-    if pt > t or ph > h or pw > w:
-        raise ShapeError(f"pool window {(pt, ph, pw)} exceeds input {(t, h, w)}")
-    t2, h2, w2 = t // pt, h // ph, w // pw
-    xc = xb[:, :, : t2 * pt, : h2 * ph, : w2 * pw]
-    win = xc.reshape(b, c, t2, pt, h2, ph, w2, pw).transpose(0, 1, 2, 4, 6, 3, 5, 7)
-    flat = win.reshape(b, c, t2, h2, w2, pt * ph * pw)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    if any(p > n for p, n in zip(window, xb.shape[2:])):
+        raise ShapeError(f"pool window {window} exceeds input {xb.shape[2:]}")
+    out_dims = tuple(n // p for n, p in zip(xb.shape[2:], window))
+    # one strided view of x per window offset, each shaped like the output
+    views = [(..., *sl) for _, sl in _taps(window, window, out_dims)]
+    out = xb[views[0]].copy()
+    idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(views) - 1))
+    for n, view in enumerate(views[1:], 1):
+        v = xb[view]
+        better = ~(v <= out)  # strict, so ties keep the earlier offset; true for a NaN v
+        better &= out == out  # a NaN already taken stays
+        _select(out, v, better)
+        np.maximum(idx, better * idx.dtype.type(n), out=idx)  # n exceeds every earlier offset
     if not batched:
         out = out[0]
 
     def grad_fn(g):
         gb = g if batched else g[None]
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, idx[..., None], gb[..., None], axis=-1)
-        gwin = gflat.reshape(b, c, t2, h2, w2, pt, ph, pw).transpose(0, 1, 2, 5, 3, 6, 4, 7)
         gx = np.zeros_like(xb)
-        gx[:, :, : t2 * pt, : h2 * ph, : w2 * pw] = gwin.reshape(b, c, t2 * pt, h2 * ph, w2 * pw)
+        for n, view in enumerate(views):
+            np.multiply(gb, idx == n, out=gx[view])
         x._accumulate(gx if batched else gx[0])
 
-    return _make(np.ascontiguousarray(out), (x,), grad_fn)
+    return _make(out, (x,), grad_fn)

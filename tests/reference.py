@@ -61,6 +61,54 @@ def maxpool3d_reference(x, window):
     return out
 
 
+def conv3d_grads_reference(x, w, g, stride, pad):
+    """Input, weight and bias gradients of the cross-correlation in
+    ``conv3d_reference`` for upstream gradient ``g`` [O, T', H', W'],
+    accumulated one output position at a time in float64."""
+    st, sh, sw = stride
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]), (pad[2], pad[2])))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    o_ch, _, kt, kh, kw = w.shape
+    for o in range(o_ch):
+        for it in range(g.shape[1]):
+            for ih in range(g.shape[2]):
+                for iw in range(g.shape[3]):
+                    win = (slice(None), slice(it * st, it * st + kt),
+                           slice(ih * sh, ih * sh + kh), slice(iw * sw, iw * sw + kw))
+                    gw[o] += g[o, it, ih, iw] * xp[win]
+                    gxp[win] += g[o, it, ih, iw] * w[o]
+    gx = gxp[:, pad[0]:pad[0] + x.shape[1], pad[1]:pad[1] + x.shape[2], pad[2]:pad[2] + x.shape[3]]
+    return gx, gw, g.sum(axis=(1, 2, 3))
+
+
+def maxpool3d_routed_reference(x, window, g):
+    """Max-pool of [C, T, H, W] with stride = window, plus its gradient for
+    upstream ``g``: each window's value and gradient go to its first maximal
+    element in row-major order, or to its first NaN if it holds one."""
+    pt, ph, pw = window
+    c, t, h, w = x.shape
+    ot, oh, ow = t // pt, h // ph, w // pw
+    out = np.zeros((c, ot, oh, ow), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for ci in range(c):
+        for it in range(ot):
+            for ih in range(oh):
+                for iw in range(ow):
+                    best = None
+                    for dt in range(pt):
+                        for dh in range(ph):
+                            for dw in range(pw):
+                                pos = (ci, it * pt + dt, ih * ph + dh, iw * pw + dw)
+                                if best is None or (not math.isnan(x[best]) and
+                                                    (math.isnan(x[pos]) or x[pos] > x[best])):
+                                    best = pos
+                    out[ci, it, ih, iw] = x[best]
+                    gx[best] = g[ci, it, ih, iw]
+    return out, gx
+
+
 def attention_loop_reference(q, k, v, mask=None, bias=None):
     """Per-query softmax attention on [B, H, N, dh], explicit loops."""
     b, h, n, dh = q.shape

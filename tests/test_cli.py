@@ -202,6 +202,19 @@ def test_unknown_section_key_rejected(tmp_path):
         load_run_config(path)
 
 
+@pytest.mark.parametrize("key, value", [("input_shape", [8, 16, 16, 3]), ("classes", 3)])
+def test_model_keys_derived_from_clips_and_task_rejected(tmp_path, capsys, key, value):
+    cfg = {"model": {"name": "cnn_lstm", key: value}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=f"model.{key}"):
+        load_run_config(path)
+    # loso names the key and exits 2 before reading any manifest
+    assert main(["loso", "--config", str(path), "--manifest", str(tmp_path / "none.json"),
+                 "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert f"model.{key}" in capsys.readouterr().err
+
+
 def test_model_overrides_turn_lists_into_tuples_only():
     vivit = _model_overrides({"model": {"name": "vivit", "heads": 2, "input_shape": [8, 16, 16, 3]}})
     assert vivit == {"heads": 2, "input_shape": (8, 16, 16, 3)}

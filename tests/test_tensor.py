@@ -5,6 +5,8 @@ reimplementations; gradients against central finite differences in
 float64.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from vidmood import tensor as T
 from vidmood.gradcheck import gradcheck
 from vidmood.tensor import NumericError, ShapeError, Tensor
+
+from reference import conv3d_grads_reference, maxpool3d_routed_reference
 
 
 UNARY_OPS = {"relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh, "exp": T.exp, "neg": T.neg}
@@ -231,6 +235,17 @@ class TestAutodiff:
             y = T.mul(x, x)
         assert y._grad_fn is None and y._parents == ()
 
+    def test_relu_without_tape_builds_no_derivative(self):
+        x = Tensor(rnd(1 << 20, 70, np.float32))  # 4 MiB
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                y = T.relu(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * y.data.nbytes
+
     def test_constant_wrapper_cuts_graph(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         y = T.mul(Tensor(x.data), x)
@@ -322,6 +337,23 @@ class TestGradients:
         w = rnd((4, 3), 45)
         check(lambda: T.sum_(T.mul(x[idx], w)), {"x": x})
 
+    @pytest.mark.parametrize("key", [1, -1, (slice(None), 0), (Ellipsis, slice(1, None, 2)),
+                                     (None, slice(None, None, -1), 2)])
+    def test_take_basic_key_grad_equals_scatter_add(self, key):
+        xd = rnd((4, 5, 3), 71)
+        x = Tensor(xd, requires_grad=True)
+        y = T.take(x, key)
+        g = rnd(y.shape, 72)
+        T.sum_(T.mul(y, g)).backward()
+        want = np.zeros_like(xd)
+        np.add.at(want, key, g)
+        np.testing.assert_array_equal(x.grad, want)
+
+    def test_take_repeated_array_key_accumulates(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        T.sum_(T.take(x, np.array([0, 2, 0, 0]))).backward()
+        np.testing.assert_array_equal(x.grad, [[3.0, 3.0], [0.0, 0.0], [1.0, 1.0]])
+
     def test_concat_grads(self):
         a = Tensor(rnd((2, 3), 46), requires_grad=True)
         b = Tensor(rnd((4, 3), 47), requires_grad=True)
@@ -342,6 +374,43 @@ class TestGradients:
         w = Tensor(rnd((2, 1, 2, 2, 2), 54), requires_grad=True)
         wt = rnd((1, 2, 2, 2, 2), 55)
         check(lambda: T.sum_(T.mul(T.conv3d(x, w, stride=2, padding=0), wt)), {"x": x, "w": w})
+
+    @pytest.mark.parametrize("batched, stride, pad, shape", [
+        (True, (1, 2, 2), (1, 1, 1), (2, 2, 3, 5, 5)),
+        (True, (2, 2, 2), (0, 0, 0), (2, 1, 5, 5, 5)),  # remainder tail on every axis
+        (False, (1, 2, 2), (1, 1, 1), (2, 3, 5, 5)),
+        (False, (2, 2, 2), (0, 0, 0), (1, 5, 5, 5)),
+    ])
+    def test_conv3d_grads_match_loop_reference(self, batched, stride, pad, shape):
+        xd, wd, bd = rnd(shape, 73), rnd((3, shape[-4], 2, 2, 2), 74), rnd(3, 75)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        y = T.conv3d(x, w, b, stride=stride, padding=pad)
+        g = rnd(y.shape, 76)
+        T.sum_(T.mul(y, g)).backward()
+        xs, gs, gxs = (xd, g, x.grad) if batched else (xd[None], g[None], x.grad[None])
+        want_w, want_b = np.zeros_like(wd), np.zeros_like(bd)
+        for xi, gi, got_x in zip(xs, gs, gxs):
+            want_x, gw, gb = conv3d_grads_reference(xi, wd, gi, stride, pad)
+            np.testing.assert_allclose(got_x, want_x, rtol=1e-10, atol=1e-12)
+            want_w += gw
+            want_b += gb
+        np.testing.assert_allclose(w.grad, want_w, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(b.grad, want_b, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [(1, 2, 2), (2, 2, 2), (3, 1, 2)])
+    def test_maxpool3d_exactly_matches_routed_loop_reference(self, window):
+        gen = np.random.default_rng(77)
+        xd = gen.integers(0, 3, size=(2, 6, 6, 5)).astype(np.float64)  # many ties
+        xd[0, 0, 0, 0] = np.nan
+        xd[1, 3, 2, 3] = xd[1, 3, 3, 3] = np.nan  # two NaNs in one (1, 2, 2) window
+        x = Tensor(xd, requires_grad=True)
+        y = T.maxpool3d(x, window)
+        g = gen.normal(size=y.shape)
+        T.sum_(T.mul(y, g)).backward()
+        want_y, want_gx = maxpool3d_routed_reference(xd, window, g)
+        assert np.isnan(want_y).any()
+        np.testing.assert_array_equal(y.data, want_y)
+        np.testing.assert_array_equal(x.grad, want_gx)
 
     def test_maxpool3d_grads(self):
         x = Tensor(rnd((1, 2, 4, 6, 6), 56), requires_grad=True)
