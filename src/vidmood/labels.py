@@ -6,11 +6,8 @@ binary task collapses mild/severe into "present".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "GdsLabel",
-    "gds_to_label",
+    "SEVERITY_BANDS",
     "SEVERITY_CLASSES",
     "BINARY_CLASSES",
     "severity_class",
@@ -18,36 +15,20 @@ __all__ = [
 ]
 
 SEVERITY_CLASSES = ("absent", "mild", "severe")
+SEVERITY_BANDS = ((0, 9), (10, 19), (20, 30))  # inclusive score range per severity class
 BINARY_CLASSES = ("absent", "present")
-
-
-@dataclass(frozen=True)
-class GdsLabel:
-    score: int
-    severity: str  # absent | mild | severe
-    binary: str    # absent | present
-
-
-def gds_to_label(score: int) -> GdsLabel:
-    if not isinstance(score, (int,)) or isinstance(score, bool):
-        raise ValueError(f"gds score must be an int, got {score!r}")
-    if not 0 <= score <= 30:
-        raise ValueError(f"gds score out of range 0..30: {score}")
-    if score <= 9:
-        severity = "absent"
-    elif score <= 19:
-        severity = "mild"
-    else:
-        severity = "severe"
-    binary = "absent" if severity == "absent" else "present"
-    return GdsLabel(score, severity, binary)
 
 
 def severity_class(score: int) -> int:
     """Multiclass index: absent 0, mild 1, severe 2."""
-    return SEVERITY_CLASSES.index(gds_to_label(score).severity)
+    if not isinstance(score, int) or isinstance(score, bool):
+        raise ValueError(f"gds score must be an int, got {score!r}")
+    for cls, (lo, hi) in enumerate(SEVERITY_BANDS):
+        if lo <= score <= hi:
+            return cls
+    raise ValueError(f"gds score out of range 0..30: {score}")
 
 
 def binary_class(score: int) -> int:
-    """Binary index: absent 0, present 1."""
-    return BINARY_CLASSES.index(gds_to_label(score).binary)
+    """Binary index: absent 0, present 1 (mild and severe)."""
+    return min(severity_class(score), 1)

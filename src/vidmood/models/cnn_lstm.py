@@ -55,26 +55,31 @@ class ConvBlock(Module):
 
 class LstmCell(Module):
     """Gated recurrence: forget/input gates and candidate per the classic
-    equations, plus an output gate producing h = o * tanh(c)."""
+    equations, plus an output gate producing h = o * tanh(c).
+
+    The four gates share one input matrix ``w`` [in, 4H], one recurrent
+    matrix ``u`` [H, 4H] and one bias ``b`` [4H], whose column blocks are,
+    in order, the forget, input, candidate and output gates.
+    """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         self.hidden = hidden
         bound = 1.0 / math.sqrt(hidden)
-
-        def mat(r, c):
-            return Parameter(rng.uniform(-bound, bound, (r, c)))
-
-        self.forget_w, self.forget_u, self.forget_b = mat(in_dim, hidden), mat(hidden, hidden), Parameter(np.zeros(hidden))
-        self.input_w, self.input_u, self.input_b = mat(in_dim, hidden), mat(hidden, hidden), Parameter(np.zeros(hidden))
-        self.cell_w, self.cell_u, self.cell_b = mat(in_dim, hidden), mat(hidden, hidden), Parameter(np.zeros(hidden))
-        self.outgate_w, self.outgate_u, self.outgate_b = mat(in_dim, hidden), mat(hidden, hidden), Parameter(np.zeros(hidden))
+        # per gate, the input block and then the recurrent block
+        draws = [rng.uniform(-bound, bound, shape)
+                 for _ in range(4) for shape in ((in_dim, hidden), (hidden, hidden))]
+        self.w = Parameter(np.concatenate(draws[0::2], axis=1))
+        self.u = Parameter(np.concatenate(draws[1::2], axis=1))
+        self.b = Parameter(np.zeros(4 * hidden))
 
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         """One timestep: x [B, in], h/c [B, hidden] -> (h', c')."""
-        f = T.sigmoid(T.add(T.add(T.matmul(x, self.forget_w), T.matmul(h, self.forget_u)), self.forget_b))
-        i = T.sigmoid(T.add(T.add(T.matmul(x, self.input_w), T.matmul(h, self.input_u)), self.input_b))
-        g = T.tanh(T.add(T.add(T.matmul(x, self.cell_w), T.matmul(h, self.cell_u)), self.cell_b))
-        o = T.sigmoid(T.add(T.add(T.matmul(x, self.outgate_w), T.matmul(h, self.outgate_u)), self.outgate_b))
+        n = self.hidden
+        z = T.add(T.add(T.matmul(x, self.w), T.matmul(h, self.u)), self.b)  # [B, 4H]
+        f = T.sigmoid(z[:, :n])
+        i = T.sigmoid(z[:, n:2 * n])
+        g = T.tanh(z[:, 2 * n:3 * n])
+        o = T.sigmoid(z[:, 3 * n:])
         c_next = T.add(T.mul(f, c), T.mul(i, g))
         h_next = T.mul(o, T.tanh(c_next))
         return h_next, c_next
@@ -118,10 +123,7 @@ class CnnLstmModel(Module):
         self.head = Linear(cfg.hidden, cfg.classes, rng)
 
     def forward(self, clip: Tensor) -> Tensor:
-        """[B, T, H, W, C] (or unbatched) -> logits [B, classes]."""
-        squeeze = clip.ndim == 4
-        if squeeze:
-            clip = T.reshape(clip, (1,) + clip.shape)
+        """[B, T, H, W, C] -> logits [B, classes]."""
         if clip.shape[1:] != self.cfg.input_shape:
             raise ShapeError(f"clip {clip.shape[1:]} does not match config input "
                              f"{self.cfg.input_shape}")
@@ -134,5 +136,4 @@ class CnnLstmModel(Module):
         x = self.project(x)
         hs = self.lstm(x)
         pooled = attention_pool(hs, self.att_weight, self.att_bias)
-        logits = self.head(pooled)
-        return T.reshape(logits, (self.cfg.classes,)) if squeeze else logits
+        return self.head(pooled)

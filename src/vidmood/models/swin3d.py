@@ -4,9 +4,10 @@ Tokens from ceiling-padded patch embedding attend inside non-overlapping
 3D windows; alternate blocks cyclically shift the grid by half a window
 so information crosses window borders, with wrapped token pairs masked
 to exactly zero attention. Spatial patch merging doubles channels
-between stages. Zero-padded tokens (from window rounding or merging of
-odd grids) are masked out of attention and excluded from the final
-average pool.
+between stages. Only the zero-padded tokens that round the grid up to
+whole windows are masked out of attention. Patch embedding and merging
+also pad, but every token they emit covers real input, so the final
+average pool takes every token.
 """
 
 from __future__ import annotations
@@ -224,7 +225,8 @@ class SwinBlock(Module):
         self.norm2 = LayerNorm(dim)
         self.mlp = Mlp(dim, mlp_hidden, rng)
 
-    def forward(self, x: Tensor, valid: np.ndarray) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
+        valid = np.ones(x.shape[1:4], dtype=bool)  # every stage token covers real input
         h = shifted_window_attention(self.norm1(x), valid, self.attn, self.bias,
                                      self.window, self.shift)
         x = T.add(x, h)
@@ -240,7 +242,7 @@ class PatchEmbed(Module):
         self.image_patch = cfg.image_patch
         self.proj = Linear(cfg.frame_patch * cfg.image_patch ** 2 * c, cfg.embed_dim, rng)
 
-    def forward(self, clip: Tensor) -> tuple[Tensor, np.ndarray]:
+    def forward(self, clip: Tensor) -> Tensor:
         b, t0, h0, w0, c = clip.shape
         p, m = self.frame_patch, self.image_patch
         n_t, n_h, n_w = token_counts_ceil((t0, h0, w0), p, m)
@@ -250,10 +252,7 @@ class PatchEmbed(Module):
         x = T.reshape(clip, (b, n_t, p, n_h, m, n_w, m, c))
         x = T.transpose(x, (0, 1, 3, 5, 2, 4, 6, 7))
         x = T.reshape(x, (b, n_t, n_h, n_w, p * m * m * c))
-        tokens = self.proj(x)
-        # every ceiling block overlaps the real extent, so all tokens are valid
-        valid = np.ones((n_t, n_h, n_w), dtype=bool)
-        return tokens, valid
+        return self.proj(x)
 
 
 class PatchMerge(Module):
@@ -263,20 +262,17 @@ class PatchMerge(Module):
         self.norm = LayerNorm(4 * dim)
         self.reduce = Linear(4 * dim, 2 * dim, rng, bias=False)
 
-    def forward(self, x: Tensor, valid: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    def forward(self, x: Tensor) -> Tensor:
         b, nt, nh, nw, d = x.shape
         ph, pw = nh % 2, nw % 2
         if ph or pw:
             x = T.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw), (0, 0)))
-            valid = np.pad(valid, ((0, 0), (0, ph), (0, pw)), constant_values=False)
         x00 = x[:, :, 0::2, 0::2, :]
         x10 = x[:, :, 1::2, 0::2, :]
         x01 = x[:, :, 0::2, 1::2, :]
         x11 = x[:, :, 1::2, 1::2, :]
         merged = T.concat([x00, x10, x01, x11], axis=-1)
-        merged = self.reduce(self.norm(merged))
-        v = valid[:, 0::2, 0::2] | valid[:, 1::2, 0::2] | valid[:, 0::2, 1::2] | valid[:, 1::2, 1::2]
-        return merged, v
+        return self.reduce(self.norm(merged))
 
 
 class SwinModel(Module):
@@ -302,24 +298,17 @@ class SwinModel(Module):
         self.head = Linear(final_dim, cfg.classes, rng)
 
     def forward(self, clip: Tensor) -> Tensor:
-        """[B, T, H, W, C] (or unbatched) -> logits [B, classes]."""
-        squeeze = clip.ndim == 4
-        if squeeze:
-            clip = T.reshape(clip, (1,) + clip.shape)
+        """[B, T, H, W, C] -> logits [B, classes]."""
         if clip.shape[1:] != self.cfg.input_shape:
             raise ShapeError(f"clip {clip.shape[1:]} does not match config input "
                              f"{self.cfg.input_shape}")
-        x, valid = self.patch_embed(clip)
+        x = self.patch_embed(clip)
         for i, stage in enumerate(self.stages):
             for blk in stage:
-                x = blk(x, valid)
+                x = blk(x)
             if i < len(self.merges):
-                x, valid = self.merges[i](x, valid)
+                x = self.merges[i](x)
 
         b, nt, nh, nw, d = x.shape
-        flat = T.reshape(x, (b, nt * nh * nw, d))
-        keep = valid.reshape(-1).astype(np.float64)
-        count = float(keep.sum())
-        pooled = T.mul(T.sum_(T.mul(flat, keep[None, :, None]), axis=1), 1.0 / count)
-        logits = self.head(self.norm(pooled))
-        return T.reshape(logits, (self.cfg.classes,)) if squeeze else logits
+        pooled = T.mean(T.reshape(x, (b, nt * nh * nw, d)), axis=1)
+        return self.head(self.norm(pooled))

@@ -83,10 +83,7 @@ class ViViTModel(Module):
         self.head = Linear(d, cfg.classes, rng)
 
     def forward(self, clip: Tensor) -> Tensor:
-        """[B, T, H, W, C] (or unbatched [T, H, W, C]) -> logits [B, classes]."""
-        squeeze = clip.ndim == 4
-        if squeeze:
-            clip = T.reshape(clip, (1,) + clip.shape)
+        """[B, T, H, W, C] -> logits [B, classes]."""
         if clip.shape[1:] != self.cfg.input_shape:
             raise ShapeError(f"clip {clip.shape[1:]} does not match config input "
                              f"{self.cfg.input_shape}")
@@ -107,5 +104,4 @@ class ViViTModel(Module):
         y = T.concat([cls_t, slot_cls], axis=1)
         for blk in self.temporal_blocks:
             y = blk(y)
-        logits = self.head(y[:, 0])
-        return T.reshape(logits, (self.cfg.classes,)) if squeeze else logits
+        return self.head(y[:, 0])

@@ -207,7 +207,7 @@ class TransformerBlock(Module):
         self.norm2 = LayerNorm(dim)
         self.mlp = Mlp(dim, mlp_hidden, rng)
 
-    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        x = T.add(x, self.attn(self.norm1(x), mask=mask))
+    def forward(self, x: Tensor) -> Tensor:
+        x = T.add(x, self.attn(self.norm1(x)))
         x = T.add(x, self.mlp(self.norm2(x)))
         return x

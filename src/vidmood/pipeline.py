@@ -97,31 +97,6 @@ class SidecarLocalizer:
 # -- resampling ----------------------------------------------------------------
 
 
-def _bilinear_grid(frames: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """Sample frames [T, H, W, C] at fractional coords yy/xx [Ho, Wo],
-    clamping coordinates to the frame (edge replication).
-
-    Each corner is gathered from the input and only then widened to
-    float64, so memory scales with the output, not the input.
-    """
-    h, w = frames.shape[1:3]
-    yy = np.clip(yy, 0.0, h - 1.0)
-    xx = np.clip(xx, 0.0, w - 1.0)
-    y0 = np.floor(yy).astype(np.intp)
-    x0 = np.floor(xx).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (yy - y0)[None, :, :, None]
-    wx = (xx - x0)[None, :, :, None]
-
-    def corner(yi, xi):
-        return frames[:, yi, xi].astype(np.float64)
-
-    top = _lerp_into(corner(y0, x0), corner(y0, x1), wx)
-    bot = _lerp_into(corner(y1, x0), corner(y1, x1), wx)
-    return _lerp_into(top, bot, wy)
-
-
 def _lerp_into(a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> np.ndarray:
     """a + wt * (b - a), computed in b's buffer.
 
@@ -137,14 +112,31 @@ def _lerp_into(a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> np.ndarray:
 def _resize_frames_u8(frames: np.ndarray, side: int) -> np.ndarray:
     """Bilinear resize of uint8 [T, H, W, C] to [T, side, side, C].
 
-    Half-pixel centers, so a side->side resize is the identity.
+    Half-pixel centers, so a side->side resize is the identity; sample
+    coordinates are clamped to the frame (edge replication). The sampling
+    grid is built once and each frame is resampled on its own into the
+    uint8 output, so the float64 working set is a few output frames,
+    whatever the video's length. Each corner is gathered from the input
+    and only then widened to float64.
     """
     t, h, w, c = frames.shape
-    ys = (np.arange(side) + 0.5) * (h / side) - 0.5
-    xs = (np.arange(side) + 0.5) * (w / side) - 0.5
+    ys = np.clip((np.arange(side) + 0.5) * (h / side) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(side) + 0.5) * (w / side) - 0.5, 0.0, w - 1.0)
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    out = _bilinear_grid(frames, yy, xx)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    y0 = np.floor(yy).astype(np.intp)
+    x0 = np.floor(xx).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (yy - y0)[:, :, None]
+    wx = (xx - x0)[:, :, None]
+
+    out = np.empty((t, side, side, c), dtype=np.uint8)
+    for frame, dst in zip(frames, out):
+        top = _lerp_into(frame[y0, x0].astype(np.float64), frame[y0, x1].astype(np.float64), wx)
+        bot = _lerp_into(frame[y1, x0].astype(np.float64), frame[y1, x1].astype(np.float64), wx)
+        v = _lerp_into(top, bot, wy)
+        dst[...] = np.clip(np.rint(v, out=v), 0, 255, out=v)
+    return out
 
 
 # -- pipeline stages -------------------------------------------------------------

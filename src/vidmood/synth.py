@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .labels import SEVERITY_BANDS
 from .manifest import VideoRecord, save_manifest
 from .pipeline import RawVideo
 from .vten import write_vten
@@ -34,7 +35,6 @@ __all__ = [
     "cohort_spec",
 ]
 
-GDS_BANDS = ((0, 9), (10, 19), (20, 30))  # absent, mild, severe
 _BG, _HEAD, _EYE, _MOUTH = 30.0, 200.0, 60.0, 90.0
 
 
@@ -113,7 +113,7 @@ def _subject_states(spec: SynthSpec, i: int) -> tuple[str, ...]:
 
 
 def _subject_gds(spec: SynthSpec, i: int, cls: int) -> int:
-    lo, hi = GDS_BANDS[cls]
+    lo, hi = SEVERITY_BANDS[cls]
     return int(np.random.default_rng([spec.seed, i, 202]).integers(lo, hi + 1))
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "no_grad",
     "tensor",
     "zeros",
-    "ones",
     "concat",
     "matmul",
     "softmax",
@@ -153,56 +152,8 @@ class Tensor:
                 if not node.requires_grad:
                     node.grad = None  # free interior buffers
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis, keepdims)
 
 
 def tensor(data, dtype=None, requires_grad=False) -> Tensor:
@@ -211,10 +162,6 @@ def tensor(data, dtype=None, requires_grad=False) -> Tensor:
 
 def zeros(shape, dtype=np.float32, requires_grad=False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=np.float32, requires_grad=False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def _coerce(value, like: Tensor) -> Tensor:

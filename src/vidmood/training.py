@@ -69,8 +69,8 @@ def default_train_config(model_name: str, task: str = "multiclass", **overrides)
 def loss_fn(logits: Tensor, targets, kind: str) -> Tensor:
     """Mean loss over the batch.
 
-    bce treats class 1 as the positive: p = sigmoid(z1 - z0) for two-logit
-    output (or of the single logit), evaluated in log-space. sparse_cce is
+    bce treats class 1 as the positive of two logits: p = sigmoid(z1 - z0),
+    evaluated in log-space. sparse_cce is
     -log_softmax(logits)[target].
     """
     y = np.asarray(targets)
@@ -82,12 +82,9 @@ def loss_fn(logits: Tensor, targets, kind: str) -> Tensor:
     if kind == "bce":
         if np.any((y != 0) & (y != 1)):
             raise ValueError("bce targets must be 0 or 1")
-        if logits.shape[1] == 2:
-            z = T.sub(logits[:, 1], logits[:, 0])
-        elif logits.shape[1] == 1:
-            z = T.reshape(logits, (logits.shape[0],))
-        else:
-            raise T.ShapeError(f"bce expects 1 or 2 logits per sample, got {logits.shape[1]}")
+        if logits.shape[1] != 2:
+            raise T.ShapeError(f"bce expects 2 logits per sample, got {logits.shape[1]}")
+        z = T.sub(logits[:, 1], logits[:, 0])
         # -[y log p + (1-y) log(1-p)] == softplus((1-2y) z), stable for large |z|
         return T.mean(T.softplus(T.mul(z, (1.0 - 2.0 * y).astype(logits.data.dtype))))
 

@@ -44,7 +44,9 @@ def write_vten(path, array: np.ndarray) -> None:
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     if arr.dtype != np.uint8:
         arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    Path(path).write_bytes(header + arr.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(arr.data)
 
 
 def read_vten(path) -> np.ndarray:

@@ -165,12 +165,11 @@ def mlp_ref(x, fc1_w, fc1_b, fc2_w, fc2_b):
     return gelu_ref(x @ fc1_w + fc1_b) @ fc2_w + fc2_b
 
 
-def block_ref(x, p, heads, mask=None, bias=None):
+def block_ref(x, p, heads):
     """Pre-norm transformer block from a named-parameter dict (numpy values)."""
     h = x + mha_ref(ln_ref(x, p["norm1.gamma"], p["norm1.beta"]),
                     p["attn.qkv.weight"], p["attn.qkv.bias"],
-                    p["attn.proj.weight"], p["attn.proj.bias"], heads,
-                    mask=mask, bias=bias)
+                    p["attn.proj.weight"], p["attn.proj.bias"], heads)
     return h + mlp_ref(ln_ref(h, p["norm2.gamma"], p["norm2.beta"]),
                        p["mlp.fc1.weight"], p["mlp.fc1.bias"],
                        p["mlp.fc2.weight"], p["mlp.fc2.bias"])

@@ -46,18 +46,35 @@ def test_lstm_step_matches_scalar_evaluation():
     c0 = rng.normal(size=(1, 2))
     h1, c1 = cell.step(T.tensor(x), T.tensor(h0), T.tensor(c0))
 
-    def gate(w, u, b, squash):
-        pre = x[0] @ w.data + h0[0] @ u.data + b.data
+    def gate(k, squash):
+        cols = slice(2 * k, 2 * k + 2)  # gate k's column block, hidden = 2
+        pre = x[0] @ cell.w.data[:, cols] + h0[0] @ cell.u.data[:, cols] + cell.b.data[cols]
         return squash(pre)
 
-    f = gate(cell.forget_w, cell.forget_u, cell.forget_b, _sigmoid)
-    i = gate(cell.input_w, cell.input_u, cell.input_b, _sigmoid)
-    g = gate(cell.cell_w, cell.cell_u, cell.cell_b, np.tanh)
-    o = gate(cell.outgate_w, cell.outgate_u, cell.outgate_b, _sigmoid)
+    f = gate(0, _sigmoid)
+    i = gate(1, _sigmoid)
+    g = gate(2, np.tanh)
+    o = gate(3, _sigmoid)
     c_want = f * c0[0] + i * g
     h_want = o * np.tanh(c_want)
     np.testing.assert_allclose(c1.data[0], c_want, atol=1e-12)
     np.testing.assert_allclose(h1.data[0], h_want, atol=1e-12)
+
+
+def test_lstm_gate_blocks_keep_per_gate_draw_order():
+    # gates forget, input, candidate, output; each draws its input matrix, then its recurrent one
+    cell = LstmCell(3, 4, np.random.default_rng(16))
+    rng = np.random.default_rng(16)
+    bound = 1.0 / math.sqrt(4)
+    for k in range(4):
+        cols = slice(4 * k, 4 * k + 4)
+        w = rng.uniform(-bound, bound, (3, 4)).astype(np.float32)
+        u = rng.uniform(-bound, bound, (4, 4)).astype(np.float32)
+        np.testing.assert_array_equal(cell.w.data[:, cols], w)
+        np.testing.assert_array_equal(cell.u.data[:, cols], u)
+    assert [(n, p.shape) for n, p in cell.named_parameters()] == [
+        ("w", (3, 16)), ("u", (4, 16)), ("b", (16,))]
+    assert not cell.b.data.any()
 
 
 def test_lstm_step_zero_weights_halves_cell_state():
@@ -166,7 +183,7 @@ def test_model_logit_shapes():
     model = _tiny_model()
     rng = np.random.default_rng(11)
     clip = rng.normal(size=(8, 16, 16, 3)).astype(np.float32)
-    assert model(T.tensor(clip)).shape == (2,)
+    assert model(T.tensor(clip[None])).shape == (1, 2)
     assert model(T.tensor(np.stack([clip, clip, clip]))).shape == (3, 2)
 
 
@@ -188,13 +205,13 @@ def test_model_batch_rows_match_single_forward():
     clips = rng.normal(size=(2, 8, 16, 16, 3)).astype(np.float32)
     batch = model(T.tensor(clips)).data
     for i in range(2):
-        row = model(T.tensor(clips[i])).data
-        np.testing.assert_allclose(batch[i], row, atol=1e-5)
+        row = model(T.tensor(clips[i:i + 1])).data
+        np.testing.assert_allclose(batch[i], row[0], atol=1e-5)
 
 
 def test_model_deterministic():
     rng = np.random.default_rng(14)
-    clip = rng.normal(size=(8, 16, 16, 3)).astype(np.float32)
+    clip = rng.normal(size=(1, 8, 16, 16, 3)).astype(np.float32)
     a = _tiny_model(seed=9)(T.tensor(clip)).data
     b = _tiny_model(seed=9)(T.tensor(clip)).data
     np.testing.assert_array_equal(a, b)
@@ -203,13 +220,18 @@ def test_model_deterministic():
 def test_model_rejects_wrong_input_shape():
     model = _tiny_model()
     with pytest.raises(ShapeError):
-        model(T.zeros((8, 16, 20, 3)))
+        model(T.zeros((1, 8, 16, 20, 3)))
+
+
+def test_model_rejects_unbatched_clip():
+    with pytest.raises(ShapeError):
+        _tiny_model()(T.zeros((8, 16, 16, 3)))
 
 
 def test_model_grad_reaches_every_parameter():
     model = _tiny_model()
     rng = np.random.default_rng(15)
-    clip = rng.normal(size=(8, 16, 16, 3)).astype(np.float32)
+    clip = rng.normal(size=(1, 8, 16, 16, 3)).astype(np.float32)
     T.sum_(model(T.tensor(clip))).backward()
     for name, p in model.named_parameters():
         assert p.grad is not None, f"no gradient reached {name}"

@@ -1,11 +1,12 @@
 """Tensor-file format, manifest schema, and GDS banding."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vidmood.labels import BINARY_CLASSES, binary_class, gds_to_label, severity_class
+from vidmood.labels import BINARY_CLASSES, SEVERITY_CLASSES, binary_class, severity_class
 from vidmood.manifest import (ManifestError, VideoRecord, load_crop_sidecar,
                               load_manifest, save_manifest)
 from vidmood.vten import VtenError, read_vten, write_vten
@@ -71,6 +72,16 @@ class TestVten:
         write_vten(p1, arr)
         write_vten(p2, arr)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_makes_no_payload_copy(self, tmp_path):
+        arr = np.ones((4, 1024, 1024), dtype=np.float32)  # 16 MiB
+        tracemalloc.start()
+        try:
+            write_vten(tmp_path / "big.vten", arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, f"write peak {peak / 2 ** 20:.1f} MiB for a 16 MiB payload"
 
 
 def make_record(**over):
@@ -139,21 +150,23 @@ class TestGdsLabels:
         (19, "mild"), (20, "severe"), (30, "severe"),
     ])
     def test_band_boundaries(self, score, severity):
-        assert gds_to_label(score).severity == severity
+        assert SEVERITY_CLASSES[severity_class(score)] == severity
 
     def test_binary_collapse(self):
-        assert gds_to_label(0).binary == "absent"
-        assert gds_to_label(10).binary == "present"
-        assert gds_to_label(25).binary == "present"
+        assert BINARY_CLASSES[binary_class(0)] == "absent"
+        assert BINARY_CLASSES[binary_class(10)] == "present"
+        assert BINARY_CLASSES[binary_class(25)] == "present"
 
     def test_partition_no_gaps_no_overlap(self):
-        seen = [gds_to_label(s).severity for s in range(31)]
+        seen = [SEVERITY_CLASSES[severity_class(s)] for s in range(31)]
         assert seen == ["absent"] * 10 + ["mild"] * 10 + ["severe"] * 11
 
     @pytest.mark.parametrize("bad", [-1, 31, 2.5, "9", True])
     def test_rejects_out_of_domain(self, bad):
         with pytest.raises(ValueError):
-            gds_to_label(bad)
+            severity_class(bad)
+        with pytest.raises(ValueError):
+            binary_class(bad)
 
     def test_class_indices(self):
         assert [severity_class(s) for s in (5, 15, 25)] == [0, 1, 2]

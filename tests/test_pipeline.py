@@ -71,6 +71,17 @@ class TestLocalizeResize:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20, f"resize peak {peak / 2 ** 20:.1f} MiB for a 3 MiB input"
 
+    def test_resize_working_set_is_per_frame(self):
+        frames = u8video(160, 96, 96, seed=8).frames
+        tracemalloc.start()
+        try:
+            out = P._resize_frames_u8(frames, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_sample = peak / out.size
+        assert per_sample < 4, f"resize peak {per_sample:.1f} bytes per output sample"
+
     def test_sidecar_count_mismatch(self):
         v = u8video(3, 8, 8, seed=6)
         loc = P.SidecarLocalizer([(0, 0, 4, 4)])

@@ -309,8 +309,7 @@ def test_block_zero_projections_is_identity_with_shift_and_padding():
                           "mlp.fc2.weight", "mlp.fc2.bias")):
             p.data = np.zeros_like(p.data)
     x = rng.normal(size=(2, 3, 5, 5, 8)).astype(np.float32)  # forces internal padding
-    valid = np.ones((3, 5, 5), dtype=bool)
-    out = blk(T.tensor(x), valid)
+    out = blk(T.tensor(x))
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -319,8 +318,7 @@ def test_block_matches_manual_composition_on_full_window():
     blk = cast_params(SwinBlock(8, 2, 16, window=(2, 2, 2), shifted=False, rng=rng))
     grid = (2, 2, 2)
     x = rng.normal(size=(1,) + grid + (8,))
-    valid = np.ones(grid, dtype=bool)
-    got = blk(T.tensor(x), valid).data.reshape(1, -1, 8)
+    got = blk(T.tensor(x)).data.reshape(1, -1, 8)
 
     p = params_of(blk)
     bias = blk.bias((2, 2, 2)).data.astype(np.float64)
@@ -344,9 +342,8 @@ def test_patch_embed_pads_to_ceiling_and_projects():
     rng = np.random.default_rng(14)
     pe = cast_params(PatchEmbed(cfg, rng))
     x = np.random.default_rng(15).normal(size=(1, 3, 5, 5, 2))
-    tokens, valid = pe(T.tensor(x))
+    tokens = pe(T.tensor(x))
     assert tokens.shape == (1, 2, 2, 2, 8)
-    assert valid.shape == (2, 2, 2) and valid.all()
 
     xp = np.pad(x, ((0, 0), (0, 1), (0, 3), (0, 3), (0, 0)))
     w, b = pe.proj.weight.data, pe.proj.bias.data
@@ -362,10 +359,8 @@ def test_patch_merge_shapes_and_formula():
     rng = np.random.default_rng(16)
     pm = cast_params(PatchMerge(8, rng))
     x = rng.normal(size=(1, 2, 4, 4, 8))
-    valid = np.ones((2, 4, 4), dtype=bool)
-    out, v = pm(T.tensor(x), valid)
+    out = pm(T.tensor(x))
     assert out.shape == (1, 2, 2, 2, 16)
-    assert v.shape == (2, 2, 2) and v.all()
 
     p = params_of(pm)
     for t in range(2):
@@ -388,41 +383,31 @@ def test_patch_merge_locality():
     rng = np.random.default_rng(18)
     pm = PatchMerge(8, rng)
     x = rng.normal(size=(1, 2, 4, 4, 8)).astype(np.float32)
-    valid = np.ones((2, 4, 4), dtype=bool)
-    base, _ = pm(T.tensor(x), valid)
+    base = pm(T.tensor(x))
     x2 = x.copy()
     x2[0, 1, 2, 3] += 1.0
-    out, _ = pm(T.tensor(x2), valid)
+    out = pm(T.tensor(x2))
     changed = np.any(out.data != base.data, axis=-1)
     want = np.zeros((1, 2, 2, 2), dtype=bool)
     want[0, 1, 1, 1] = True
     np.testing.assert_array_equal(changed, want)
 
 
-def test_patch_merge_odd_grid_and_validity():
+def test_patch_merge_odd_grid():
     rng = np.random.default_rng(19)
     pm = PatchMerge(4, rng)
     x = rng.normal(size=(1, 1, 3, 3, 4)).astype(np.float32)
-    valid = np.ones((1, 3, 3), dtype=bool)
-    out, v = pm(T.tensor(x), valid)
+    out = pm(T.tensor(x))
     assert out.shape == (1, 1, 2, 2, 8)
-    assert v.all()  # every merged cell overlaps at least one real token
-
-    valid2 = valid.copy()
-    valid2[0, 2, 2] = False  # the only real source of merged (1,1) stays...
-    _, v2 = pm(T.tensor(x), valid2)
-    assert not v2[0, 1, 1]
-    assert v2[0, 0, 0] and v2[0, 0, 1] and v2[0, 1, 0]
 
 
 def test_three_merges_multiply_channels_by_eight():
     rng = np.random.default_rng(20)
     x = rng.normal(size=(1, 1, 8, 8, 4)).astype(np.float32)
-    valid = np.ones((1, 8, 8), dtype=bool)
     dim = 4
     t = T.tensor(x)
     for _ in range(3):
-        t, valid = PatchMerge(dim, rng)(t, valid)
+        t = PatchMerge(dim, rng)(t)
         dim *= 2
     assert t.shape == (1, 1, 1, 1, 32)
 
@@ -443,7 +428,7 @@ def test_model_logit_shapes():
     model = _tiny_model()
     rng = np.random.default_rng(21)
     clip = rng.normal(size=(8, 16, 16, 3)).astype(np.float32)
-    assert model(T.tensor(clip)).shape == (2,)
+    assert model(T.tensor(clip[None])).shape == (1, 2)
     assert model(T.tensor(np.stack([clip, clip]))).shape == (2, 2)
 
 
@@ -453,13 +438,13 @@ def test_model_batch_rows_match_single_forward():
     clips = rng.normal(size=(2, 8, 16, 16, 3)).astype(np.float32)
     batch = model(T.tensor(clips)).data
     for i in range(2):
-        row = model(T.tensor(clips[i])).data
-        np.testing.assert_allclose(batch[i], row, atol=1e-5)
+        row = model(T.tensor(clips[i:i + 1])).data
+        np.testing.assert_allclose(batch[i], row[0], atol=1e-5)
 
 
 def test_model_deterministic():
     rng = np.random.default_rng(23)
-    clip = rng.normal(size=(8, 16, 16, 3)).astype(np.float32)
+    clip = rng.normal(size=(1, 8, 16, 16, 3)).astype(np.float32)
     a = _tiny_model(seed=5)(T.tensor(clip)).data
     b = _tiny_model(seed=5)(T.tensor(clip)).data
     np.testing.assert_array_equal(a, b)
@@ -468,22 +453,27 @@ def test_model_deterministic():
 def test_model_handles_non_multiple_input():
     model = _tiny_model(input_shape=(5, 9, 9, 2), window=(2, 2, 2))
     rng = np.random.default_rng(24)
-    clip = rng.normal(size=(5, 9, 9, 2)).astype(np.float32)
+    clip = rng.normal(size=(1, 5, 9, 9, 2)).astype(np.float32)
     out = model(T.tensor(clip))
-    assert out.shape == (2,)
+    assert out.shape == (1, 2)
     assert np.all(np.isfinite(out.data))
 
 
 def test_model_rejects_wrong_input_shape():
     model = _tiny_model()
     with pytest.raises(ShapeError):
-        model(T.zeros((8, 16, 20, 3)))
+        model(T.zeros((1, 8, 16, 20, 3)))
+
+
+def test_model_rejects_unbatched_clip():
+    with pytest.raises(ShapeError):
+        _tiny_model()(T.zeros((8, 16, 16, 3)))
 
 
 def test_model_grad_reaches_every_parameter():
     model = _tiny_model()
     rng = np.random.default_rng(25)
-    clip = rng.normal(size=(8, 16, 16, 3)).astype(np.float32)
+    clip = rng.normal(size=(1, 8, 16, 16, 3)).astype(np.float32)
     T.sum_(model(T.tensor(clip))).backward()
     for name, p in model.named_parameters():
         assert p.grad is not None, f"no gradient reached {name}"

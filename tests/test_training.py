@@ -83,10 +83,9 @@ def test_bce_at_even_odds_is_ln2():
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_bce_single_logit_column():
-    logits = T.tensor(np.zeros((3, 1)))
-    loss = loss_fn(logits, np.array([1, 0, 1]), "bce")
-    assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
+def test_bce_rejects_single_logit_column():
+    with pytest.raises(T.ShapeError):
+        loss_fn(T.tensor(np.zeros((3, 1))), np.array([1, 0, 1]), "bce")
 
 
 def test_bce_confident_correct_is_tiny():

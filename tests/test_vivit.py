@@ -105,10 +105,8 @@ def test_transformer_block_matches_numpy_oracle():
     rng = np.random.default_rng(3)
     blk = cast_params(TransformerBlock(6, 2, 12, rng))
     x = rng.normal(size=(2, 5, 6))
-    mask = rng.random((5, 5)) < 0.6
-    np.fill_diagonal(mask, True)
-    got = blk(T.tensor(x), mask=mask).data
-    want = block_ref(x, params_of(blk), heads=2, mask=mask)
+    got = blk(T.tensor(x)).data
+    want = block_ref(x, params_of(blk), heads=2)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -142,8 +140,8 @@ def test_model_logit_shapes():
     model = _tiny_model()
     rng = np.random.default_rng(9)
     clip = rng.normal(size=(8, 16, 16, 3)).astype(np.float32)
-    single = model(T.tensor(clip))
-    assert single.shape == (2,)
+    single = model(T.tensor(clip[None]))
+    assert single.shape == (1, 2)
     batched = model(T.tensor(np.stack([clip, clip])))
     assert batched.shape == (2, 2)
 
@@ -154,13 +152,13 @@ def test_model_batch_rows_match_single_forward():
     clips = rng.normal(size=(3, 8, 16, 16, 3)).astype(np.float32)
     batch = model(T.tensor(clips)).data
     for i in range(3):
-        row = model(T.tensor(clips[i])).data
-        np.testing.assert_allclose(batch[i], row, atol=1e-5)
+        row = model(T.tensor(clips[i:i + 1])).data
+        np.testing.assert_allclose(batch[i], row[0], atol=1e-5)
 
 
 def test_model_construction_and_forward_deterministic():
     rng = np.random.default_rng(11)
-    clip = rng.normal(size=(8, 16, 16, 3)).astype(np.float32)
+    clip = rng.normal(size=(1, 8, 16, 16, 3)).astype(np.float32)
     a = _tiny_model(seed=3)(T.tensor(clip)).data
     b = _tiny_model(seed=3)(T.tensor(clip)).data
     np.testing.assert_array_equal(a, b)
@@ -169,7 +167,12 @@ def test_model_construction_and_forward_deterministic():
 def test_model_rejects_wrong_input_shape():
     model = _tiny_model()
     with pytest.raises(ShapeError):
-        model(T.zeros((8, 16, 20, 3)))
+        model(T.zeros((1, 8, 16, 20, 3)))
+
+
+def test_model_rejects_unbatched_clip():
+    with pytest.raises(ShapeError):
+        _tiny_model()(T.zeros((8, 16, 16, 3)))
 
 
 def test_config_validation():
@@ -184,7 +187,7 @@ def test_config_validation():
 def test_model_grad_reaches_every_parameter():
     model = _tiny_model()
     rng = np.random.default_rng(12)
-    clip = rng.normal(size=(8, 16, 16, 3)).astype(np.float32)
+    clip = rng.normal(size=(1, 8, 16, 16, 3)).astype(np.float32)
     loss = T.sum_(model(T.tensor(clip)))
     loss.backward()
     for name, p in model.named_parameters():
