@@ -12,6 +12,7 @@ average pool takes every token.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,6 +170,33 @@ class RelativePositionBias(Module):
         return T.transpose(bias, (2, 0, 1))  # [heads, N, N]
 
 
+@functools.lru_cache(maxsize=32)
+def _window_masks(grid, valid_bytes: bytes, win, sh) -> tuple | None:
+    """Additive attention masks, one per window of the validity grid, in
+    window_partition order: [1, N, N] of 0 where a pair may attend and -inf
+    for pairs from different shift regions or with a padded or invalid
+    key; None for a window with nothing to mask, and None overall when no
+    window has. Windows with the same pattern share one read-only array,
+    so a grid holds a few [N, N] masks rather than [nW, N, N]."""
+    valid = np.frombuffer(valid_bytes, dtype=bool).reshape(grid)
+    pads = tuple((0, -g % w) for g, w in zip(grid, win))
+    valid = np.roll(np.pad(valid, pads, constant_values=False), tuple(-s for s in sh), (0, 1, 2))
+    vw = _partition_np(valid, win)  # [nW, N]
+    region = _partition_np(compute_region_ids(valid.shape, win, sh), win)
+    masks, shared = [], {}
+    for reg, ok in zip(region, vw):
+        allowed = (reg[:, None] == reg[None, :]) & ok[None, :]
+        if allowed.all():
+            masks.append(None)
+            continue
+        pattern = allowed.tobytes()
+        if pattern not in shared:
+            shared[pattern] = np.where(allowed, np.float32(0), np.float32(-np.inf))[None]
+            shared[pattern].flags.writeable = False
+        masks.append(shared[pattern])
+    return tuple(masks) if shared else None
+
+
 def shifted_window_attention(x: Tensor, valid: np.ndarray, attn: MultiHeadAttention,
                              bias: RelativePositionBias | None,
                              window, shift) -> Tensor:
@@ -183,24 +211,20 @@ def shifted_window_attention(x: Tensor, valid: np.ndarray, attn: MultiHeadAttent
     for i in range(3):
         if shift[i] >= window[i]:
             raise ShapeError(f"shift {shift} must be < window {window} per axis")
+    if valid.shape != grid:
+        raise ShapeError(f"validity grid {valid.shape} does not match token grid {grid}")
     win, sh = get_window_size(grid, window, shift)
 
     pads = tuple((0, -g % w) for g, w in zip(grid, win))
     padded = tuple(g + p[1] for g, p in zip(grid, pads))
     if any(p[1] for p in pads):
         x = T.pad(x, ((0, 0),) + pads + ((0, 0),))
-        valid = np.pad(valid, pads, constant_values=False)
-
     if any(sh):
         x = T.roll(x, tuple(-s for s in sh), (1, 2, 3))
-        valid = np.roll(valid, tuple(-s for s in sh), (0, 1, 2))
 
     xw = window_partition(x, win)  # [B*nW, N, d]
-    vw = _partition_np(valid, win)  # [nW, N]
-    region = _partition_np(compute_region_ids(padded, win, sh), win)
-    allowed = (region[:, :, None] == region[:, None, :]) & vw[:, None, :]
-    mask = np.tile(allowed, (b, 1, 1))[:, None, :, :]  # [B*nW, 1, N, N]
-
+    # one mask per window, shared by every batch row; built once per grid
+    mask = _window_masks(grid, np.asarray(valid, dtype=bool).tobytes(), win, sh)
     bias_t = bias(win) if bias is not None else None
     out = attn(xw, mask=mask, bias=bias_t)
 

@@ -9,8 +9,7 @@ spelling are load-bearing.
 
 from __future__ import annotations
 
-import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "LayerNorm",
     "Mlp",
     "MultiHeadAttention",
-    "scaled_dot_product_attention",
 ]
 
 
@@ -116,13 +114,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        flat = x if x.ndim == 2 else T.reshape(x, (-1, x.shape[-1]))
-        y = T.matmul(flat, self.weight)
-        if self.bias is not None:
-            y = T.add(y, self.bias)
-        if x.ndim != 2:
-            y = T.reshape(y, x.shape[:-1] + (self.weight.shape[1],))
-        return y
+        return T.linear(x, self.weight, self.bias)
 
 
 LN_EPS = 1e-5
@@ -136,11 +128,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = T.mean(x, axis=-1, keepdims=True)
-        xc = T.sub(x, mu)
-        var = T.mean(T.mul(xc, xc), axis=-1, keepdims=True)
-        inv = T.div(xc, T.sqrt(T.add(var, LN_EPS)))
-        return T.add(T.mul(inv, self.gamma), self.beta)
+        return T.layer_norm(x, self.gamma, self.beta, LN_EPS)
 
 
 class Mlp(Module):
@@ -154,26 +142,6 @@ class Mlp(Module):
         return self.fc2(T.gelu(self.fc1(x)))
 
 
-def scaled_dot_product_attention(
-    q: Tensor, k: Tensor, v: Tensor,
-    mask: np.ndarray | None = None,
-    bias: Tensor | None = None,
-) -> Tensor:
-    """softmax(q k^T / sqrt(d_head) [+ bias]) v on [..., N, d_head] operands.
-
-    ``mask`` is boolean, broadcastable to the logit shape; excluded pairs
-    receive exactly zero attention weight. ``bias`` is added to the logits
-    before the softmax (broadcast over batch).
-    """
-    dh = q.shape[-1]
-    logits = T.mul(T.matmul(q, T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))),
-                   1.0 / math.sqrt(dh))
-    if bias is not None:
-        logits = T.add(logits, bias)
-    attn = T.softmax(logits, axis=-1, mask=mask)
-    return T.matmul(attn, v)
-
-
 class MultiHeadAttention(Module):
     """Multi-head self-attention over [B, N, dim] token sequences."""
 
@@ -181,21 +149,15 @@ class MultiHeadAttention(Module):
         if dim % heads != 0:
             raise T.ShapeError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = dim // heads
         self.qkv = Linear(dim, 3 * dim, rng)
         self.proj = Linear(dim, dim, rng)
 
-    def forward(self, x: Tensor, mask: np.ndarray | None = None,
+    def forward(self, x: Tensor, mask: Sequence[np.ndarray | None] | None = None,
                 bias: Tensor | None = None) -> Tensor:
-        b, n, d = x.shape
-        qkv = self.qkv(x)  # [B, N, 3D]
-        qkv = T.reshape(qkv, (b, n, 3, self.heads, self.head_dim))
-        qkv = T.transpose(qkv, (2, 0, 3, 1, 4))  # [3, B, H, N, dh]
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        out = scaled_dot_product_attention(q, k, v, mask=mask, bias=bias)
-        out = T.transpose(out, (0, 2, 1, 3))  # [B, N, H, dh]
-        out = T.reshape(out, (b, n, d))
-        return self.proj(out)
+        """``mask`` and ``bias`` are those of ``tensor.attention``: additive
+        0 / -inf masks, one per batch row modulo their count, and a
+        [heads, N, N] logit bias."""
+        return self.proj(T.attention(self.qkv(x), self.heads, mask=mask, bias=bias))
 
 
 class TransformerBlock(Module):

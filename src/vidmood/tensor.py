@@ -2,10 +2,14 @@
 
 Every primitive the video models need lives here: elementwise math,
 broadcasting binary ops, batched matmul, stabilized (maskable) softmax,
-3D convolution and max-pooling, and layout ops (reshape / transpose /
-roll / pad / slicing / concat). Forward values are numpy arrays; each
-op records its inputs and a gradient closure, so calling ``backward()``
-on a scalar replays the recorded graph in reverse topological order.
+3D convolution and max-pooling, layout ops (reshape / transpose / roll /
+pad / slicing / concat), and the fused transformer ops ``linear``,
+``layer_norm`` and ``attention`` (packed-qkv multi-head attention with
+an additive mask and bias, run in cache-sized chunks), each one tape
+node with a hand-written backward pass. Forward values are numpy arrays;
+each op records its inputs and a gradient closure, so calling
+``backward()`` on a scalar replays the recorded graph in reverse
+topological order.
 
 Convention: float32 for training, float64 for verification (finite
 differences are meaningless in single precision).
@@ -31,6 +35,9 @@ __all__ = [
     "matmul",
     "softmax",
     "log_softmax",
+    "linear",
+    "layer_norm",
+    "attention",
     "conv3d",
     "maxpool3d",
 ]
@@ -170,9 +177,18 @@ def _coerce(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
+def _wants_grad(t: Tensor) -> bool:
+    return t.requires_grad or t._grad_fn is not None
+
+
+def _taped(parents: Sequence[Tensor]) -> bool:
+    """True when an op on ``parents`` is recorded on the tape."""
+    return _grad_enabled and any(_wants_grad(p) for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._grad_fn is not None for p in parents):
+    if _taped(parents):
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
     return out
@@ -380,6 +396,182 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return sub(shifted, lse)
 
 
+# -- fused transformer ops ---------------------------------------------------
+#
+# One tape node each. Forward and backward passes repeat the arithmetic of
+# the op chains they replace, so values and gradients are bit-identical to
+# those chains (attention's bias gradient only while the batch fits one
+# chunk: chunked, it is summed chunk by chunk).
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ weight + bias over the last axis: x [..., in], weight [in, out].
+
+    The leading axes are flattened and restored as views, so no reshape
+    nodes are recorded.
+    """
+    if weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
+    x2 = x.data.reshape(-1, weight.shape[0])
+    y = x2 @ weight.data
+    if bias is not None:
+        y += bias.data
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, weight.shape[1])
+        weight._accumulate(x2.T @ g2)
+        if bias is not None:
+            bias._accumulate(g2.sum(axis=0))
+        if _wants_grad(x):
+            x._accumulate((g2 @ weight.data.T).reshape(x.shape))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _make(y.reshape(x.shape[:-1] + (weight.shape[1],)), parents, grad_fn)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis.
+
+    Forward and backward run the arithmetic of the ``mean``/``sub``/``mul``
+    /``sqrt``/``div``/``add`` composite in its order: sum * (1/n), subtract,
+    square, sum * (1/n), + eps, sqrt, divide, * gamma, + beta, and back.
+    """
+    n = x.shape[-1]
+    if gamma.shape != (n,) or beta.shape != (n,):
+        raise ShapeError(f"layer_norm: gamma {gamma.shape} / beta {beta.shape} vs input {x.shape}")
+    d = x.data
+    dt = np.result_type(d, gamma.data, beta.data)
+    d = d.astype(dt, copy=False)
+    inv_n = dt.type(1.0 / n)
+    xc = d - d.sum(axis=-1, keepdims=True) * inv_n
+    y = xc * xc
+    std = y.sum(axis=-1, keepdims=True)
+    std *= inv_n
+    std += dt.type(eps)
+    np.sqrt(std, out=std)
+    xhat = xc / std
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+
+    def grad_fn(g):
+        beta._accumulate(_unbroadcast(g, beta.shape))
+        gamma._accumulate(_unbroadcast(g * xhat, gamma.shape))
+        if not _wants_grad(x):
+            return
+        g_xhat = g * gamma.data
+        g_xc = g_xhat / std
+        g_std = (-g_xhat * xhat / std).sum(axis=-1, keepdims=True)
+        g_sq = g_std * (0.5 / np.maximum(std, np.finfo(dt).tiny)) * inv_n
+        t = g_sq * xc  # xc * xc passes t to each of its two operands
+        g_xc += t
+        g_xc += t
+        x._accumulate(g_xc)
+        x._accumulate(np.broadcast_to(-g_xc.sum(axis=-1, keepdims=True) * inv_n, x.shape))
+
+    return _make(y, (x, gamma, beta), grad_fn)
+
+
+# logits per attention chunk: small enough that the in-place softmax passes
+# over a chunk stay in cache
+ATTN_CHUNK_BYTES = 4 << 20
+
+
+def _row_chunks(rows: int, row_bytes: int):
+    """[r0, r1) ranges of whole rows, each under ATTN_CHUNK_BYTES of logits
+    when one row fits."""
+    step = max(1, ATTN_CHUNK_BYTES // row_bytes)
+    for r0 in range(0, rows, step):
+        yield r0, min(rows, r0 + step)
+
+
+def _softmax_rows_(lg: np.ndarray) -> None:
+    """In-place ``softmax`` over the last axis, with the same op order; a
+    row whose entries are all -inf becomes zeros."""
+    m = lg.max(axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0
+    lg -= m
+    np.exp(lg, out=lg)
+    s = lg.sum(axis=-1, keepdims=True)
+    s[s == 0] = 1
+    lg /= s
+
+
+def attention(qkv: Tensor, heads: int, mask: Sequence[np.ndarray | None] | None = None,
+              bias: Tensor | None = None) -> Tensor:
+    """Multi-head self-attention on a packed projection.
+
+    ``qkv`` [B, N, 3*D] holds q, k and v side by side, each D = heads *
+    d_head wide. Per head, softmax(q k^T / sqrt(d_head) + bias + mask) v;
+    the heads come back merged as [B, N, D].
+
+    ``mask`` is a sequence of M additive masks (an [M, 1, N, N] array, or
+    a list that shares arrays between rows): each entry is 0 (attend) or
+    -inf (excluded) per pair, broadcastable to [heads, N, N], or None when
+    nothing is excluded. Batch row r uses ``mask[r % M]``, so B must be a
+    multiple of M. Excluded pairs get exactly zero weight, and a row with
+    every key excluded gives zeros. ``bias`` broadcasts to [heads, N, N].
+
+    Rows run in chunks whose logits fit ``ATTN_CHUNK_BYTES``, the softmax
+    in place; the tape keeps only the probabilities.
+    """
+    if qkv.ndim != 3 or qkv.shape[-1] % (3 * heads):
+        raise ShapeError(f"attention: qkv {qkv.shape} is not [B, N, 3 * {heads} * d_head]")
+    b, n, d3 = qkv.shape
+    dh = d3 // (3 * heads)
+    if mask is not None and b % len(mask):
+        raise ShapeError(f"attention: {b} batch rows are not a multiple of {len(mask)} masks")
+    dt = qkv.dtype if bias is None else np.result_type(qkv.data, bias.data)
+    q, k, v = (qkv.data.reshape(b, n, 3, heads, dh)[:, :, i].transpose(0, 2, 1, 3)
+               for i in range(3))
+    kt = k.transpose(0, 1, 3, 2)
+    scale = dt.type(1.0 / math.sqrt(dh))
+    chunks = list(_row_chunks(b, heads * n * n * dt.itemsize))
+    parents = (qkv,) if bias is None else (qkv, bias)
+    taped = _taped(parents)
+    if taped:
+        probs = np.empty((b, heads, n, n), dtype=dt)
+    else:  # one chunk-sized scratch buffer, reused
+        scratch = np.empty((chunks[0][1], heads, n, n), dtype=dt)
+    out = np.empty((b, n, heads, dh), dtype=dt)
+    out_h = out.transpose(0, 2, 1, 3)
+    for r0, r1 in chunks:
+        lg = probs[r0:r1] if taped else scratch[:r1 - r0]
+        np.matmul(q[r0:r1], kt[r0:r1], out=lg)
+        lg *= scale
+        if bias is not None:
+            lg += bias.data
+        if mask is not None:
+            for r in range(r0, r1):
+                m = mask[r % len(mask)]
+                if m is not None:
+                    lg[r - r0] += m
+        _softmax_rows_(lg)
+        np.matmul(lg, v[r0:r1], out=out_h[r0:r1])
+
+    def grad_fn(g):
+        g_out = g.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+        gqkv = np.empty((b, n, 3, heads, dh), dtype=dt)
+        gq, gk, gv = (gqkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
+        gbias = None if bias is None else np.zeros(bias.shape, dtype=dt)
+        for r0, r1 in chunks:
+            p, go = probs[r0:r1], g_out[r0:r1]
+            np.matmul(p.transpose(0, 1, 3, 2), go, out=gv[r0:r1])
+            dz = go @ v[r0:r1].transpose(0, 1, 3, 2)  # d probs
+            dz -= (dz * p).sum(axis=-1, keepdims=True)
+            dz *= p  # d logits; zero wherever the mask excluded a pair
+            if gbias is not None:
+                gbias += _unbroadcast(dz, bias.shape)
+            dz *= scale
+            np.matmul(dz, k[r0:r1], out=gq[r0:r1])
+            # q^T dz, transposed, as the chain computed it: dz^T q sums in another order
+            gk[r0:r1] = (q[r0:r1].transpose(0, 1, 3, 2) @ dz).transpose(0, 1, 3, 2)
+        qkv._accumulate(gqkv.reshape(qkv.shape))
+        if bias is not None:
+            bias._accumulate(gbias)
+
+    return _make(out.reshape(b, n, heads * dh), parents, grad_fn)
+
+
 # -- layout ------------------------------------------------------------------
 
 
@@ -540,7 +732,7 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
         kernel._accumulate((g3 @ col.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape))
         if bias is not None:
             bias._accumulate(g3.sum(axis=(0, 2)))
-        if x.requires_grad or x._grad_fn is not None:
+        if _wants_grad(x):
             gx = _conv3d_input_grad(wmat.T @ g3, xp_shape, kshape, stride, out_dims, padding)
             x._accumulate(gx if batched else gx[0])
 

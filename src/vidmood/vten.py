@@ -34,16 +34,17 @@ class VtenError(ValueError):
 
 
 def write_vten(path, array: np.ndarray) -> None:
-    arr = np.ascontiguousarray(array)
-    code = _DTYPE_CODES.get(np.dtype(arr.dtype))
+    """Any byte order is accepted and stored little-endian; a 0-d array
+    keeps its shape ()."""
+    arr = np.asarray(array, order="C")
+    code = _DTYPE_CODES.get(arr.dtype.newbyteorder("="))
     if code is None:
         raise VtenError(f"{path}: unsupported dtype {arr.dtype} (u8/f32/f64 only)")
     if arr.ndim > 255:
         raise VtenError(f"{path}: too many dimensions ({arr.ndim})")
     header = MAGIC + bytes([VERSION, code, arr.ndim])
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    if arr.dtype != np.uint8:
-        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+    arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(arr.data)

@@ -129,6 +129,55 @@ def attention_loop_reference(q, k, v, mask=None, bias=None):
     return out
 
 
+def packed_attention_loop_reference(qkv, heads, mask=None, bias=None):
+    """``tensor.attention`` from its definition: split the packed [B, N, 3D]
+    projection into per-head q, k, v, run the per-query loop with pairs
+    whose additive mask entry is -inf excluded, and merge the heads."""
+    b, n, d3 = qkv.shape
+    dh = d3 // (3 * heads)
+    q, k, v = (np.array([[[qkv[bi, i, part * heads * dh + h * dh:part * heads * dh + (h + 1) * dh]
+                           for i in range(n)] for h in range(heads)] for bi in range(b)])
+               for part in range(3))
+    allowed = None
+    if mask is not None:
+        allowed = np.ones((b, heads, n, n), dtype=bool)
+        for bi in range(b):
+            m = mask[bi % len(mask)]
+            if m is not None:
+                allowed[bi] = np.broadcast_to(m, (heads, n, n)) == 0
+    out = attention_loop_reference(q, k, v, mask=allowed, bias=bias)
+    merged = np.zeros((b, n, heads * dh), dtype=out.dtype)
+    for bi in range(b):
+        for h in range(heads):
+            merged[bi, :, h * dh:(h + 1) * dh] = out[bi, h]
+    return merged
+
+
+def linear_loop_reference(x, w, b=None):
+    """x [..., in] @ w [in, out] + b, one output entry at a time."""
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.zeros((rows.shape[0], w.shape[1]))
+    for r in range(rows.shape[0]):
+        for j in range(w.shape[1]):
+            out[r, j] = sum(rows[r, i] * w[i, j] for i in range(w.shape[0]))
+            if b is not None:
+                out[r, j] += b[j]
+    return out.reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def layer_norm_loop_reference(x, gamma, beta, eps=1e-5):
+    """Per-row mean and biased variance by explicit sums, then the affine map."""
+    rows = x.reshape(-1, x.shape[-1])
+    n = rows.shape[1]
+    out = np.zeros(rows.shape)
+    for r in range(rows.shape[0]):
+        mu = sum(rows[r]) / n
+        var = sum((u - mu) ** 2 for u in rows[r]) / n
+        for i in range(n):
+            out[r, i] = (rows[r, i] - mu) / math.sqrt(var + eps) * gamma[i] + beta[i]
+    return out.reshape(x.shape)
+
+
 def ln_ref(x, gamma, beta, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)

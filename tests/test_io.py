@@ -40,6 +40,24 @@ class TestVten:
         write_vten(p, np.array([1.5], dtype=np.float32))
         assert p.read_bytes()[-4:] == struct.pack("<f", 1.5)
 
+    def test_zero_dim_round_trip_keeps_shape(self, tmp_path):
+        p = tmp_path / "t.vten"
+        write_vten(p, np.float64(2.5))
+        back = read_vten(p)
+        assert back.shape == () and back.dtype == np.float64 and back == 2.5
+        assert p.read_bytes()[6] == 0  # ndim
+
+    @pytest.mark.parametrize("dtype", [">f4", ">f8"])
+    def test_big_endian_input_stored_little_endian(self, tmp_path, dtype):
+        arr = (np.arange(5) * 1.5).astype(dtype)
+        assert arr.dtype.byteorder == ">"
+        p = tmp_path / "t.vten"
+        write_vten(p, arr)
+        assert p.read_bytes()[-arr.nbytes:] == arr.astype(dtype.replace(">", "<")).tobytes()
+        back = read_vten(p)
+        assert back.dtype == np.dtype(dtype).newbyteorder("=")
+        np.testing.assert_array_equal(back, arr)
+
     def test_bad_magic_names_file(self, tmp_path):
         p = tmp_path / "bad.vten"
         p.write_bytes(b"NOPE" + bytes(10))

@@ -7,62 +7,56 @@ from vidmood import nn, tensor as T
 from vidmood.gradcheck import gradcheck
 from vidmood.tensor import ShapeError, Tensor
 
+from reference import attention_loop_reference
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def attention_reference(q, k, v, mask=None, bias=None):
-    """Per-query loop: softmax(q.k/sqrt(dh)) weighted sum of values."""
+def pack(q, k, v):
+    """[B, H, N, dh] q, k, v -> the packed [B, N, 3 * H * dh] projection."""
     b, h, n, dh = q.shape
-    out = np.zeros_like(v)
-    for bi in range(b):
-        for hi in range(h):
-            for i in range(n):
-                logits = np.array([q[bi, hi, i] @ k[bi, hi, j] for j in range(n)]) / np.sqrt(dh)
-                if bias is not None:
-                    logits = logits + bias[hi, i]
-                if mask is not None:
-                    logits = np.where(mask[bi, hi, i], logits, -np.inf)
-                m = logits.max()
-                if not np.isfinite(m):
-                    continue
-                e = np.exp(logits - m)
-                w = e / e.sum()
-                out[bi, hi, i] = w @ v[bi, hi]
-    return out
+    return np.concatenate([a.transpose(0, 2, 1, 3).reshape(b, n, h * dh) for a in (q, k, v)],
+                          axis=-1)
+
+
+def unpack(out, heads):
+    """Merged [B, N, H * dh] attention output -> [B, H, N, dh]."""
+    b, n, d = out.shape
+    return out.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
 
 
 class TestAttention:
     def test_matches_per_query_loop(self):
         gen = rng(1)
         q, k, v = (gen.normal(size=(2, 3, 5, 4)) for _ in range(3))
-        got = nn.scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v)).data
-        np.testing.assert_allclose(got, attention_reference(q, k, v), rtol=1e-6, atol=1e-8)
+        got = unpack(T.attention(Tensor(pack(q, k, v)), 3).data, 3)
+        np.testing.assert_allclose(got, attention_loop_reference(q, k, v), rtol=1e-6, atol=1e-8)
 
     def test_masked_matches_loop_and_zeroes_pairs(self):
         gen = rng(2)
         q, k, v = (gen.normal(size=(2, 2, 6, 4)) for _ in range(3))
         mask = gen.random((2, 2, 6, 6)) > 0.3
         mask[:, :, :, 0] = True  # keep every row attendable
-        got = nn.scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), mask=mask).data
-        np.testing.assert_allclose(got, attention_reference(q, k, v, mask=mask), rtol=1e-6, atol=1e-8)
+        additive = np.where(mask, 0.0, -np.inf)  # one [H, N, N] mask per batch row
+        got = unpack(T.attention(Tensor(pack(q, k, v)), 2, mask=additive).data, 2)
+        np.testing.assert_allclose(got, attention_loop_reference(q, k, v, mask=mask),
+                                   rtol=1e-6, atol=1e-8)
 
     def test_bias_matches_loop(self):
         gen = rng(3)
         q, k, v = (gen.normal(size=(1, 2, 5, 4)) for _ in range(3))
         bias = gen.normal(size=(2, 5, 5))
-        got = nn.scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), bias=Tensor(bias)).data
-        np.testing.assert_allclose(got, attention_reference(q, k, v, bias=bias), rtol=1e-6, atol=1e-8)
+        got = unpack(T.attention(Tensor(pack(q, k, v)), 2, bias=Tensor(bias)).data, 2)
+        np.testing.assert_allclose(got, attention_loop_reference(q, k, v, bias=bias),
+                                   rtol=1e-6, atol=1e-8)
 
     def test_gradcheck(self):
         gen = rng(4)
-        q = Tensor(gen.normal(size=(1, 2, 4, 3)), requires_grad=True)
-        k = Tensor(gen.normal(size=(1, 2, 4, 3)), requires_grad=True)
-        v = Tensor(gen.normal(size=(1, 2, 4, 3)), requires_grad=True)
-        wt = gen.normal(size=(1, 2, 4, 3))
-        res = gradcheck(lambda: T.sum_(T.mul(nn.scaled_dot_product_attention(q, k, v), wt)),
-                        {"q": q, "k": k, "v": v})
+        qkv = Tensor(pack(*(gen.normal(size=(1, 2, 4, 3)) for _ in range(3))), requires_grad=True)
+        wt = gen.normal(size=(1, 4, 6))
+        res = gradcheck(lambda: T.sum_(T.mul(T.attention(qkv, 2), wt)), {"qkv": qkv})
         assert res.passed, str(res)
 
 
@@ -131,7 +125,8 @@ class TestMultiHeadAttention:
         heads = []
         for h in range(2):
             sl = slice(h * 4, (h + 1) * 4)
-            heads.append(attention_reference(q[:, None, :, sl], k[:, None, :, sl], v[:, None, :, sl])[:, 0])
+            heads.append(attention_loop_reference(q[:, None, :, sl], k[:, None, :, sl],
+                                                v[:, None, :, sl])[:, 0])
         expect = np.concatenate(heads, axis=-1) @ mha.proj.weight.data + mha.proj.bias.data
         np.testing.assert_allclose(mha(Tensor(x)).data, expect, rtol=1e-5, atol=1e-7)
 

@@ -15,7 +15,8 @@ from vidmood import tensor as T
 from vidmood.gradcheck import gradcheck
 from vidmood.tensor import NumericError, ShapeError, Tensor
 
-from reference import conv3d_grads_reference, maxpool3d_routed_reference
+from reference import (conv3d_grads_reference, layer_norm_loop_reference, linear_loop_reference,
+                       maxpool3d_routed_reference, packed_attention_loop_reference)
 
 
 UNARY_OPS = {"relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh, "exp": T.exp, "neg": T.neg}
@@ -429,6 +430,144 @@ class TestGradients:
         x = Tensor(rnd((1, 4), 58), requires_grad=True)
         w = rnd((3, 4), 59)
         check(lambda: T.sum_(T.mul(T.broadcast_to(x, (3, 4)), w)), {"x": x})
+
+    def test_linear_grads(self):
+        x = Tensor(rnd((2, 3, 4), 60), requires_grad=True)
+        w = Tensor(rnd((4, 5), 61), requires_grad=True)
+        b = Tensor(rnd((5,), 62), requires_grad=True)
+        wt = rnd((2, 3, 5), 63)
+        check(lambda: T.sum_(T.mul(T.linear(x, w, b), wt)), {"x": x, "w": w, "b": b})
+        check(lambda: T.sum_(T.mul(T.linear(x, w), wt)), {"x": x, "w": w})
+
+    def test_layer_norm_grads(self):
+        x = Tensor(rnd((2, 3, 6), 64) * 3 + 1, requires_grad=True)
+        gamma = Tensor(rnd((6,), 65), requires_grad=True)
+        beta = Tensor(rnd((6,), 66), requires_grad=True)
+        wt = rnd((2, 3, 6), 67)
+        check(lambda: T.sum_(T.mul(T.layer_norm(x, gamma, beta, 1e-5), wt)),
+              {"x": x, "gamma": gamma, "beta": beta})
+
+    def test_attention_grads_with_mask_and_bias(self):
+        qkv = Tensor(rnd((4, 5, 12), 68), requires_grad=True)  # 2 heads of width 2
+        bias = Tensor(rnd((2, 5, 5), 69), requires_grad=True)
+        masks = _attention_masks(5)
+        wt = rnd((4, 5, 4), 70)
+        check(lambda: T.sum_(T.mul(T.attention(qkv, 2, mask=masks, bias=bias), wt)),
+              {"qkv": qkv, "bias": bias})
+        check(lambda: T.sum_(T.mul(T.attention(qkv, 2), wt)), {"qkv": qkv})
+
+
+def _attention_masks(n, seed=71):
+    """Two masks for alternating batch rows: a random one with query 0's
+    every key excluded, and None (nothing excluded)."""
+    allowed = np.random.default_rng(seed).random((n, n)) > 0.4
+    allowed[np.arange(n), np.arange(n)] = True
+    allowed[0] = False
+    return [np.where(allowed, 0.0, -np.inf)[None], None]
+
+
+# -- fused transformer ops --------------------------------------------------------
+
+
+class TestFusedOps:
+    def test_linear_matches_loop_reference(self):
+        x, w, b = rnd((2, 3, 4), 80), rnd((4, 5), 81), rnd((5,), 82)
+        np.testing.assert_allclose(T.linear(Tensor(x), Tensor(w), Tensor(b)).data,
+                                   linear_loop_reference(x, w, b), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(T.linear(Tensor(x[0, 0]), Tensor(w)).data,
+                                   linear_loop_reference(x[0, 0], w), rtol=1e-12, atol=1e-12)
+
+    def test_layer_norm_matches_loop_reference(self):
+        x, gamma, beta = rnd((3, 2, 7), 83) * 4 + 2, rnd((7,), 84), rnd((7,), 85)
+        got = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5).data
+        np.testing.assert_allclose(got, layer_norm_loop_reference(x, gamma, beta, 1e-5),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_attention_matches_loop_reference(self):
+        qkv, bias = rnd((4, 5, 18), 86), rnd((3, 5, 5), 87)
+        masks = _attention_masks(5)
+        got = T.attention(Tensor(qkv), 3, mask=masks, bias=Tensor(bias)).data
+        want = packed_attention_loop_reference(qkv, 3, mask=masks, bias=bias)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_fused_forward_bit_equals_composite_ops(self):
+        """float32 values match the op chains the fused ops replace, bit for bit."""
+        x = rnd((2, 7, 12), 88, np.float32)
+        w, b = rnd((12, 18), 89, np.float32), rnd((18,), 90, np.float32)
+        flat = T.matmul(T.reshape(Tensor(x), (-1, 12)), Tensor(w))
+        composite = T.reshape(T.add(flat, Tensor(b)), (2, 7, 18))
+        np.testing.assert_array_equal(T.linear(Tensor(x), Tensor(w), Tensor(b)).data,
+                                      composite.data)
+
+        gamma, beta = rnd((12,), 91, np.float32), rnd((12,), 92, np.float32)
+        xc = T.sub(Tensor(x), T.mean(Tensor(x), axis=-1, keepdims=True))
+        var = T.mean(T.mul(xc, xc), axis=-1, keepdims=True)
+        norm = T.div(xc, T.sqrt(T.add(var, 1e-5)))
+        composite = T.add(T.mul(norm, Tensor(gamma)), Tensor(beta))
+        np.testing.assert_array_equal(
+            T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5).data, composite.data)
+
+        qkv = T.linear(Tensor(x), Tensor(w), Tensor(b))
+        bias = Tensor(rnd((3, 7, 7), 93, np.float32))
+        allowed = np.random.default_rng(94).random((2, 1, 7, 7)) > 0.3
+        split = T.transpose(T.reshape(qkv, (2, 7, 3, 3, 2)), (2, 0, 3, 1, 4))
+        q, k, v = split[0], split[1], split[2]
+        logits = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(2.0))
+        probs = T.softmax(T.add(logits, bias), axis=-1, mask=allowed)
+        composite = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (2, 7, 6))
+        got = T.attention(qkv, 3, mask=np.where(allowed, np.float32(0), np.float32(-np.inf)),
+                          bias=bias)
+        np.testing.assert_array_equal(got.data, composite.data)
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_attention_chunks_bit_equal_single_chunk(self, monkeypatch, taped):
+        """Eight batch rows in chunks of three (3 + 3 + a ragged 2) against
+        one chunk: same output and qkv gradient bit for bit. Query 0 of the
+        masked rows has every key excluded and must come out exactly zero;
+        a masked pair's value must have exactly zero weight."""
+        b, n, heads = 8, 6, 2
+        qkv = rnd((b, n, 3 * heads * 4), 95, np.float32)
+        bias = Tensor(rnd((heads, n, n), 96, np.float32), requires_grad=True)
+        masks = [m if m is None else m.astype(np.float32) for m in _attention_masks(n, 97)]
+        g = rnd((b, n, heads * 4), 98, np.float32)
+
+        def run(chunk_bytes, values):
+            monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", chunk_bytes)
+            x = Tensor(values, requires_grad=taped)
+            if not taped:
+                with T.no_grad():
+                    return T.attention(x, heads, mask=masks, bias=bias).data, None
+            out = T.attention(x, heads, mask=masks, bias=bias)
+            T.sum_(T.mul(out, g)).backward()
+            return out.data, x.grad
+
+        row_bytes = heads * n * n * 4
+        one_out, one_grad = run(b * row_bytes, qkv)
+        out, grad = run(3 * row_bytes, qkv)
+        assert list(T._row_chunks(b, row_bytes)) == [(0, 3), (3, 6), (6, 8)]
+        np.testing.assert_array_equal(out, one_out)
+        if taped:
+            np.testing.assert_array_equal(grad, one_grad)
+
+        masked_rows = out[0::2]  # rows using the first mask
+        assert np.all(masked_rows[:, 0] == 0.0)
+        allowed = masks[0][0] == 0
+        i, j = next((i, j) for i in range(1, n) for j in range(n) if not allowed[i, j])
+        bumped = qkv.copy()
+        bumped[:, j, 2 * heads * 4:] += 100.0  # value of key j in every head and row
+        out2, _ = run(3 * row_bytes, bumped)
+        np.testing.assert_array_equal(out2[0::2, i], out[0::2, i])
+        assert np.all(out2[1::2, i] != out[1::2, i])  # unmasked rows do see it
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(rnd((2, 3), 1)), Tensor(rnd((4, 5), 2)))
+        with pytest.raises(ShapeError):
+            T.layer_norm(Tensor(rnd((2, 3), 3)), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(rnd((2, 3, 10), 4)), 2)
+        with pytest.raises(ShapeError):  # 3 batch rows, 2 masks
+            T.attention(Tensor(rnd((3, 5, 12), 5)), 2, mask=_attention_masks(5))
 
 
 # -- property-based invariants ---------------------------------------------------

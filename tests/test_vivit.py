@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from vidmood import tensor as T
 from vidmood.models.vivit import ViViTConfig, ViViTModel, token_counts, tubelet_tokens
-from vidmood.nn import MultiHeadAttention, TransformerBlock, scaled_dot_product_attention
+from vidmood.nn import MultiHeadAttention, TransformerBlock
 from vidmood.tensor import ShapeError
 
 from reference import block_ref, cast_params, params_of
@@ -81,11 +81,9 @@ def test_tubelet_tokens_too_small_raises():
 
 def test_single_token_attention_returns_value():
     rng = np.random.default_rng(1)
-    q = T.tensor(rng.normal(size=(1, 2, 1, 4)))
-    k = T.tensor(rng.normal(size=(1, 2, 1, 4)))
-    v = T.tensor(rng.normal(size=(1, 2, 1, 4)))
-    out = scaled_dot_product_attention(q, k, v)
-    np.testing.assert_array_equal(out.data, v.data)  # softmax of one logit is exactly 1
+    qkv = rng.normal(size=(1, 1, 3 * 2 * 4))  # one token, two heads of width 4
+    out = T.attention(T.tensor(qkv), 2)
+    np.testing.assert_array_equal(out.data, qkv[:, :, 16:])  # softmax of one logit is exactly 1
 
 
 def test_identical_tokens_give_identical_rows():
