@@ -1,0 +1,26 @@
+"""All-or-nothing file writes."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+__all__ = ["atomic_write"]
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Open a temp file in ``path``'s directory for writing; when the block
+    ends normally it replaces ``path`` in one rename. If the block raises,
+    the temp file is removed and ``path`` is left as it was, so a reader
+    never sees a half-written file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -1,7 +1,7 @@
 """Batch command-line front end: synth, preprocess, loso, report.
 
 Exit codes are a stable scripting contract: 0 success, 2 usage or config
-error, 3 I/O error, 4 numeric failure during training.
+error, 3 I/O error, 4 numeric failure during training or out of memory.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .experiment import ExperimentSpec, run_experiment
 from .manifest import ManifestError, VideoRecord, load_manifest, save_manifest
 from .models import MODEL_NAMES, default_config
@@ -131,8 +132,13 @@ def cmd_preprocess(args, config: dict) -> int:
 # -- loso ------------------------------------------------------------------------
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path, "w") as fh:
+        fh.write(text)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_loso(args, config: dict) -> int:
@@ -183,7 +189,7 @@ def cmd_loso(args, config: dict) -> int:
             _write_json(out / f"metrics_{level}.json", result.reports[level])
     for i, fold in enumerate(result.folds):
         name = f"fold_{i:03d}_{'_'.join(fold.subjects)}.jsonl"
-        (out / "logs" / name).write_text("\n".join(fold.train_result.log_lines()) + "\n")
+        _write_text(out / "logs" / name, "\n".join(fold.train_result.log_lines()) + "\n")
 
     head = result.headline
     print(f"{spec.model}  {spec.task}  {spec.state_filter}  {spec.aggregation}  "
@@ -240,8 +246,8 @@ def cmd_report(args, config: dict) -> int:
     if args.out or config.get("output"):
         out = Path(args.out or config["output"])
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(text)
-        (out / "report.csv").write_text(_render_csv(rows))
+        _write_text(out / "report.txt", text)
+        _write_text(out / "report.csv", _render_csv(rows))
     return EXIT_OK
 
 
@@ -301,6 +307,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, config)
     except NumericError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (VtenError, ManifestError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

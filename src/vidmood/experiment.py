@@ -106,16 +106,17 @@ def _gather(records: Sequence[VideoRecord], subjects, task: str,
 
 
 def _grouped_prediction(probs, labels, keys):
-    """Aggregate clip probabilities by key; returns (preds, labels) arrays."""
-    order = sorted(set(keys))
+    """Aggregate clip probabilities by key, groups in sorted key order and
+    each group's rows in clip order; returns (preds, labels) arrays."""
+    groups, inverse = np.unique(np.asarray(keys), return_inverse=True)
+    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     preds, out_labels = [], []
-    for key in order:
-        idx = [i for i, k in enumerate(keys) if k == key]
+    for key, idx in zip(groups.tolist(), members):
         preds.append(aggregate_predictions(probs[idx]))
-        group_labels = {int(labels[i]) for i in idx}
+        group_labels = np.unique(labels[idx]).tolist()
         if len(group_labels) != 1:
-            raise ValueError(f"group {key!r} mixes labels {sorted(group_labels)}")
-        out_labels.append(group_labels.pop())
+            raise ValueError(f"group {key!r} mixes labels {group_labels}")
+        out_labels.append(group_labels[0])
     return np.asarray(preds), np.asarray(out_labels)
 
 

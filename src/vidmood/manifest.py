@@ -11,6 +11,8 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .atomic import atomic_write
+
 __all__ = [
     "VideoRecord",
     "ManifestError",
@@ -74,7 +76,8 @@ def load_manifest(path) -> list[VideoRecord]:
 
 def save_manifest(path, records) -> None:
     doc = [asdict(r.validate()) for r in records]
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_crop_sidecar(path, n_frames: int | None = None) -> list[tuple[int, int, int, int]]:

@@ -95,13 +95,30 @@ class ModuleList(Module):
             yield from m.named_parameters(f"{prefix}{i}.")
 
 
+# float64 draws per trunc_normal block (8 MiB)
+_DRAW_BLOCK = 1 << 20
+
+
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) resampled into [-2 std, 2 std]."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+    """Normal(0, std) resampled into [-2 std, 2 std], as float32.
+
+    The float64 draws come in fixed blocks and out-of-range entries are
+    redrawn in flat order until none is left, so the values are those of
+    one whole-array draw and its redraws, cast to float32.
+    """
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    bad = [np.empty(0, dtype=np.intp)]
+    for i in range(0, flat.size, _DRAW_BLOCK):
+        draw = rng.normal(0.0, std, size=min(_DRAW_BLOCK, flat.size - i))
+        flat[i:i + draw.size] = draw
+        bad.append(i + np.flatnonzero(np.abs(draw, out=draw) > 2 * std))
+    idx = np.concatenate(bad)
+    del bad  # the per-block index arrays, before the redraws
+    while idx.size:
+        draw = rng.normal(0.0, std, size=idx.size)
+        flat[idx] = draw
+        idx = idx[np.abs(draw, out=draw) > 2 * std]
     return out
 
 

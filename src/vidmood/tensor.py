@@ -2,11 +2,13 @@
 
 Every primitive the video models need lives here: elementwise math,
 broadcasting binary ops, batched matmul, stabilized (maskable) softmax,
-3D convolution and max-pooling, layout ops (reshape / transpose / roll /
-pad / slicing / concat), and the fused transformer ops ``linear``,
-``layer_norm`` and ``attention`` (packed-qkv multi-head attention with
-an additive mask and bias, run in cache-sized chunks), each one tape
-node with a hand-written backward pass. Forward values are numpy arrays;
+3D convolution (an im2col GEMM run over chunks of whole output frames,
+so its column is bounded by ``CONV_CHUNK_BYTES``, not by the clip) and
+max-pooling, layout ops (reshape / transpose / roll / pad / slicing /
+concat), and the fused transformer ops ``linear``, ``layer_norm`` and
+``attention`` (packed-qkv multi-head attention with an additive mask
+and bias, run in cache-sized chunks), each one tape node with a
+hand-written backward pass. Forward values are numpy arrays;
 each op records its inputs and a gradient closure, so calling
 ``backward()`` on a scalar replays the recorded graph in reverse
 topological order.
@@ -476,10 +478,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 ATTN_CHUNK_BYTES = 4 << 20
 
 
-def _row_chunks(rows: int, row_bytes: int):
-    """[r0, r1) ranges of whole rows, each under ATTN_CHUNK_BYTES of logits
-    when one row fits."""
-    step = max(1, ATTN_CHUNK_BYTES // row_bytes)
+def _row_chunks(rows: int, row_bytes: int, budget: int | None = None):
+    """[r0, r1) ranges of whole rows, each under ``budget`` bytes (default
+    ATTN_CHUNK_BYTES) when one row fits."""
+    step = max(1, (ATTN_CHUNK_BYTES if budget is None else budget) // row_bytes)
     for r0 in range(0, rows, step):
         yield r0, min(rows, r0 + step)
 
@@ -684,15 +686,25 @@ def _taps(kshape, stride, out_dims):
                          for o, s, n in zip(tap, stride, out_dims))
 
 
-def _im2col(xp: np.ndarray, kshape, stride, out_dims) -> np.ndarray:
+# im2col column bytes per conv3d chunk of whole output frames: a paper-scale
+# clip's column is then tens of MB instead of up to 1.3 GB, and a c07 batch's
+# column (at most 42 MB) is one chunk
+CONV_CHUNK_BYTES = 64 << 20
+
+
+def _im2col(xp: np.ndarray, kshape, stride, out_dims, buf: np.ndarray | None = None) -> np.ndarray:
     """Padded x [B, C, T, H, W] -> col [B, C*kt*kh*kw, T'*H'*W'].
 
     Rows follow the kernel's own (C, kt, kh, kw) order, so
     ``kernel.reshape(O, -1) @ col`` is the correlation. One strided copy
     per kernel tap fills the buffer, each running along contiguous W.
+    ``buf``, a flat array at least the column's size, is filled in place
+    of a new one.
     """
     b, c = xp.shape[:2]
-    col = np.empty((b, c, *kshape, *out_dims), dtype=xp.dtype)
+    shape = (b, c, *kshape, *out_dims)
+    col = (np.empty(shape, dtype=xp.dtype) if buf is None
+           else buf[:math.prod(shape)].reshape(shape))
     for (i, j, k), (st, sh, sw) in _taps(kshape, stride, out_dims):
         col[:, :, i, j, k] = xp[:, :, st, sh, sw]
     return col.reshape(b, c * math.prod(kshape), math.prod(out_dims))
@@ -704,6 +716,15 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     ``x``: [C_in, T, H, W] or [B, C_in, T, H, W];
     ``kernel``: [C_out, C_in, kt, kh, kw]; output extent per axis is
     floor((in + 2*pad - k) / stride) + 1.
+
+    The im2col column and its GEMM run over chunks of whole output frames
+    whose column fits ``CONV_CHUNK_BYTES`` (at least one frame), written
+    into the output. Under ``no_grad`` one chunk-sized buffer is reused;
+    with the tape each chunk's column is kept, and the weight and input
+    gradients run per chunk too. The chunk GEMMs give the one-chunk
+    output bit for bit when a frame's output positions are a multiple of
+    the BLAS kernel width (16 for OpenBLAS 0.3.31's Haswell sgemm), as
+    every model's frames are.
     """
     stride = _triple(stride)
     padding = _triple(padding)
@@ -718,43 +739,66 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     if any(n < k for n, k in zip(xp.shape[2:], kshape)):
         raise ShapeError(f"kernel {kshape} larger than padded input {xp.shape[2:]}")
     out_dims = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kshape, stride))
-    col = _im2col(xp, kshape, stride, out_dims)
-    wmat = kernel.data.reshape(kernel.shape[0], -1)
-    out = (wmat @ col).reshape(xb.shape[0], kernel.shape[0], *out_dims)  # [B, O, P] -> 5-D
+    b, o = xb.shape[0], kernel.shape[0]
+    wmat = kernel.data.reshape(o, -1)
+    frame = math.prod(out_dims[1:])  # output positions per frame
+    chunks = list(_row_chunks(out_dims[0], b * wmat.shape[1] * frame * xp.itemsize,
+                              CONV_CHUNK_BYTES))
+
+    def window(a, t0, t1):  # the padded frames that output frames [t0, t1) read
+        return a[:, :, stride[0] * t0:stride[0] * (t1 - 1) + kshape[0]]
+
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    taped = _taped(parents)
+    cols = []  # taped: each chunk's column, for backward
+    buf = None if taped else np.empty(b * wmat.shape[1] * frame * chunks[0][1], dtype=xp.dtype)
+    out = np.empty((b, o, *out_dims), dtype=np.result_type(wmat, xp))
+    out3 = out.reshape(b, o, -1)  # [B, O, P]
+    for t0, t1 in chunks:
+        col = _im2col(window(xp, t0, t1), kshape, stride, (t1 - t0, *out_dims[1:]), buf)
+        np.matmul(wmat, col, out=out3[:, :, t0 * frame:t1 * frame])
+        if taped:
+            cols.append(col)
     if bias is not None:
         out += bias.data[:, None, None, None]
     if not batched:
         out = out[0]
-    xp_shape = xp.shape  # the tape keeps col, not the padded input
+    xp_shape = xp.shape  # the tape keeps the columns, not the padded input
 
     def grad_fn(g):
-        g3 = g.reshape(col.shape[0], kernel.shape[0], -1)  # [B, O, P]
-        kernel._accumulate((g3 @ col.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape))
+        g3 = g.reshape(b, o, -1)  # [B, O, P]
+        gw = None
+        gxp = np.zeros(xp_shape, dtype=np.result_type(wmat, g)) if _wants_grad(x) else None
+        for (t0, t1), col in zip(chunks, cols):
+            gc = g3[:, :, t0 * frame:t1 * frame]
+            part = (gc @ col.transpose(0, 2, 1)).sum(axis=0)
+            gw = part if gw is None else np.add(gw, part, out=gw)
+            if gxp is not None:
+                _col2im_add(window(gxp, t0, t1), wmat.T @ gc, kshape, stride,
+                            (t1 - t0, *out_dims[1:]))
+        kernel._accumulate(gw.reshape(kernel.shape))
         if bias is not None:
             bias._accumulate(g3.sum(axis=(0, 2)))
-        if _wants_grad(x):
-            gx = _conv3d_input_grad(wmat.T @ g3, xp_shape, kshape, stride, out_dims, padding)
+        if gxp is not None:
+            crop = tuple(slice(p, n - p) for p, n in zip(padding, xp_shape[2:]))
+            gx = gxp[(..., *crop)]
             x._accumulate(gx if batched else gx[0])
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(out, parents, grad_fn)
 
 
-def _conv3d_input_grad(gcol: np.ndarray, xp_shape, kshape, stride, out_dims, padding) -> np.ndarray:
-    """col2im: gradient wrt conv3d input from gcol = W2d.T @ g, the
-    [B, C*kt*kh*kw, T'*H'*W'] column gradient in ``_im2col``'s row order.
+def _col2im_add(gxp: np.ndarray, gcol: np.ndarray, kshape, stride, out_dims) -> None:
+    """col2im: add gcol = W2d.T @ g, the [B, C*kt*kh*kw, T'*H'*W'] column
+    gradient in ``_im2col``'s row order, into the padded input gradient.
 
-    Each kernel tap's rows are added back through the same strided slices
-    that filled them, into a zero padded buffer that is then cropped to x;
-    the remainder tail that no forward window touched stays zero.
+    Each kernel tap's rows go back through the same strided slices that
+    filled them; the remainder tail that no forward window touched is left
+    as it is.
     """
-    b, c = xp_shape[:2]
+    b, c = gxp.shape[:2]
     gcol = gcol.reshape(b, c, *kshape, *out_dims)
-    gxp = np.zeros(xp_shape, dtype=gcol.dtype)
     for (i, j, k), (st, sh, sw) in _taps(kshape, stride, out_dims):
         gxp[:, :, st, sh, sw] += gcol[:, :, i, j, k]
-    crop = tuple(slice(p, n - p) for p, n in zip(padding, xp_shape[2:]))
-    return gxp[(..., *crop)]
 
 
 # -- 3D max-pooling ------------------------------------------------------------

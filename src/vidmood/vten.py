@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
+
 __all__ = ["VtenError", "read_vten", "write_vten"]
 
 MAGIC = b"VTEN"
@@ -35,7 +37,7 @@ class VtenError(ValueError):
 
 def write_vten(path, array: np.ndarray) -> None:
     """Any byte order is accepted and stored little-endian; a 0-d array
-    keeps its shape ()."""
+    keeps its shape (). The file appears whole or not at all."""
     arr = np.asarray(array, order="C")
     code = _DTYPE_CODES.get(arr.dtype.newbyteorder("="))
     if code is None:
@@ -45,7 +47,7 @@ def write_vten(path, array: np.ndarray) -> None:
     header = MAGIC + bytes([VERSION, code, arr.ndim])
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
         fh.write(arr.data)
 

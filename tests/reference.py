@@ -254,6 +254,31 @@ def bilinear_resize_reference(frames, side):
     return out
 
 
+def trunc_normal_reference(rng, shape, std=0.02):
+    """Normal(0, std) drawn as one float64 array, out-of-range entries
+    redrawn together in flat order until all lie in [-2 std, 2 std]."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * std
+    return out
+
+
+def grouped_prediction_loop_reference(probs, labels, keys):
+    """Per key in sorted order: argmax of the mean of its clips' float64
+    probabilities, taken in clip order, and the group's single label."""
+    preds, out_labels = [], []
+    for key in sorted(set(keys)):
+        idx = [i for i, k in enumerate(keys) if k == key]
+        preds.append(int(np.argmax(np.asarray(probs[idx], dtype=np.float64).mean(axis=0))))
+        group_labels = {int(labels[i]) for i in idx}
+        if len(group_labels) != 1:
+            raise ValueError(f"group {key!r} mixes labels {sorted(group_labels)}")
+        out_labels.append(group_labels.pop())
+    return np.asarray(preds), np.asarray(out_labels)
+
+
 def params_of(module):
     """named_parameters as a plain name -> float64 ndarray dict."""
     return {name: p.data.astype(np.float64) for name, p in module.named_parameters()}

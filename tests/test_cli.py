@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vidmood import cli
 from vidmood.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _model_overrides,
                          load_run_config, main)
 from vidmood.models import default_config
@@ -183,6 +184,17 @@ def test_loso_numeric_blowup_exits_four(tmp_path):
     cfg.write_text(json.dumps(config))
     prep = _preprocess(tmp_path, cfg, _synth(tmp_path))
     assert _loso(tmp_path, cfg, prep) == EXIT_NUMERIC
+
+
+def test_out_of_memory_exits_four_without_traceback(monkeypatch, capsys):
+    def exhausted(args, config):
+        raise MemoryError("Unable to allocate 1.21 GiB for an array with shape (1, 864, 376320)")
+
+    monkeypatch.setitem(cli._COMMANDS, "report", exhausted)
+    assert main(["report"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 1.21 GiB for an array "
+                   "with shape (1, 864, 376320)\n")
 
 
 # -- config handling -----------------------------------------------------------------

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from vidmood.experiment import (ExperimentSpec, run_experiment, select_records)
+from vidmood.experiment import (ExperimentSpec, _grouped_prediction, run_experiment,
+                                select_records)
 from vidmood.loso import Fold, grouped_kfold
 from vidmood.manifest import VideoRecord
 from vidmood.models import default_config
 from vidmood.training import TrainConfig
+
+from reference import grouped_prediction_loop_reference
 
 
 def _record(subject, state, gds, task=1):
@@ -154,3 +157,26 @@ def test_mixed_labels_in_a_group_are_rejected():
     records.append(_record("s000", "ON", 25, task=2))  # same subject, other label
     with pytest.raises(ValueError, match="mixes labels"):
         run_experiment(spec, records, _toy_loader, _tiny_cfg(), _tiny_train())
+
+
+def test_grouped_prediction_matches_loop_reference():
+    """Keys in shuffled order, of mixed length and case: the same groups in
+    the same order, each from the same rows, as the per-key list scan."""
+    gen = np.random.default_rng(11)
+    names = ["s1", "s10", "s2", "S3", "s1_b", "v", "s100"]
+    keys = [names[i % len(names)] for i in range(150)]
+    gen.shuffle(keys)
+    labels = np.asarray([len(k) % 3 for k in keys], dtype=np.int64)
+    probs = gen.dirichlet(np.ones(3), size=len(keys)).astype(np.float32)
+    got, want = _grouped_prediction(probs, labels, keys), grouped_prediction_loop_reference(
+        probs, labels, keys)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+    labels[keys.index("s2")] = 0  # s2's clips now carry labels 0 and 2
+    with pytest.raises(ValueError) as ours:
+        _grouped_prediction(probs, labels, keys)
+    with pytest.raises(ValueError) as theirs:
+        grouped_prediction_loop_reference(probs, labels, keys)
+    assert str(ours.value) == str(theirs.value) == "group 's2' mixes labels [0, 2]"

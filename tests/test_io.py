@@ -1,11 +1,14 @@
-"""Tensor-file format, manifest schema, and GDS banding."""
+"""Tensor-file format, manifest schema, atomic writes, and GDS banding."""
 
+import errno
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from vidmood import atomic
+from vidmood.cli import _write_json
 from vidmood.labels import BINARY_CLASSES, SEVERITY_CLASSES, binary_class, severity_class
 from vidmood.manifest import (ManifestError, VideoRecord, load_crop_sidecar,
                               load_manifest, save_manifest)
@@ -160,6 +163,50 @@ class TestManifest:
         p.write_text(json.dumps([{"x": 1, "y": 2, "w": 3}]))
         with pytest.raises(ManifestError):
             load_crop_sidecar(p)
+
+
+class _DiskFull:
+    """A file opened for writing that takes half of its first write to the
+    disk and then runs out of space."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        lambda p: write_vten(p, np.arange(1000, dtype=np.float32)),
+        lambda p: save_manifest(p, [VideoRecord(**make_record())]),
+        lambda p: _write_json(p, {"accuracy": 1.0, "folds": []}),
+    ], ids=["vten", "manifest", "metrics"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, write):
+        """A write that fails partway creates no target and leaves an
+        existing one as it was; no temp file stays behind either way."""
+        target = tmp_path / "out"
+        monkeypatch.setattr(atomic, "open", _DiskFull, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(target)
+        assert list(tmp_path.iterdir()) == []
+
+        monkeypatch.undo()
+        write(target)
+        whole = target.read_bytes()
+        monkeypatch.setattr(atomic, "open", _DiskFull, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(target)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == whole
 
 
 class TestGdsLabels:

@@ -1,5 +1,7 @@
 """Layer semantics against direct-formula oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from vidmood import nn, tensor as T
 from vidmood.gradcheck import gradcheck
 from vidmood.tensor import ShapeError, Tensor
 
-from reference import attention_loop_reference
+from reference import attention_loop_reference, trunc_normal_reference
 
 
 def rng(seed=0):
@@ -192,3 +194,39 @@ class TestModuleSystem:
         vals = nn.trunc_normal(rng(28), (2000,), std=0.02)
         assert np.all(np.abs(vals) <= 0.04)
         assert abs(vals.std() - 0.02) < 0.005
+
+    @pytest.mark.parametrize("shape, std, block", [
+        ((2000,), 0.02, None),
+        ((3, 7, 5), 1.0, 16),       # ragged last block
+        ((300, 41), 0.5, 1000),     # out-of-range draws in many blocks
+        ((), 0.02, None),
+        ((0, 4), 0.02, None),
+    ])
+    def test_trunc_normal_bit_equals_float64_reference(self, monkeypatch, shape, std, block):
+        """Block draws plus flat-order redraws give the float32 cast of one
+        whole-array float64 draw and its redraws, and leave the generator in
+        the same state."""
+        if block is not None:
+            monkeypatch.setattr(nn, "_DRAW_BLOCK", block)
+        if np.prod(shape) > 1:  # the redraw path runs
+            assert np.any(np.abs(rng(29).normal(0.0, std, size=shape)) > 2 * std)
+        ours, theirs = rng(29), rng(29)
+        got = nn.trunc_normal(ours, shape, std)
+        want = trunc_normal_reference(theirs, shape, std).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_projection_sized_linear_builds_without_float64_copies(self):
+        """cnn_lstm's paper-scale projection, 128 * 28 * 28 -> 512 (205 MB of
+        float32): a whole-array float64 draw would peak above 4x the weight."""
+        tracemalloc.start()
+        try:
+            layer = nn.Linear(128 * 28 * 28, 512, rng(30))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weight = layer.weight.data
+        assert weight.dtype == np.float32
+        assert peak < 1.3 * weight.nbytes, \
+            f"peak {peak / 2 ** 20:.0f} MiB for a {weight.nbytes / 2 ** 20:.0f} MiB weight"

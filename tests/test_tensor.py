@@ -570,6 +570,68 @@ class TestFusedOps:
             T.attention(Tensor(rnd((3, 5, 12), 5)), 2, mask=_attention_masks(5))
 
 
+class TestConvChunks:
+    @pytest.mark.parametrize("shape, stride, pad", [
+        ((2, 3, 5, 8, 8), (1, 1, 1), (1, 1, 1)),  # 5 frames as 2 + 2 + a ragged 1
+        ((2, 2, 9, 8, 8), (2, 1, 1), (1, 1, 1)),  # stride 2 along T: 5 frames
+        ((3, 7, 8, 8), (1, 1, 1), (0, 1, 1)),     # unbatched 4-D input: 5 frames
+    ])
+    def test_conv3d_chunks_bit_equal_single_chunk(self, monkeypatch, shape, stride, pad):
+        """Chunks of two output frames against one chunk: the forward output
+        is equal bit for bit, taped or not; gradients agree to rounding.
+
+        A frame is 8 x 8 = 64 output positions. The BLAS gives a block of
+        output columns the same bits in any GEMM when the block boundaries
+        fall on its kernel width (16 for OpenBLAS's Haswell sgemm), as every
+        model frame does (224^2, 112^2, 56^2); a 6 x 6 frame can differ in
+        the last bit."""
+        xd = rnd(shape, 97, np.float32)
+        wd, bd = rnd((4, shape[-4], 3, 3, 3), 98, np.float32), rnd(4, 99, np.float32)
+
+        def run(chunk_bytes, taped):
+            monkeypatch.setattr(T, "CONV_CHUNK_BYTES", chunk_bytes)
+            x, w, b = (Tensor(a, requires_grad=taped) for a in (xd, wd, bd))
+            if not taped:
+                with T.no_grad():
+                    return T.conv3d(x, w, b, stride=stride, padding=pad).data, None
+            y = T.conv3d(x, w, b, stride=stride, padding=pad)
+            T.sum_(T.mul(y, g)).backward()
+            return y.data, (x.grad, w.grad, b.grad)
+
+        one, _ = run(1 << 30, False)
+        g = rnd(one.shape, 100, np.float32)
+        batch = shape[0] if len(shape) == 5 else 1
+        frame_bytes = batch * shape[-4] * 27 * one.shape[-2] * one.shape[-1] * 4
+        assert list(T._row_chunks(one.shape[-3], frame_bytes, 2 * frame_bytes)) == \
+            [(0, 2), (2, 4), (4, 5)]
+        np.testing.assert_array_equal(run(2 * frame_bytes, False)[0], one)
+        one_taped, one_grads = run(1 << 30, True)
+        out, grads = run(2 * frame_bytes, True)
+        np.testing.assert_array_equal(one_taped, one)
+        np.testing.assert_array_equal(out, one)
+        for got, want in zip(grads, one_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    def test_untaped_conv3d_peak_is_one_chunk_not_the_column(self, monkeypatch):
+        """A 16-frame column (7 MB) in chunks of two frames: the traced peak
+        is the output, the padded input and one chunk's column."""
+        x = Tensor(rnd((1, 4, 16, 32, 32), 101, np.float32))
+        w = Tensor(rnd((8, 4, 3, 3, 3), 102, np.float32))
+        frame_bytes = 4 * 27 * 32 * 32 * 4
+        monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * frame_bytes, raising=False)
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                y = T.conv3d(x, w, stride=1, padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded_bytes = 4 * 18 * 34 * 34 * 4
+        bound = y.data.nbytes + padded_bytes + 2 * frame_bytes + (1 << 18)
+        assert peak < bound, \
+            f"peak {peak / 2 ** 20:.2f} MiB, whole column {16 * frame_bytes / 2 ** 20:.2f} MiB"
+
+
 # -- property-based invariants ---------------------------------------------------
 
 
