@@ -48,6 +48,10 @@ def load_run_config(path) -> dict:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for section in ("data", "model", "train", "experiment"):
+        if not isinstance(raw.get(section, {}), dict):
+            raise ValueError(f"config section {section!r} must be an object, "
+                             f"got {type(raw[section]).__name__}")
     for section, allowed in (("data", _DATA_KEYS), ("train", _TRAIN_KEYS),
                              ("experiment", _EXPERIMENT_KEYS)):
         extra = set(raw.get(section, {})) - allowed

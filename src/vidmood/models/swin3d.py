@@ -147,9 +147,12 @@ class RelativePositionBias(Module):
         self.heads = heads
         self.table = Parameter(
             trunc_normal(rng, ((2 * wt - 1) * (2 * wh - 1) * (2 * ww - 1), heads)))
-        self._index_cache: dict[tuple, np.ndarray] = {}
+        self._index_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _index(self, eff_window) -> np.ndarray:
+    def _index(self, eff_window) -> tuple[np.ndarray, np.ndarray]:
+        """The ``take`` key of the [heads, N, N] bias, cached per effective
+        window: each token pair's table row, [1, N, N], and each head's
+        column, [heads, 1, 1]."""
         key = tuple(eff_window)
         if key not in self._index_cache:
             wt, wh, ww = self.window
@@ -159,15 +162,11 @@ class RelativePositionBias(Module):
             idx = ((rel[0] + wt - 1) * (2 * wh - 1) * (2 * ww - 1)
                    + (rel[1] + wh - 1) * (2 * ww - 1)
                    + (rel[2] + ww - 1))
-            self._index_cache[key] = idx
+            self._index_cache[key] = (idx[None], np.arange(self.heads)[:, None, None])
         return self._index_cache[key]
 
     def forward(self, eff_window) -> Tensor:
-        idx = self._index(eff_window)
-        n = idx.shape[0]
-        bias = self.table[idx.reshape(-1)]  # [N*N, heads]
-        bias = T.reshape(bias, (n, n, self.heads))
-        return T.transpose(bias, (2, 0, 1))  # [heads, N, N]
+        return T.take(self.table, self._index(eff_window))  # [heads, N, N]
 
 
 @functools.lru_cache(maxsize=32)

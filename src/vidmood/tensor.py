@@ -8,7 +8,10 @@ max-pooling, layout ops (reshape / transpose / roll / pad / slicing /
 concat), and the fused transformer ops ``linear``, ``layer_norm`` and
 ``attention`` (packed-qkv multi-head attention with an additive mask
 and bias, run in cache-sized chunks), each one tape node with a
-hand-written backward pass. Forward values are numpy arrays;
+hand-written backward pass. ``gelu`` and ``maxpool3d`` split inputs of
+``POOL_MIN_BYTES`` and more across the cores the process may use
+(``_split``); each element's value is computed as on one thread, so
+results are the same bit for bit. Forward values are numpy arrays;
 each op records its inputs and a gradient closure, so calling
 ``backward()`` on a scalar replays the recorded graph in reverse
 topological order.
@@ -19,7 +22,11 @@ differences are meaningless in single precision).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
@@ -244,6 +251,64 @@ def div(a, b) -> Tensor:
     )
 
 
+# -- splitting work across cores ---------------------------------------------
+
+# arrays under this many bytes run on the calling thread: every c07 batch's
+# gelu and maxpool3d input (at most 4 MiB) does, every paper-scale swin3d_t
+# one (8.6 MiB and up) is split
+POOL_MIN_BYTES = 8 << 20
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _split(n: int, nbytes: int, fn) -> None:
+    """Run ``fn(r0, r1)`` over contiguous ranges covering [0, n) on the
+    calling thread and a thread pool created on first use, one thread per
+    core this process may use. Inputs of ``nbytes`` under
+    ``POOL_MIN_BYTES`` run as ``fn(0, n)`` on the calling thread.
+
+    Each thread takes the next range until none is left, so a thread that
+    shares its core (with OpenBLAS's worker, which spins for about 0.1 s
+    after each GEMM) takes fewer. ``fn`` writes into slices of arrays the
+    caller allocated: a worker that allocates large temporaries grows its
+    own malloc arena, and the process's resident memory with it. ``fn``
+    never calls ``_split``, so no worker waits on the pool. Returns once
+    every range has finished; an exception raised in any range reaches
+    the caller.
+    """
+    global _pool
+    cores = len(os.sched_getaffinity(0))
+    if nbytes < POOL_MIN_BYTES or cores < 2 or n < 2:
+        fn(0, n)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(cores, thread_name_prefix="vidmood-split")
+        pool = _pool
+    step = -(-n // (8 * cores))  # about eight ranges per thread
+    starts = iter(range(0, n, step))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                r0 = next(starts, None)
+            if r0 is None:
+                return
+            fn(r0, min(n, r0 + step))
+
+    # each worker runs in a copy of the caller's context, so the caller's
+    # np.errstate holds in its ranges too
+    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(cores - 1)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
 # -- elementwise unary -------------------------------------------------------
 
 
@@ -303,10 +368,33 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+# elements per in-place gelu block: its five passes over a block stay in cache
+_GELU_BLOCK = 1 << 16
+
+
 def gelu(x: Tensor) -> Tensor:
+    """x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2))). Cache-sized
+    blocks run the float ops of that expression in place, in its order,
+    split across cores by ``_split``; the taped call also keeps Phi(x)
+    for backward."""
     d = x.data
-    cdf = 0.5 * (1.0 + erf(d * _INV_SQRT2))
-    return _unary(x, d * cdf, lambda: cdf + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI))
+    flat = np.ascontiguousarray(d).reshape(-1)
+    out = np.empty(d.shape, dtype=d.dtype)
+    cdf = np.empty_like(out) if _taped((x,)) else None
+    of, cf = out.reshape(-1), (out if cdf is None else cdf).reshape(-1)
+
+    def blocks(r0, r1):
+        for b0 in range(r0, r1, _GELU_BLOCK):
+            b1 = min(r1, b0 + _GELU_BLOCK)
+            xb, c = flat[b0:b1], cf[b0:b1]
+            np.multiply(xb, _INV_SQRT2, out=c)
+            erf(c, out=c)
+            c += 1.0
+            c *= 0.5
+            np.multiply(xb, c, out=of[b0:b1])
+
+    _split(flat.size, flat.nbytes, blocks)
+    return _unary(x, out, lambda: cdf + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI))
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -804,13 +892,14 @@ def _col2im_add(gxp: np.ndarray, gcol: np.ndarray, kshape, stride, out_dims) -> 
 # -- 3D max-pooling ------------------------------------------------------------
 
 
-def _select(out: np.ndarray, v: np.ndarray, mask: np.ndarray) -> None:
+def _select(out: np.ndarray, v: np.ndarray, mask: np.ndarray, d: np.ndarray) -> None:
     """out[mask] = v[mask] in place, bit for bit, as an xor blend of the raw
-    bits: numpy vectorizes it, where a masked copy goes element by element."""
-    bits = np.dtype(f"u{out.itemsize}")
-    ob = out.view(bits)
-    d = np.bitwise_xor(v.view(bits), ob)
-    d &= np.negative(mask, dtype=bits)
+    bits: numpy vectorizes it, where a masked copy goes element by element.
+    ``d`` is a work array of out's shape in the unsigned integer dtype of its
+    width."""
+    ob = out.view(d.dtype)
+    np.bitwise_xor(v.view(d.dtype), ob, out=d)
+    d *= mask  # keeps the differing bits where mask is true
     ob ^= d
 
 
@@ -819,6 +908,8 @@ def maxpool3d(x: Tensor, window) -> Tensor:
 
     Gradient routes to the first maximal element of each window in
     row-major order; a window holding a NaN gives NaN and routes to it.
+    The forward runs over ranges of channels split across cores by
+    ``_split``.
     """
     window = _triple(window)
     batched = x.ndim == 5
@@ -830,14 +921,28 @@ def maxpool3d(x: Tensor, window) -> Tensor:
     out_dims = tuple(n // p for n, p in zip(xb.shape[2:], window))
     # one strided view of x per window offset, each shaped like the output
     views = [(..., *sl) for _, sl in _taps(window, window, out_dims)]
-    out = xb[views[0]].copy()
-    idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(views) - 1))
-    for n, view in enumerate(views[1:], 1):
-        v = xb[view]
-        better = ~(v <= out)  # strict, so ties keep the earlier offset; true for a NaN v
-        better &= out == out  # a NaN already taken stays
-        _select(out, v, better)
-        np.maximum(idx, better * idx.dtype.type(n), out=idx)  # n exceeds every earlier offset
+    shape = (*xb.shape[:2], *out_dims)
+    out = np.empty(shape, dtype=xb.dtype)
+    idx = np.zeros(shape, dtype=np.min_scalar_type(len(views) - 1))
+    # work arrays for every range, so the workers allocate nothing
+    better, same, step = np.empty(shape, bool), np.empty(shape, bool), np.empty_like(idx)
+    bits = np.empty(shape, dtype=f"u{out.itemsize}")
+
+    def pool_channels(c0, c1):
+        cs = (slice(None), slice(c0, c1))
+        o, i, bt, sm, st = out[cs], idx[cs], better[cs], same[cs], step[cs]
+        np.copyto(o, xb[views[0]][cs])
+        for n, view in enumerate(views[1:], 1):
+            v = xb[view][cs]
+            np.less_equal(v, o, out=bt)
+            np.invert(bt, out=bt)  # strict, so ties keep the earlier offset; true for a NaN v
+            np.equal(o, o, out=sm)
+            bt &= sm  # a NaN already taken stays
+            _select(o, v, bt, bits[cs])
+            np.multiply(bt, idx.dtype.type(n), out=st)
+            np.maximum(i, st, out=i)  # n exceeds every earlier offset
+
+    _split(shape[1], xb.nbytes, pool_channels)
     if not batched:
         out = out[0]
 

@@ -188,6 +188,13 @@ def gelu_ref(x):
     return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
+def gelu_composite_reference(x):
+    """gelu's value and local derivative as one whole-array numpy expression
+    each, in the float ops and order the engine's blocked gelu runs."""
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    return x * cdf, cdf + x * (np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi)))
+
+
 def mha_ref(x, qkv_w, qkv_b, proj_w, proj_b, heads, mask=None, bias=None):
     """Multi-head self-attention on [B, N, D] from raw weight matrices."""
     b, n, d = x.shape

@@ -227,6 +227,22 @@ def test_model_keys_derived_from_clips_and_task_rejected(tmp_path, capsys, key, 
     assert f"model.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config", [
+    ("synth", {"data": 5}),
+    ("loso", {"model": ["vivit"]}),
+])
+def test_non_object_config_section_exits_two_naming_it(tmp_path, capsys, command, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    section = next(iter(config))
+    with pytest.raises(ValueError, match=f"section '{section}' must be an object"):
+        load_run_config(path)
+    args = (["synth", "--subjects", "3"] if command == "synth"
+            else ["loso", "--manifest", str(tmp_path / "none.json")])
+    assert main(args + ["--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert f"'{section}'" in capsys.readouterr().err
+
+
 def test_model_overrides_turn_lists_into_tuples_only():
     vivit = _model_overrides({"model": {"name": "vivit", "heads": 2, "input_shape": [8, 16, 16, 3]}})
     assert vivit == {"heads": 2, "input_shape": (8, 16, 16, 3)}

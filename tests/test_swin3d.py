@@ -239,7 +239,7 @@ def _offset_table(window):
 def test_bias_index_is_a_function_of_the_offset():
     win = (2, 3, 3)
     rpb = RelativePositionBias(win, heads=2, rng=np.random.default_rng(7))
-    idx = rpb._index(win)
+    idx = rpb._index(win)[0][0]
     off = _offset_table(win)
     seen = {}
     for i in range(idx.shape[0]):
@@ -258,7 +258,7 @@ def test_bias_index_is_a_function_of_the_offset():
 def test_bias_index_antisymmetry_and_center():
     win = (2, 2, 3)
     rpb = RelativePositionBias(win, heads=1, rng=np.random.default_rng(8))
-    idx = rpb._index(win)
+    idx = rpb._index(win)[0][0]
     off = _offset_table(win)
     n = idx.shape[0]
     center = idx[0, 0]
@@ -275,13 +275,13 @@ def test_bias_forward_shape_and_value_lookup():
     rpb = RelativePositionBias(win, heads=3, rng=np.random.default_rng(9))
     out = rpb(win)
     assert out.shape == (3, 4, 4)
-    idx = rpb._index(win)
+    idx = rpb._index(win)[0][0]
     np.testing.assert_array_equal(out.data, rpb.table.data[idx].transpose(2, 0, 1))
 
 
 def test_bias_effective_window_subset():
     rpb = RelativePositionBias((4, 4, 4), heads=1, rng=np.random.default_rng(10))
-    idx = rpb._index((2, 3, 4))
+    idx = rpb._index((2, 3, 4))[0][0]
     assert idx.shape == (24, 24)
     assert idx.min() >= 0 and idx.max() < rpb.table.shape[0]
 
@@ -291,7 +291,7 @@ def test_bias_gradient_hits_exactly_the_used_rows():
     rpb = RelativePositionBias(win, heads=1, rng=np.random.default_rng(11))
     out = rpb(win)
     T.sum_(out).backward()
-    used = np.unique(rpb._index(win))
+    used = np.unique(rpb._index(win)[0][0])
     g = rpb.table.grad
     assert np.all(g[used] != 0)
     untouched = np.setdiff1d(np.arange(rpb.table.shape[0]), used)

@@ -5,7 +5,13 @@ reimplementations; gradients against central finite differences in
 float64.
 """
 
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +21,9 @@ from vidmood import tensor as T
 from vidmood.gradcheck import gradcheck
 from vidmood.tensor import NumericError, ShapeError, Tensor
 
-from reference import (conv3d_grads_reference, layer_norm_loop_reference, linear_loop_reference,
-                       maxpool3d_routed_reference, packed_attention_loop_reference)
+from reference import (conv3d_grads_reference, gelu_composite_reference, layer_norm_loop_reference,
+                       linear_loop_reference, maxpool3d_routed_reference,
+                       packed_attention_loop_reference)
 
 
 UNARY_OPS = {"relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh, "exp": T.exp, "neg": T.neg}
@@ -630,6 +637,152 @@ class TestConvChunks:
         bound = y.data.nbytes + padded_bytes + 2 * frame_bytes + (1 << 18)
         assert peak < bound, \
             f"peak {peak / 2 ** 20:.2f} MiB, whole column {16 * frame_bytes / 2 ** 20:.2f} MiB"
+
+
+def _bits(a):
+    return a.view(f"u{a.itemsize}")
+
+
+def _special_values(shape, seed, dtype):
+    x = rnd(shape, seed, dtype) * 3
+    x.flat[::997] = np.nan
+    x.flat[5::1009] = np.inf
+    x.flat[7::1013] = -np.inf
+    return x
+
+
+class TestSplitOps:
+    """``gelu`` and ``maxpool3d`` on inputs that ``_split`` divides into
+    ranges run on several threads."""
+
+    def test_split_tiles_the_range_across_threads(self):
+        n, seen = 64, []
+        caller = threading.get_ident()
+
+        def fn(r0, r1):
+            seen.append((r0, r1, threading.get_ident(), np.geterr()["invalid"]))
+            time.sleep(0.002)  # long enough that a pool worker takes some ranges
+
+        with np.errstate(invalid="raise"):
+            T._split(n, T.POOL_MIN_BYTES, fn)
+        assert {e for *_, e in seen} == {"raise"}  # the caller's numpy error state
+        ranges = sorted((r0, r1) for r0, r1, *_ in seen)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n and len(ranges) > 1
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        threads = {t for _, _, t, _ in seen}
+        assert caller in threads
+        if len(os.sched_getaffinity(0)) > 1:
+            assert len(threads) > 1
+        seen.clear()
+        T._split(n, T.POOL_MIN_BYTES - 1, fn)  # under the threshold: inline, one range
+        assert seen == [(0, n, caller, np.geterr()["invalid"])]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs a pool worker")
+    def test_worker_exception_reaches_caller(self):
+        caller = threading.get_ident()
+
+        def fn(r0, r1):
+            if threading.get_ident() == caller:
+                time.sleep(0.01)  # leaves the other ranges to the workers
+            else:
+                raise ZeroDivisionError(f"range {r0}-{r1}")
+
+        with pytest.raises(ZeroDivisionError, match="range"):
+            T._split(64, T.POOL_MIN_BYTES, fn)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_gelu_bit_equals_composite_expression(self, dtype, contiguous):
+        x = _special_values((40, 96, 600), 110, dtype)  # 9 or 18 MiB
+        assert x.nbytes >= T.POOL_MIN_BYTES
+        if not contiguous:
+            x = x.transpose(2, 0, 1)
+        g = rnd(x.shape, 111, dtype)
+        with np.errstate(invalid="ignore"):
+            want, dlocal = gelu_composite_reference(x)
+            with T.no_grad():
+                np.testing.assert_array_equal(_bits(T.gelu(Tensor(x)).data), _bits(want))
+            xt = Tensor(x, requires_grad=True)
+            y = T.gelu(xt)
+            T.sum_(T.mul(y, g)).backward()
+        np.testing.assert_array_equal(_bits(y.data), _bits(want))
+        np.testing.assert_array_equal(_bits(xt.grad), _bits(g * dlocal))
+
+    @pytest.mark.parametrize("window", [(1, 2, 2), (2, 2, 2), (3, 1, 2)])
+    def test_split_maxpool3d_exactly_matches_routed_loop_reference(self, monkeypatch, window):
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 0)  # one range per channel
+        gen = np.random.default_rng(112)
+        xd = gen.integers(0, 3, size=(5, 6, 6, 5)).astype(np.float32)  # many ties
+        xd[0, 0, 0, 0] = xd[3, 1, 2, 2] = np.nan
+        xd[4, 3, 2, 3] = xd[4, 3, 3, 3] = np.nan  # two NaNs in one (1, 2, 2) window
+        x = Tensor(xd, requires_grad=True)
+        y = T.maxpool3d(x, window)
+        g = gen.normal(size=y.shape).astype(np.float32)
+        T.sum_(T.mul(y, g)).backward()
+        want_y, want_gx = maxpool3d_routed_reference(xd, window, g)
+        assert np.isnan(want_y).any()
+        np.testing.assert_array_equal(_bits(y.data), _bits(want_y))
+        np.testing.assert_array_equal(_bits(x.grad), _bits(want_gx))
+
+    def test_concurrent_callers_get_bit_equal_results(self, monkeypatch):
+        """More calling threads than cores, each splitting its own gelu and
+        maxpool3d over the shared pool while the interpreter switches
+        threads as often as it can."""
+        xg = _special_values((64, 1024), 113, np.float32)  # 256 KiB
+        xm = rnd((1, 8, 8, 192, 192), 114, np.float32)  # 9 MiB
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 62)  # the wanted results: one thread
+        with np.errstate(invalid="ignore"):
+            want_g = T.gelu(Tensor(xg)).data
+            want_m = T.maxpool3d(Tensor(xm), (2, 2, 2)).data
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 16)
+        callers = 2 * len(os.sched_getaffinity(0)) + 1
+        failures, done = [], []
+
+        def call():
+            try:
+                for _ in range(3):
+                    # no no_grad: it sets a module global, and no input here wants a gradient
+                    with np.errstate(invalid="ignore"):
+                        yg = T.gelu(Tensor(xg)).data
+                        ym = T.maxpool3d(Tensor(xm), (2, 2, 2)).data
+                    if not (np.array_equal(_bits(yg), _bits(want_g))
+                            and np.array_equal(_bits(ym), _bits(want_m))):
+                        failures.append("result differs")
+                done.append(1)
+            except Exception as exc:  # reported by the assert below
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a caller did not finish"
+        assert failures == [] and len(done) == callers
+
+    def test_untaped_gelu_peak_is_its_output(self):
+        x = Tensor(rnd(1 << 22, 115, np.float32))  # 16 MiB, split
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                y = T.gelu(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * y.data.nbytes, f"peak {peak / y.data.nbytes:.3f}x the output"
+
+    def test_import_starts_no_thread(self):
+        code = ("import threading, vidmood.tensor as T; "
+                "print(threading.active_count(), T._pool is None)")
+        env = dict(os.environ, PYTHONPATH=str(Path(T.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout
+        assert out.split() == ["1", "True"]
 
 
 # -- property-based invariants ---------------------------------------------------
