@@ -8,13 +8,22 @@ max-pooling, layout ops (reshape / transpose / roll / pad / slicing /
 concat), and the fused transformer ops ``linear``, ``layer_norm`` and
 ``attention`` (packed-qkv multi-head attention with an additive mask
 and bias, run in cache-sized chunks), each one tape node with a
-hand-written backward pass. ``gelu`` and ``maxpool3d`` split inputs of
-``POOL_MIN_BYTES`` and more across the cores the process may use
-(``_split``); each element's value is computed as on one thread, so
-results are the same bit for bit. Forward values are numpy arrays;
-each op records its inputs and a gradient closure, so calling
-``backward()`` on a scalar replays the recorded graph in reverse
-topological order.
+hand-written backward pass.
+
+One thread pool (``_split``), one thread per core the process may use, is
+the process's only parallel runtime: on first use it pins numpy's and
+scipy's OpenBLAS to one thread, so BLAS never runs a thread pool beside
+it (where no OpenBLAS setter is found, it stays one thread wide and BLAS
+keeps its own threads). Work of ``POOL_MIN_BYTES`` and more is split
+into ranges on that pool: the forward passes of ``linear``,
+``layer_norm``, ``attention``, ``conv3d``, ``relu``, ``gelu`` and
+``maxpool3d``, and the backward GEMMs of ``linear`` and ``conv3d``. Each
+output element is computed as in one whole call, so results are the same
+bit for bit.
+
+Forward values are numpy arrays; each op records its inputs and a
+gradient closure, so calling ``backward()`` on a scalar replays the
+recorded graph in reverse topological order.
 
 Convention: float32 for training, float64 for verification (finite
 differences are meaningless in single precision).
@@ -23,6 +32,7 @@ differences are meaningless in single precision).
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import math
 import os
 import threading
@@ -60,19 +70,28 @@ class NumericError(FloatingPointError):
     """Raised on numeric-domain violations or non-finite error states."""
 
 
-_grad_enabled = True
+# graph recording on or off, per thread and per context: workers that run a
+# caller's ranges see the caller's value
+_grad_var: contextvars.ContextVar[bool] = contextvars.ContextVar("vidmood_grad", default=True)
+
+
+def __getattr__(name):
+    # ``_grad_enabled`` stays readable as a bool (perfbench's tracer reads it)
+    if name == "_grad_enabled":
+        return _grad_var.get()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (pure inference)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block (pure inference). The
+    setting belongs to the calling thread (and the ranges it splits), so
+    concurrent callers do not disturb one another."""
+    token = _grad_var.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_var.reset(token)
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -192,7 +211,7 @@ def _wants_grad(t: Tensor) -> bool:
 
 def _taped(parents: Sequence[Tensor]) -> bool:
     """True when an op on ``parents`` is recorded on the tape."""
-    return _grad_enabled and any(_wants_grad(p) for p in parents)
+    return _grad_var.get() and any(_wants_grad(p) for p in parents)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
@@ -253,60 +272,132 @@ def div(a, b) -> Tensor:
 
 # -- splitting work across cores ---------------------------------------------
 
-# arrays under this many bytes run on the calling thread: every c07 batch's
-# gelu and maxpool3d input (at most 4 MiB) does, every paper-scale swin3d_t
-# one (8.6 MiB and up) is split
+# work under this many bytes (as each op counts them: its input, output or
+# im2col column) runs on the calling thread. At c07 only cnn_lstm's conv3d
+# columns (28 and 42 MB) reach it; at paper scale every swin3d_t gelu input
+# (8.6 MiB and up) does
 POOL_MIN_BYTES = 8 << 20
 
+# A float32 GEMM split into row ranges gives each output element the bits
+# of one whole call when every range starts on a multiple of the BLAS kernel
+# width (16) and does at least _GEMM_MIN_MACS multiply-adds: OpenBLAS 0.3.31
+# runs GEMMs of up to 10^6 through small-matrix kernels, whose rounding at a
+# ragged kernel-width tail differs. Its float64 GEMMs round that tail by how
+# the columns are blocked, so they are never split.
+_GEMM_ROWS = 16
+_GEMM_MIN_MACS = 1 << 20
+
+# each OpenBLAS build names its C setter with its own prefix and suffix;
+# numpy's is scipy_openblas_set_num_threads64_, scipy's
+# scipy_openblas_set_num_threads
+_BLAS_SETTERS = tuple(f"{prefix}openblas_set_num_threads{suffix}"
+                      for prefix in ("scipy_", "") for suffix in ("64_", ""))
+
 _pool: ThreadPoolExecutor | None = None
+_threads = 0  # threads that take ranges, the caller included; 0 until first use
 _pool_lock = threading.Lock()
 
 
-def _split(n: int, nbytes: int, fn) -> None:
-    """Run ``fn(r0, r1)`` over contiguous ranges covering [0, n) on the
-    calling thread and a thread pool created on first use, one thread per
-    core this process may use. Inputs of ``nbytes`` under
-    ``POOL_MIN_BYTES`` run as ``fn(0, n)`` on the calling thread.
+def _pin_blas() -> bool:
+    """Set every OpenBLAS mapped into this process to one thread through
+    its own setter. False, with nothing set, when none is mapped or one
+    has no setter."""
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        return False
+    setters = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: returns its handle
+        except OSError:
+            return False
+        name = next((name for name in _BLAS_SETTERS if hasattr(lib, name)), None)
+        if name is None:
+            return False
+        setters.append(getattr(lib, name))
+    for setter in setters:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    return bool(setters)
 
-    Each thread takes the next range until none is left, so a thread that
-    shares its core (with OpenBLAS's worker, which spins for about 0.1 s
-    after each GEMM) takes fewer. ``fn`` writes into slices of arrays the
-    caller allocated: a worker that allocates large temporaries grows its
-    own malloc arena, and the process's resident memory with it. ``fn``
-    never calls ``_split``, so no worker waits on the pool. Returns once
-    every range has finished; an exception raised in any range reaches
-    the caller.
-    """
-    global _pool
-    cores = len(os.sched_getaffinity(0))
-    if nbytes < POOL_MIN_BYTES or cores < 2 or n < 2:
-        fn(0, n)
-        return
+
+def _runtime() -> tuple[ThreadPoolExecutor | None, int]:
+    """The pool and the number of threads that take ranges, set up on first
+    use: one thread per core this process may use, with every OpenBLAS
+    pinned to one thread, or the calling thread alone where BLAS could not
+    be pinned (its own threads then stay the only parallel runtime)."""
+    global _pool, _threads
     with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(cores, thread_name_prefix="vidmood-split")
-        pool = _pool
-    step = -(-n // (8 * cores))  # about eight ranges per thread
+        if not _threads:
+            cores = len(os.sched_getaffinity(0))
+            _threads = cores if cores > 1 and _pin_blas() else 1
+            if _threads > 1:
+                _pool = ThreadPoolExecutor(_threads, thread_name_prefix="vidmood-split")
+        return _pool, _threads
+
+
+def _split(n: int, nbytes: int, fn, scratch=None) -> None:
+    """Run ``fn(r0, r1)`` over contiguous ranges covering [0, n) on the
+    calling thread and the process's one pool of threads, one thread per
+    core this process may use. The pool is created on first use and pins
+    numpy's and scipy's OpenBLAS to one thread, so BLAS calls made inside
+    ranges, or between splits, never compete with a BLAS thread pool. Work
+    of ``nbytes`` under ``POOL_MIN_BYTES``, or a process where no OpenBLAS
+    setter was found, runs as one range on the calling thread.
+
+    With ``scratch``, each thread that takes ranges first gets
+    ``scratch()``, called on the calling thread, and ranges run as ``fn(r0,
+    r1, s)`` with their thread's ``s``. ``fn`` writes into slices of
+    arrays the caller allocated: a worker that allocates large temporaries
+    grows its own malloc arena, and the process's resident memory with it.
+    Ranges are handed out on demand, about eight per thread, so a thread
+    held up elsewhere takes fewer. ``fn`` never calls ``_split``, so no
+    worker waits on the pool. Returns once every range has finished; an
+    exception raised in any range reaches the caller.
+    """
+    pool, threads = (None, 1) if nbytes < POOL_MIN_BYTES or n < 2 else _runtime()
+    args = [(scratch(),) if scratch else () for _ in range(threads)]
+    if threads == 1:
+        fn(0, n, *args[0])
+        return
+    step = -(-n // (8 * threads))
     starts = iter(range(0, n, step))
     lock = threading.Lock()
 
-    def drain():
+    def drain(extra):
         while True:
             with lock:
                 r0 = next(starts, None)
             if r0 is None:
                 return
-            fn(r0, min(n, r0 + step))
+            fn(r0, min(n, r0 + step), *extra)
 
     # each worker runs in a copy of the caller's context, so the caller's
-    # np.errstate holds in its ranges too
-    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(cores - 1)]
+    # no_grad and np.errstate hold in its ranges too
+    futures = [pool.submit(contextvars.copy_context().run, drain, a) for a in args[1:]]
     try:
-        drain()
+        drain(args[0])
     finally:
         wait(futures)
     for f in futures:
         f.result()
+
+
+def _split_rows(n: int, row_macs: int, dtype, nbytes: int, fn) -> None:
+    """``_split`` over the rows [0, n) that one ``dtype`` GEMM's output is
+    split into, each row ``row_macs`` multiply-adds, in ranges that start
+    on a multiple of ``_GEMM_ROWS`` and hold at least ``_GEMM_MIN_MACS``
+    multiply-adds (the last takes the remainder); other than float32, one
+    range."""
+    unit = _GEMM_ROWS * max(1, -(-_GEMM_MIN_MACS // (_GEMM_ROWS * row_macs)))
+    units = max(1, n // unit) if dtype == np.float32 else 1
+    _split(units, nbytes, lambda u0, u1: fn(u0 * unit, n if u1 == units else u1 * unit))
 
 
 # -- elementwise unary -------------------------------------------------------
@@ -344,7 +435,13 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    return _unary(x, np.maximum(x.data, 0), lambda: (x.data > 0).astype(x.data.dtype))
+    """max(x, 0) into a preallocated output, split across cores by ``_split``."""
+    d = x.data
+    flat = np.ascontiguousarray(d).reshape(-1)
+    out = np.empty(d.shape, dtype=d.dtype)
+    of = out.reshape(-1)
+    _split(flat.size, flat.nbytes, lambda r0, r1: np.maximum(flat[r0:r1], 0, out=of[r0:r1]))
+    return _unary(x, out, lambda: (d > 0).astype(d.dtype))
 
 
 def _stable_sigmoid(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -368,8 +465,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# elements per in-place gelu block: its five passes over a block stay in cache
-_GELU_BLOCK = 1 << 16
+# elements per block of the in-place gelu and layer_norm passes: each pass
+# over a block finds it in cache
+_BLOCK = 1 << 16
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -384,8 +482,8 @@ def gelu(x: Tensor) -> Tensor:
     of, cf = out.reshape(-1), (out if cdf is None else cdf).reshape(-1)
 
     def blocks(r0, r1):
-        for b0 in range(r0, r1, _GELU_BLOCK):
-            b1 = min(r1, b0 + _GELU_BLOCK)
+        for b0 in range(r0, r1, _BLOCK):
+            b1 = min(r1, b0 + _BLOCK)
             xb, c = flat[b0:b1], cf[b0:b1]
             np.multiply(xb, _INV_SQRT2, out=c)
             erf(c, out=c)
@@ -498,25 +596,41 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight + bias over the last axis: x [..., in], weight [in, out].
 
     The leading axes are flattened and restored as views, so no reshape
-    nodes are recorded.
+    nodes are recorded. In float32 the forward GEMM and bias add, and the
+    two backward GEMMs, run over row ranges split across cores by
+    ``_split_rows``; the ranges split output rows, never the summed axis.
     """
     if weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
-    x2 = x.data.reshape(-1, weight.shape[0])
-    y = x2 @ weight.data
-    if bias is not None:
-        y += bias.data
+    w = weight.data
+    x2 = x.data.reshape(-1, w.shape[0])
+    y = np.empty((x2.shape[0], w.shape[1]), dtype=np.result_type(x2, w))
+
+    def rows(r0, r1):
+        np.matmul(x2[r0:r1], w, out=y[r0:r1])
+        if bias is not None:
+            y[r0:r1] += bias.data
+
+    macs = w.size  # per row of x
+    _split_rows(len(x2), macs, y.dtype, x2.nbytes + y.nbytes, rows)
 
     def grad_fn(g):
-        g2 = g.reshape(-1, weight.shape[1])
-        weight._accumulate(x2.T @ g2)
+        g2 = g.reshape(-1, w.shape[1])
+        gw = np.empty(w.shape, dtype=np.result_type(x2, g2))
+        # weight rows: x2[:, i0:i1].T @ g2, each summed over every row of x
+        _split_rows(len(gw), g2.size, gw.dtype, x2.nbytes + g2.nbytes,
+                    lambda i0, i1: np.matmul(x2[:, i0:i1].T, g2, out=gw[i0:i1]))
+        weight._accumulate(gw)
         if bias is not None:
             bias._accumulate(g2.sum(axis=0))
         if _wants_grad(x):
-            x._accumulate((g2 @ weight.data.T).reshape(x.shape))
+            gx = np.empty(x2.shape, dtype=np.result_type(g2, w))
+            _split_rows(len(gx), macs, gx.dtype, g2.nbytes + gx.nbytes,
+                        lambda r0, r1: np.matmul(g2[r0:r1], w.T, out=gx[r0:r1]))
+            x._accumulate(gx.reshape(x.shape))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(y.reshape(x.shape[:-1] + (weight.shape[1],)), parents, grad_fn)
+    return _make(y.reshape(x.shape[:-1] + (w.shape[1],)), parents, grad_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -525,23 +639,46 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     Forward and backward run the arithmetic of the ``mean``/``sub``/``mul``
     /``sqrt``/``div``/``add`` composite in its order: sum * (1/n), subtract,
     square, sum * (1/n), + eps, sqrt, divide, * gamma, + beta, and back.
+    The forward runs over cache-sized blocks of rows, split across cores by
+    ``_split``, into buffers the caller allocates: the output, the per-row
+    std and, taped, the centred and normalized input that backward needs.
     """
     n = x.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError(f"layer_norm: gamma {gamma.shape} / beta {beta.shape} vs input {x.shape}")
-    d = x.data
-    dt = np.result_type(d, gamma.data, beta.data)
-    d = d.astype(dt, copy=False)
-    inv_n = dt.type(1.0 / n)
-    xc = d - d.sum(axis=-1, keepdims=True) * inv_n
-    y = xc * xc
-    std = y.sum(axis=-1, keepdims=True)
-    std *= inv_n
-    std += dt.type(eps)
-    np.sqrt(std, out=std)
-    xhat = xc / std
-    np.multiply(xhat, gamma.data, out=y)
-    y += beta.data
+    dt = np.result_type(x.data, gamma.data, beta.data)
+    d = x.data.astype(dt, copy=False).reshape(-1, n)
+    inv_n, eps_ = dt.type(1.0 / n), dt.type(eps)
+    y = np.empty(d.shape, dtype=dt)
+    std = np.empty((len(d), 1), dtype=dt)
+    taped = _taped((x, gamma, beta))
+    xc, xhat = (np.empty_like(y), np.empty_like(y)) if taped else (None, None)
+    block = max(1, _BLOCK // n)  # rows per block
+
+    def norm_rows(r0, r1, scratch):
+        for b0 in range(r0, r1, block):
+            b1 = min(r1, b0 + block)
+            xb, yb, sb = d[b0:b1], y[b0:b1], std[b0:b1]
+            c = scratch[:b1 - b0] if xc is None else xc[b0:b1]
+            np.sum(xb, axis=-1, keepdims=True, out=sb)
+            sb *= inv_n
+            np.subtract(xb, sb, out=c)
+            np.multiply(c, c, out=yb)
+            np.sum(yb, axis=-1, keepdims=True, out=sb)
+            sb *= inv_n
+            sb += eps_
+            np.sqrt(sb, out=sb)
+            h = yb if xhat is None else xhat[b0:b1]
+            np.divide(c, sb, out=h)
+            np.multiply(h, gamma.data, out=yb)
+            yb += beta.data
+
+    _split(len(d), d.nbytes, norm_rows,
+           scratch=lambda: None if taped else np.empty((min(block, len(d)), n), dtype=dt))
+    shape = x.shape
+    y, std = y.reshape(shape), std.reshape(shape[:-1] + (1,))
+    if taped:
+        xc, xhat = xc.reshape(shape), xhat.reshape(shape)
 
     def grad_fn(g):
         beta._accumulate(_unbroadcast(g, beta.shape))
@@ -602,7 +739,8 @@ def attention(qkv: Tensor, heads: int, mask: Sequence[np.ndarray | None] | None 
     every key excluded gives zeros. ``bias`` broadcasts to [heads, N, N].
 
     Rows run in chunks whose logits fit ``ATTN_CHUNK_BYTES``, the softmax
-    in place; the tape keeps only the probabilities.
+    in place; the tape keeps only the probabilities. The forward's batch
+    rows are split across cores by ``_split``.
     """
     if qkv.ndim != 3 or qkv.shape[-1] % (3 * heads):
         raise ShapeError(f"attention: qkv {qkv.shape} is not [B, N, 3 * {heads} * d_head]")
@@ -615,28 +753,34 @@ def attention(qkv: Tensor, heads: int, mask: Sequence[np.ndarray | None] | None 
                for i in range(3))
     kt = k.transpose(0, 1, 3, 2)
     scale = dt.type(1.0 / math.sqrt(dh))
-    chunks = list(_row_chunks(b, heads * n * n * dt.itemsize))
+    row_bytes = heads * n * n * dt.itemsize
+    chunks = list(_row_chunks(b, row_bytes))
+    per = chunks[0][1]  # rows per chunk
     parents = (qkv,) if bias is None else (qkv, bias)
-    taped = _taped(parents)
-    if taped:
-        probs = np.empty((b, heads, n, n), dtype=dt)
-    else:  # one chunk-sized scratch buffer, reused
-        scratch = np.empty((chunks[0][1], heads, n, n), dtype=dt)
+    probs = np.empty((b, heads, n, n), dtype=dt) if _taped(parents) else None
     out = np.empty((b, n, heads, dh), dtype=dt)
     out_h = out.transpose(0, 2, 1, 3)
-    for r0, r1 in chunks:
-        lg = probs[r0:r1] if taped else scratch[:r1 - r0]
-        np.matmul(q[r0:r1], kt[r0:r1], out=lg)
-        lg *= scale
-        if bias is not None:
-            lg += bias.data
-        if mask is not None:
-            for r in range(r0, r1):
-                m = mask[r % len(mask)]
-                if m is not None:
-                    lg[r - r0] += m
-        _softmax_rows_(lg)
-        np.matmul(lg, v[r0:r1], out=out_h[r0:r1])
+
+    def attend(r0, r1, scratch):
+        for c0 in range(r0, r1, per):
+            c1 = min(r1, c0 + per)
+            lg = probs[c0:c1] if scratch is None else scratch[:c1 - c0]
+            np.matmul(q[c0:c1], kt[c0:c1], out=lg)
+            lg *= scale
+            if bias is not None:
+                lg += bias.data
+            if mask is not None:
+                for r in range(c0, c1):
+                    m = mask[r % len(mask)]
+                    if m is not None:
+                        lg[r - c0] += m
+            _softmax_rows_(lg)
+            np.matmul(lg, v[c0:c1], out=out_h[c0:c1])
+
+    # untaped, each thread reuses one chunk-sized buffer for the logits;
+    # taped, they go straight into the kept probabilities
+    _split(b, b * row_bytes, attend,
+           scratch=lambda: None if probs is not None else np.empty((per, heads, n, n), dtype=dt))
 
     def grad_fn(g):
         g_out = g.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
@@ -780,22 +924,16 @@ def _taps(kshape, stride, out_dims):
 CONV_CHUNK_BYTES = 64 << 20
 
 
-def _im2col(xp: np.ndarray, kshape, stride, out_dims, buf: np.ndarray | None = None) -> np.ndarray:
-    """Padded x [B, C, T, H, W] -> col [B, C*kt*kh*kw, T'*H'*W'].
+def _im2col(xp: np.ndarray, kshape, stride, out_dims, col: np.ndarray) -> None:
+    """Fill ``col`` [B, C, kt, kh, kw, T', H', W'] from padded x [B, C, T, H, W].
 
-    Rows follow the kernel's own (C, kt, kh, kw) order, so
-    ``kernel.reshape(O, -1) @ col`` is the correlation. One strided copy
-    per kernel tap fills the buffer, each running along contiguous W.
-    ``buf``, a flat array at least the column's size, is filled in place
-    of a new one.
+    Read as [B, C*kt*kh*kw, T'*H'*W'], its rows follow the kernel's own
+    (C, kt, kh, kw) order, so ``kernel.reshape(O, -1) @ col`` is the
+    correlation. One strided copy per kernel tap fills it, each running
+    along contiguous W.
     """
-    b, c = xp.shape[:2]
-    shape = (b, c, *kshape, *out_dims)
-    col = (np.empty(shape, dtype=xp.dtype) if buf is None
-           else buf[:math.prod(shape)].reshape(shape))
     for (i, j, k), (st, sh, sw) in _taps(kshape, stride, out_dims):
         col[:, :, i, j, k] = xp[:, :, st, sh, sw]
-    return col.reshape(b, c * math.prod(kshape), math.prod(out_dims))
 
 
 def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
@@ -806,13 +944,16 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     floor((in + 2*pad - k) / stride) + 1.
 
     The im2col column and its GEMM run over chunks of whole output frames
-    whose column fits ``CONV_CHUNK_BYTES`` (at least one frame), written
-    into the output. Under ``no_grad`` one chunk-sized buffer is reused;
-    with the tape each chunk's column is kept, and the weight and input
-    gradients run per chunk too. The chunk GEMMs give the one-chunk
-    output bit for bit when a frame's output positions are a multiple of
-    the BLAS kernel width (16 for OpenBLAS 0.3.31's Haswell sgemm), as
-    every model's frames are.
+    whose column fits ``CONV_CHUNK_BYTES`` (at least one frame), in
+    float32 cut into pieces of at least ``_GEMM_MIN_MACS`` multiply-adds
+    where a chunk holds two; pieces are split across cores by ``_split``
+    and write into the output. Under ``no_grad`` each thread reuses one
+    chunk-sized buffer; with the tape the whole column is kept, and the
+    weight and input gradients run per chunk, their GEMMs split by
+    ``_split_rows`` over column rows (col2im stays on the calling
+    thread). The chunk GEMMs give the one-chunk output bit for bit when a
+    frame's output positions are a multiple of the BLAS kernel width (16
+    for OpenBLAS 0.3.31's sgemm), as every model's frames are.
     """
     stride = _triple(stride)
     padding = _triple(padding)
@@ -827,43 +968,69 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     if any(n < k for n, k in zip(xp.shape[2:], kshape)):
         raise ShapeError(f"kernel {kshape} larger than padded input {xp.shape[2:]}")
     out_dims = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kshape, stride))
-    b, o = xb.shape[0], kernel.shape[0]
+    (b, c), o = xb.shape[:2], kernel.shape[0]
     wmat = kernel.data.reshape(o, -1)
+    rows = wmat.shape[1]  # column rows, C * kt * kh * kw
     frame = math.prod(out_dims[1:])  # output positions per frame
-    chunks = list(_row_chunks(out_dims[0], b * wmat.shape[1] * frame * xp.itemsize,
-                              CONV_CHUNK_BYTES))
+    chunks = list(_row_chunks(out_dims[0], b * rows * frame * xp.itemsize, CONV_CHUNK_BYTES))
+    per = chunks[0][1]  # output frames per chunk
 
     def window(a, t0, t1):  # the padded frames that output frames [t0, t1) read
         return a[:, :, stride[0] * t0:stride[0] * (t1 - 1) + kshape[0]]
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     taped = _taped(parents)
-    cols = []  # taped: each chunk's column, for backward
-    buf = None if taped else np.empty(b * wmat.shape[1] * frame * chunks[0][1], dtype=xp.dtype)
     out = np.empty((b, o, *out_dims), dtype=np.result_type(wmat, xp))
     out3 = out.reshape(b, o, -1)  # [B, O, P]
+    col = np.empty((b, rows, out3.shape[2]), dtype=xp.dtype) if taped else None
+
+    # one GEMM per piece of whole frames: a float32 chunk is cut into pieces
+    # of at least _GEMM_MIN_MACS multiply-adds (the last takes the
+    # remainder), or kept whole, since a smaller GEMM can round otherwise
+    unit = max(1, -(-_GEMM_MIN_MACS // (frame * o * rows)))  # frames
+    pieces = []
     for t0, t1 in chunks:
-        col = _im2col(window(xp, t0, t1), kshape, stride, (t1 - t0, *out_dims[1:]), buf)
-        np.matmul(wmat, col, out=out3[:, :, t0 * frame:t1 * frame])
-        if taped:
-            cols.append(col)
-    if bias is not None:
-        out += bias.data[:, None, None, None]
+        k = max(1, (t1 - t0) // unit) if out.dtype == np.float32 else 1
+        pieces += [(t0 + i * unit, t1 if i == k - 1 else t0 + (i + 1) * unit) for i in range(k)]
+
+    def conv_pieces(p0, p1, buf):
+        for t0, t1 in pieces[p0:p1]:
+            if buf is None:
+                piece, lo = col, t0
+            else:
+                piece, lo = buf[:b * rows * (t1 - t0) * frame].reshape(b, rows, -1), 0
+            col8 = piece.reshape(b, c, *kshape, -1, *out_dims[1:])[:, :, :, :, :, lo:lo + t1 - t0]
+            _im2col(window(xp, t0, t1), kshape, stride, (t1 - t0, *out_dims[1:]), col8)
+            y = out3[:, :, t0 * frame:t1 * frame]
+            np.matmul(wmat, piece[:, :, lo * frame:(lo + t1 - t0) * frame], out=y)
+            if bias is not None:
+                y += bias.data[:, None]
+
+    _split(len(pieces), b * rows * out3.shape[2] * xp.itemsize, conv_pieces,  # column bytes
+           scratch=lambda: None if taped else np.empty(b * rows * per * frame, dtype=xp.dtype))
     if not batched:
         out = out[0]
-    xp_shape = xp.shape  # the tape keeps the columns, not the padded input
+    xp_shape = xp.shape  # the tape keeps the column, not the padded input
 
     def grad_fn(g):
         g3 = g.reshape(b, o, -1)  # [B, O, P]
         gw = None
         gxp = np.zeros(xp_shape, dtype=np.result_type(wmat, g)) if _wants_grad(x) else None
-        for (t0, t1), col in zip(chunks, cols):
-            gc = g3[:, :, t0 * frame:t1 * frame]
-            part = (gc @ col.transpose(0, 2, 1)).sum(axis=0)
-            gw = part if gw is None else np.add(gw, part, out=gw)
-            if gxp is not None:
-                _col2im_add(window(gxp, t0, t1), wmat.T @ gc, kshape, stride,
-                            (t1 - t0, *out_dims[1:]))
+        part = np.empty((b, o, rows), dtype=np.result_type(g3, xp))
+        for t0, t1 in chunks:
+            gc, cc = g3[:, :, t0 * frame:t1 * frame], col[:, :, t0 * frame:t1 * frame]
+            gcol = None if gxp is None else np.empty(cc.shape, dtype=np.result_type(wmat, g3))
+
+            def column_rows(r0, r1):  # both GEMMs sum over O or P, never over rows
+                np.matmul(gc, cc[:, r0:r1].transpose(0, 2, 1), out=part[:, :, r0:r1])
+                if gcol is not None:
+                    np.matmul(wmat[:, r0:r1].T, gc, out=gcol[:, r0:r1])
+
+            _split_rows(rows, o * gc.shape[2], part.dtype, cc.nbytes, column_rows)
+            psum = part.sum(axis=0)
+            gw = psum if gw is None else np.add(gw, psum, out=gw)
+            if gcol is not None:
+                _col2im_add(window(gxp, t0, t1), gcol, kshape, stride, (t1 - t0, *out_dims[1:]))
         kernel._accumulate(gw.reshape(kernel.shape))
         if bias is not None:
             bias._accumulate(g3.sum(axis=(0, 2)))

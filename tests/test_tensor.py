@@ -5,6 +5,7 @@ reimplementations; gradients against central finite differences in
 float64.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -21,9 +22,9 @@ from vidmood import tensor as T
 from vidmood.gradcheck import gradcheck
 from vidmood.tensor import NumericError, ShapeError, Tensor
 
-from reference import (conv3d_grads_reference, gelu_composite_reference, layer_norm_loop_reference,
-                       linear_loop_reference, maxpool3d_routed_reference,
-                       packed_attention_loop_reference)
+from reference import (conv3d_grads_reference, conv3d_reference, gelu_composite_reference,
+                       layer_norm_loop_reference, linear_loop_reference,
+                       maxpool3d_routed_reference, packed_attention_loop_reference)
 
 
 UNARY_OPS = {"relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh, "exp": T.exp, "neg": T.neg}
@@ -725,15 +726,29 @@ class TestSplitOps:
         np.testing.assert_array_equal(_bits(x.grad), _bits(want_gx))
 
     def test_concurrent_callers_get_bit_equal_results(self, monkeypatch):
-        """More calling threads than cores, each splitting its own gelu and
-        maxpool3d over the shared pool while the interpreter switches
-        threads as often as it can."""
+        """More calling threads than cores, each splitting its own gelu,
+        maxpool3d and, untaped with per-thread scratch, layer_norm,
+        attention and conv3d over the shared pool while the interpreter
+        switches threads as often as it can."""
         xg = _special_values((64, 1024), 113, np.float32)  # 256 KiB
         xm = rnd((1, 8, 8, 192, 192), 114, np.float32)  # 9 MiB
+        xl, gamma, beta = (rnd(s, 115 + i, np.float32) for i, s in enumerate([(4096, 96), 96, 96]))
+        qkv = rnd((256, 16, 96), 118, np.float32)
+        masks = [np.where(rnd((1, 16, 16), 119) > 0, np.float32(0), np.float32(-np.inf)), None]
+        xc, wc = rnd((1, 4, 24, 16, 16), 120, np.float32), rnd((8, 4, 3, 3, 3), 121, np.float32)
+        monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", 2 * 2 * 16 * 16 * 4)  # two windows
+        monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * 108 * 256 * 4)  # two frames
+
+        def ops():
+            with T.no_grad(), np.errstate(invalid="ignore"):
+                return [T.gelu(Tensor(xg)).data, T.maxpool3d(Tensor(xm), (2, 2, 2)).data,
+                        T.layer_norm(Tensor(xl), Tensor(gamma), Tensor(beta), 1e-5).data,
+                        T.attention(Tensor(qkv), 2, mask=masks).data,
+                        T.conv3d(Tensor(xc), Tensor(wc), padding=1).data]
+
+        T._runtime()  # BLAS pinned for the wanted results too
         monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 62)  # the wanted results: one thread
-        with np.errstate(invalid="ignore"):
-            want_g = T.gelu(Tensor(xg)).data
-            want_m = T.maxpool3d(Tensor(xm), (2, 2, 2)).data
+        want = ops()
         monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 16)
         callers = 2 * len(os.sched_getaffinity(0)) + 1
         failures, done = [], []
@@ -741,12 +756,7 @@ class TestSplitOps:
         def call():
             try:
                 for _ in range(3):
-                    # no no_grad: it sets a module global, and no input here wants a gradient
-                    with np.errstate(invalid="ignore"):
-                        yg = T.gelu(Tensor(xg)).data
-                        ym = T.maxpool3d(Tensor(xm), (2, 2, 2)).data
-                    if not (np.array_equal(_bits(yg), _bits(want_g))
-                            and np.array_equal(_bits(ym), _bits(want_m))):
+                    if not all(np.array_equal(_bits(y), _bits(w)) for y, w in zip(ops(), want)):
                         failures.append("result differs")
                 done.append(1)
             except Exception as exc:  # reported by the assert below
@@ -764,6 +774,7 @@ class TestSplitOps:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads), "a caller did not finish"
         assert failures == [] and len(done) == callers
+        assert T._grad_enabled
 
     def test_untaped_gelu_peak_is_its_output(self):
         x = Tensor(rnd(1 << 22, 115, np.float32))  # 16 MiB, split
@@ -783,6 +794,281 @@ class TestSplitOps:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=60, check=True).stdout
         assert out.split() == ["1", "True"]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one core: no pool to pin for")
+    def test_first_split_pins_blas_to_one_thread(self):
+        """In a fresh interpreter with BLAS at two threads: importing leaves
+        every OpenBLAS's thread count alone, and the first split sets each
+        one to a single thread."""
+        getters = [name.replace("_set_", "_get_") for name in T._BLAS_SETTERS]
+        code = f"""
+import ctypes, json, os, numpy, scipy.special
+
+def counts():
+    out = {{}}
+    for line in open("/proc/self/maps"):
+        f = line.split(maxsplit=5)
+        if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower():
+            lib = ctypes.CDLL(f[5].strip())
+            get = next(getattr(lib, n) for n in {getters!r} if hasattr(lib, n))
+            get.argtypes, get.restype = [], ctypes.c_int
+            out[os.path.basename(f[5].strip())] = get()
+    return out
+
+before = counts()
+import vidmood.tensor as T
+imported = counts()
+T._split(2, T.POOL_MIN_BYTES, lambda r0, r1: None)
+print(json.dumps([before, imported, counts(), T._threads]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(T.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="2")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout
+        before, imported, after, threads = json.loads(out)
+        assert before and set(before.values()) == {2}
+        assert imported == before
+        assert after == {lib: 1 for lib in before}
+        assert threads == len(os.sched_getaffinity(0))
+
+    def test_without_a_blas_setter_the_pool_stays_one_thread(self):
+        """Where no OpenBLAS setter is found, splits run as one range on
+        the calling thread and no pool starts."""
+        code = """
+import json, threading, numpy as np, vidmood.tensor as T
+T._BLAS_SETTERS = ("no_such_setter",)
+seen = set()
+T._split(64, T.POOL_MIN_BYTES, lambda r0, r1: seen.add((r0, r1, threading.get_ident())))
+print(json.dumps([sorted(seen)[0][:2], len(seen), T._threads, T._pool is None,
+                  threading.active_count()]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(T.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout
+        assert json.loads(out) == [[0, 64], 1, 1, True, 1]
+
+    def test_no_grad_belongs_to_its_thread(self):
+        """Five threads enter no_grad one after another and leave in the
+        same order: each sees its own setting, the others' exits do not
+        turn it back on early, and all of them leave it on."""
+        n = 5
+        entered = [threading.Event() for _ in range(n)]
+        left = [threading.Event() for _ in range(n)]
+        seen, failures = [], []
+
+        def worker(i):
+            try:
+                if i:
+                    entered[i - 1].wait(timeout=30)
+                with T.no_grad():
+                    entered[i].set()
+                    entered[-1].wait(timeout=30)  # all five are inside
+                    if i:
+                        left[i - 1].wait(timeout=30)
+                    seen.append(T._grad_enabled)
+                left[i].set()
+                seen.append(T._grad_enabled)
+            except Exception as exc:  # reported by the assert below
+                failures.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads) and failures == []
+        assert sorted(seen) == [False] * n + [True] * n
+        assert T._grad_enabled
+        x = Tensor(np.ones(3), requires_grad=True)
+        assert T.mul(x, x)._grad_fn is not None
+
+    def test_split_ranges_see_the_callers_no_grad(self):
+        seen = []
+
+        def fn(r0, r1):
+            seen.append((threading.get_ident(), T._grad_enabled))
+            time.sleep(0.002)  # long enough that a pool worker takes some ranges
+
+        with T.no_grad():
+            T._split(64, T.POOL_MIN_BYTES, fn)
+        assert {g for _, g in seen} == {False}
+        if len(os.sched_getaffinity(0)) > 1:
+            assert len({t for t, _ in seen}) > 1
+        seen.clear()
+        T._split(64, T.POOL_MIN_BYTES, fn)
+        assert {g for _, g in seen} == {True}
+
+
+def _inline_and_split(monkeypatch, run, splits=True):
+    """``run()`` once with every op on the calling thread, once with every
+    op split into ranges across the pool; returns both results. ``splits``:
+    whether some op divides its work into more than one range. The pool
+    is set up first, so both runs call BLAS pinned to one thread: OpenBLAS
+    at two threads rounds some GEMMs (x.T @ g with many rows) otherwise."""
+    T._runtime()
+    monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 62)
+    one = run()
+    monkeypatch.setattr(T, "POOL_MIN_BYTES", 0)
+    split, counts = T._split, []
+
+    def counted(n, nbytes, fn, scratch=None):
+        counts.append(n)
+        split(n, nbytes, fn, scratch)
+
+    monkeypatch.setattr(T, "_split", counted)
+    got = run()
+    assert (max(counts) > 1) == splits, f"ranges per split: {counts}"
+    return one, got
+
+
+def _step(op, arrays, g, taped=True):
+    """op's output and, taped, the gradient of sum(op * g) for each input."""
+    ts = [Tensor(a, requires_grad=taped) for a in arrays]
+    if not taped:
+        with T.no_grad():
+            return [op(*ts).data]
+    y = op(*ts)
+    T.sum_(T.mul(y, g)).backward()
+    return [y.data] + [t.grad for t in ts]
+
+
+def _assert_bits_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+class TestSplitFusedOps:
+    """``linear``, ``layer_norm``, ``attention``, ``conv3d`` and ``relu``
+    split across the pool give one inline call's values and gradients bit
+    for bit, and match their loop oracles."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_ragged_rows(self, monkeypatch, dtype):
+        """2013 rows of 40 -> 56: in float32, forward ranges of 480 rows
+        (2^20 multiply-adds), the last 573, and the weight gradient's 40
+        rows as 16 + 24; neither width is a multiple of 16, so every GEMM
+        has a ragged tail. float64 GEMMs run whole."""
+        x = rnd((3, 671, 40), 120, dtype)
+        w, b = rnd((40, 56), 121, dtype), rnd(56, 122, dtype)
+        g = rnd((3, 671, 56), 123, dtype)
+        one, split = _inline_and_split(monkeypatch, lambda: _step(T.linear, (x, w, b), g),
+                                       splits=dtype == np.float32)
+        _assert_bits_equal(split, one)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        x2, y2 = x.reshape(-1, 40), split[0].reshape(-1, 56)
+        picks = np.r_[470:490, 1430:1450, 2003:2013]  # across range boundaries
+        np.testing.assert_allclose(y2[picks], linear_loop_reference(x2[picks], w, b),
+                                   rtol=tol, atol=tol)
+        g2 = g.reshape(-1, 56)
+        for got, want in zip(split[1:], (g @ w.T, x2.T @ g2, g2.sum(axis=0))):
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    def test_layer_norm(self, monkeypatch):
+        x = rnd((5, 23, 48), 124, np.float32) * 3 + 1
+        gamma, beta = rnd(48, 125, np.float32), rnd(48, 126, np.float32)
+        g = rnd(x.shape, 127, np.float32)
+
+        def op(a, b, c):
+            return T.layer_norm(a, b, c, 1e-5)
+
+        one, split = _inline_and_split(monkeypatch, lambda: _step(op, (x, gamma, beta), g))
+        _assert_bits_equal(split, one)
+        _assert_bits_equal(_inline_and_split(monkeypatch, lambda: _step(op, (x, gamma, beta), g,
+                                                                         taped=False))[1], one[:1])
+        np.testing.assert_allclose(split[0], layer_norm_loop_reference(x, gamma, beta, 1e-5),
+                                   rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_attention_mask_cycles_cross_ranges(self, monkeypatch, taped):
+        """21 windows under 3 masks, in ranges of two windows, so most
+        ranges start inside a mask cycle; chunks of three windows inside a
+        range."""
+        b, n, heads = 21, 6, 2
+        qkv = rnd((b, n, 3 * heads * 4), 128, np.float32)
+        bias = rnd((heads, n, n), 129, np.float32)
+        gen = np.random.default_rng(130)
+        masks = [np.where(gen.random((1, n, n)) > 0.4, np.float32(0), np.float32(-np.inf))
+                 for _ in range(2)] + [None]
+        g = rnd((b, n, heads * 4), 131, np.float32)
+        monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", 3 * heads * n * n * 4)
+
+        def op(a, c):
+            return T.attention(a, heads, mask=masks, bias=c)
+
+        one, split = _inline_and_split(monkeypatch, lambda: _step(op, (qkv, bias), g, taped))
+        _assert_bits_equal(split, one)
+        want = packed_attention_loop_reference(qkv.astype(np.float64), heads, mask=masks,
+                                               bias=bias.astype(np.float64))
+        np.testing.assert_allclose(split[0], want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_conv3d_ragged_last_chunk(self, monkeypatch, taped):
+        """13 output frames of 16 x 16 in chunks of four (the last holds
+        one), each chunk cut into pieces of two frames (2^20
+        multiply-adds); the backward GEMMs split the chunks' 270 column
+        rows as 128 + 142."""
+        xd = rnd((2, 10, 13, 16, 16), 132, np.float32)
+        wd, bd = rnd((8, 10, 3, 3, 3), 133, np.float32), rnd(8, 134, np.float32)
+        g = rnd((2, 8, 13, 16, 16), 135, np.float32)
+        frame_bytes = 2 * 270 * 256 * 4
+        monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 4 * frame_bytes)
+        assert list(T._row_chunks(13, frame_bytes, 4 * frame_bytes))[-1] == (12, 13)
+
+        def op(x, w, b):
+            return T.conv3d(x, w, b, stride=1, padding=1)
+
+        one, split = _inline_and_split(monkeypatch, lambda: _step(op, (xd, wd, bd), g, taped))
+        _assert_bits_equal(split, one)
+        for i in range(2):
+            want = conv3d_reference(xd[i], wd, bd, (1, 1, 1), (1, 1, 1))
+            np.testing.assert_allclose(split[0][i], want, rtol=1e-4, atol=1e-4)
+        if taped:
+            gx, gw, gb = zip(*(conv3d_grads_reference(xd[i], wd, g[i], (1, 1, 1), (1, 1, 1))
+                               for i in range(2)))
+            np.testing.assert_allclose(split[1], np.stack(gx), rtol=1e-4, atol=1e-3)
+            np.testing.assert_allclose(split[2], sum(gw), rtol=1e-4, atol=1e-3)
+            np.testing.assert_allclose(split[3], sum(gb), rtol=1e-4, atol=1e-3)
+
+    def test_relu(self, monkeypatch):
+        x = _special_values((7, 9, 31), 136, np.float32)
+        g = rnd(x.shape, 137, np.float32)
+        with np.errstate(invalid="ignore"):
+            one, split = _inline_and_split(monkeypatch, lambda: _step(T.relu, (x,), g))
+            want = np.where(np.isnan(x), x, np.where(x > 0, x, 0))
+            _assert_bits_equal(split, one)
+            _assert_bits_equal(split, [want, np.zeros_like(x) + g * (x > 0).astype(x.dtype)])
+
+    @pytest.mark.parametrize("name", ["linear", "layer_norm", "attention"])
+    def test_untaped_split_peak_is_output_and_scratch(self, monkeypatch, name):
+        """Split without the tape, the traced peak is the output plus the
+        per-thread scratch: no range allocates a large temporary."""
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 0)
+        threads = T._runtime()[1]
+        if name == "linear":
+            args = (rnd((4000, 64), 138, np.float32), rnd((64, 256), 139, np.float32),
+                    rnd(256, 140, np.float32))
+            run, scratch = T.linear, 0
+        elif name == "layer_norm":
+            args = (rnd((4000, 256), 141, np.float32), rnd(256, 142, np.float32),
+                    rnd(256, 143, np.float32))
+            run = lambda x, ga, be: T.layer_norm(x, ga, be, 1e-5)  # noqa: E731
+            scratch = threads * (T._BLOCK // 256) * 256 * 4 + 4000 * 4  # blocks and std
+        else:
+            monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", 4 * 4 * 64 * 64 * 4)  # 4 windows
+            args = (rnd((64, 64, 3 * 64), 144, np.float32),)
+            run = lambda qkv: T.attention(qkv, 4)  # noqa: E731
+            scratch = threads * T.ATTN_CHUNK_BYTES
+        ts = [Tensor(a) for a in args]
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                y = run(*ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 1.3 * (y.data.nbytes + scratch)
+        assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
 
 
 # -- property-based invariants ---------------------------------------------------
