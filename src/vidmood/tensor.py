@@ -11,13 +11,13 @@ and bias, run in cache-sized chunks), each one tape node with a
 hand-written backward pass.
 
 One thread pool (``_split``), one thread per core the process may use, is
-the process's only parallel runtime: on first use it pins numpy's and
-scipy's OpenBLAS to one thread, so BLAS never runs a thread pool beside
-it (where no OpenBLAS setter is found, it stays one thread wide and BLAS
-keeps its own threads). Work of ``POOL_MIN_BYTES`` and more is split
-into ranges on that pool: the forward passes of ``linear``,
-``layer_norm``, ``attention``, ``conv3d``, ``relu``, ``gelu`` and
-``maxpool3d``, and the backward GEMMs of ``linear`` and ``conv3d``. Each
+the process's only parallel runtime: before this module's first GEMM it
+pins numpy's and scipy's OpenBLAS to one thread, so BLAS never runs a
+thread pool beside it (where no OpenBLAS setter is found, it stays one
+thread wide and BLAS keeps its own threads). Work of ``POOL_MIN_BYTES``
+and more is split into ranges on that pool: the forward passes of
+``linear``, ``layer_norm``, ``attention``, ``conv3d``, ``relu``,
+``gelu`` and ``maxpool3d``, and the backward GEMMs of ``conv3d``. Each
 output element is computed as in one whole call, so results are the same
 bit for bit.
 
@@ -287,11 +287,8 @@ POOL_MIN_BYTES = 8 << 20
 _GEMM_ROWS = 16
 _GEMM_MIN_MACS = 1 << 20
 
-# each OpenBLAS build names its C setter with its own prefix and suffix;
-# numpy's is scipy_openblas_set_num_threads64_, scipy's
-# scipy_openblas_set_num_threads
-_BLAS_SETTERS = tuple(f"{prefix}openblas_set_num_threads{suffix}"
-                      for prefix in ("scipy_", "") for suffix in ("64_", ""))
+# the thread-count setters of numpy's and of scipy's OpenBLAS
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
 
 _pool: ThreadPoolExecutor | None = None
 _threads = 0  # threads that take ranges, the caller included; 0 until first use
@@ -331,25 +328,33 @@ def _runtime() -> tuple[ThreadPoolExecutor | None, int]:
     """The pool and the number of threads that take ranges, set up on first
     use: one thread per core this process may use, with every OpenBLAS
     pinned to one thread, or the calling thread alone where BLAS could not
-    be pinned (its own threads then stay the only parallel runtime)."""
+    be pinned (its own threads then stay the only parallel runtime). The
+    pool starts its threads at its first range, not here.
+
+    ``_split`` and ``matmul`` call this before any GEMM of this module:
+    OpenBLAS rounds some GEMMs differently at one and at two threads, so
+    BLAS must be pinned before the first one for a GEMM's bits not to
+    depend on what ran earlier in the process."""
     global _pool, _threads
-    with _pool_lock:
-        if not _threads:
-            cores = len(os.sched_getaffinity(0))
-            _threads = cores if cores > 1 and _pin_blas() else 1
-            if _threads > 1:
-                _pool = ThreadPoolExecutor(_threads, thread_name_prefix="vidmood-split")
-        return _pool, _threads
+    if not _threads:
+        with _pool_lock:
+            if not _threads:
+                cores = len(os.sched_getaffinity(0))
+                threads = cores if cores > 1 and _pin_blas() else 1
+                if threads > 1:
+                    _pool = ThreadPoolExecutor(threads, thread_name_prefix="vidmood-split")
+                _threads = threads  # set last: callers outside the lock read it
+    return _pool, _threads
 
 
 def _split(n: int, nbytes: int, fn, scratch=None) -> None:
     """Run ``fn(r0, r1)`` over contiguous ranges covering [0, n) on the
     calling thread and the process's one pool of threads, one thread per
-    core this process may use. The pool is created on first use and pins
-    numpy's and scipy's OpenBLAS to one thread, so BLAS calls made inside
-    ranges, or between splits, never compete with a BLAS thread pool. Work
-    of ``nbytes`` under ``POOL_MIN_BYTES``, or a process where no OpenBLAS
-    setter was found, runs as one range on the calling thread.
+    core this process may use. The first call, of any size, pins numpy's
+    and scipy's OpenBLAS to one thread (``_runtime``), so BLAS calls made
+    inside ranges, or between splits, never compete with a BLAS thread
+    pool. Work of ``nbytes`` under ``POOL_MIN_BYTES``, or a process where
+    no OpenBLAS setter was found, runs as one range on the calling thread.
 
     With ``scratch``, each thread that takes ranges first gets
     ``scratch()``, called on the calling thread, and ranges run as ``fn(r0,
@@ -361,7 +366,9 @@ def _split(n: int, nbytes: int, fn, scratch=None) -> None:
     worker waits on the pool. Returns once every range has finished; an
     exception raised in any range reaches the caller.
     """
-    pool, threads = (None, 1) if nbytes < POOL_MIN_BYTES or n < 2 else _runtime()
+    pool, threads = _runtime()
+    if nbytes < POOL_MIN_BYTES or n < 2:
+        threads = 1
     args = [(scratch(),) if scratch else () for _ in range(threads)]
     if threads == 1:
         fn(0, n, *args[0])
@@ -395,7 +402,7 @@ def _split_rows(n: int, row_macs: int, dtype, nbytes: int, fn) -> None:
     on a multiple of ``_GEMM_ROWS`` and hold at least ``_GEMM_MIN_MACS``
     multiply-adds (the last takes the remainder); other than float32, one
     range."""
-    unit = _GEMM_ROWS * max(1, -(-_GEMM_MIN_MACS // (_GEMM_ROWS * row_macs)))
+    unit = _GEMM_ROWS * max(1, -(-_GEMM_MIN_MACS // (_GEMM_ROWS * max(1, row_macs))))
     units = max(1, n // unit) if dtype == np.float32 else 1
     _split(units, nbytes, lambda u0, u1: fn(u0 * unit, n if u1 == units else u1 * unit))
 
@@ -534,6 +541,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs at least 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
+    _runtime()  # BLAS pinned before this module's first GEMM
     try:
         data = a.data @ b.data
     except ValueError as exc:
@@ -596,9 +604,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight + bias over the last axis: x [..., in], weight [in, out].
 
     The leading axes are flattened and restored as views, so no reshape
-    nodes are recorded. In float32 the forward GEMM and bias add, and the
-    two backward GEMMs, run over row ranges split across cores by
-    ``_split_rows``; the ranges split output rows, never the summed axis.
+    nodes are recorded. In float32 the forward GEMM and bias add run over
+    row ranges split across cores by ``_split_rows``; the backward GEMMs
+    run whole.
     """
     if weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {weight.shape}")
@@ -611,23 +619,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None:
             y[r0:r1] += bias.data
 
-    macs = w.size  # per row of x
-    _split_rows(len(x2), macs, y.dtype, x2.nbytes + y.nbytes, rows)
+    _split_rows(len(x2), w.size, y.dtype, x2.nbytes + y.nbytes, rows)
 
     def grad_fn(g):
-        g2 = g.reshape(-1, w.shape[1])
-        gw = np.empty(w.shape, dtype=np.result_type(x2, g2))
-        # weight rows: x2[:, i0:i1].T @ g2, each summed over every row of x
-        _split_rows(len(gw), g2.size, gw.dtype, x2.nbytes + g2.nbytes,
-                    lambda i0, i1: np.matmul(x2[:, i0:i1].T, g2, out=gw[i0:i1]))
-        weight._accumulate(gw)
+        g2 = g.reshape(len(x2), w.shape[1])
+        weight._accumulate(x2.T @ g2)
         if bias is not None:
             bias._accumulate(g2.sum(axis=0))
         if _wants_grad(x):
-            gx = np.empty(x2.shape, dtype=np.result_type(g2, w))
-            _split_rows(len(gx), macs, gx.dtype, g2.nbytes + gx.nbytes,
-                        lambda r0, r1: np.matmul(g2[r0:r1], w.T, out=gx[r0:r1]))
-            x._accumulate(gx.reshape(x.shape))
+            x._accumulate((g2 @ w.T).reshape(x.shape))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(y.reshape(x.shape[:-1] + (w.shape[1],)), parents, grad_fn)
@@ -944,16 +944,18 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     floor((in + 2*pad - k) / stride) + 1.
 
     The im2col column and its GEMM run over chunks of whole output frames
-    whose column fits ``CONV_CHUNK_BYTES`` (at least one frame), in
-    float32 cut into pieces of at least ``_GEMM_MIN_MACS`` multiply-adds
-    where a chunk holds two; pieces are split across cores by ``_split``
-    and write into the output. Under ``no_grad`` each thread reuses one
-    chunk-sized buffer; with the tape the whole column is kept, and the
-    weight and input gradients run per chunk, their GEMMs split by
-    ``_split_rows`` over column rows (col2im stays on the calling
-    thread). The chunk GEMMs give the one-chunk output bit for bit when a
-    frame's output positions are a multiple of the BLAS kernel width (16
-    for OpenBLAS 0.3.31's sgemm), as every model's frames are.
+    whose column fits ``CONV_CHUNK_BYTES`` (at least one frame). Where the
+    column splits, a float32 chunk is cut into pieces that start on a
+    multiple of ``_GEMM_ROWS`` output positions and hold at least
+    ``_GEMM_MIN_MACS`` multiply-adds, where it holds two; pieces are split
+    across cores by ``_split`` and write into the output. Under
+    ``no_grad`` each thread reuses one chunk-sized buffer; with the tape
+    the whole column is kept, and the weight and input gradients run per
+    chunk, their GEMMs split by ``_split_rows`` over column rows (col2im
+    stays on the calling thread). The chunk GEMMs give the one-chunk
+    output bit for bit when a frame's output positions are a multiple of
+    the BLAS kernel width (16 for OpenBLAS 0.3.31's sgemm), as every
+    model's frames are.
     """
     stride = _triple(stride)
     padding = _triple(padding)
@@ -984,13 +986,16 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     out3 = out.reshape(b, o, -1)  # [B, O, P]
     col = np.empty((b, rows, out3.shape[2]), dtype=xp.dtype) if taped else None
 
-    # one GEMM per piece of whole frames: a float32 chunk is cut into pieces
-    # of at least _GEMM_MIN_MACS multiply-adds (the last takes the
-    # remainder), or kept whole, since a smaller GEMM can round otherwise
-    unit = max(1, -(-_GEMM_MIN_MACS // (frame * o * rows)))  # frames
+    # one GEMM per piece of whole frames; a piece keeps its chunk GEMM's
+    # bits by starting on a multiple of _GEMM_ROWS output positions and
+    # doing at least _GEMM_MIN_MACS multiply-adds (the last takes the rest)
+    colbytes = b * rows * out3.shape[2] * xp.itemsize
+    cut = out.dtype == np.float32 and colbytes >= POOL_MIN_BYTES and _runtime()[1] > 1
+    align = _GEMM_ROWS // math.gcd(frame, _GEMM_ROWS)  # frames
+    unit = align * max(1, -(-_GEMM_MIN_MACS // (align * frame * o * rows)))
     pieces = []
     for t0, t1 in chunks:
-        k = max(1, (t1 - t0) // unit) if out.dtype == np.float32 else 1
+        k = max(1, (t1 - t0) // unit) if cut else 1
         pieces += [(t0 + i * unit, t1 if i == k - 1 else t0 + (i + 1) * unit) for i in range(k)]
 
     def conv_pieces(p0, p1, buf):
@@ -1006,7 +1011,7 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
             if bias is not None:
                 y += bias.data[:, None]
 
-    _split(len(pieces), b * rows * out3.shape[2] * xp.itemsize, conv_pieces,  # column bytes
+    _split(len(pieces), colbytes, conv_pieces,
            scratch=lambda: None if taped else np.empty(b * rows * per * frame, dtype=xp.dtype))
     if not batched:
         out = out[0]

@@ -447,6 +447,18 @@ class TestGradients:
         check(lambda: T.sum_(T.mul(T.linear(x, w, b), wt)), {"x": x, "w": w, "b": b})
         check(lambda: T.sum_(T.mul(T.linear(x, w), wt)), {"x": x, "w": w})
 
+    @pytest.mark.parametrize("xs, ws", [((0, 4), (4, 3)), ((5, 4), (4, 0))])
+    def test_linear_empty_batch_and_zero_width(self, monkeypatch, xs, ws):
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 0)
+        x = Tensor(np.ones(xs, np.float32), requires_grad=True)
+        w = Tensor(np.ones(ws, np.float32), requires_grad=True)
+        b = Tensor(np.ones(ws[1], np.float32), requires_grad=True)
+        y = T.linear(x, w, b)
+        assert y.shape == (xs[0], ws[1])
+        T.sum_(y).backward()
+        for t in (x, w, b):
+            assert t.grad.shape == t.shape and not t.grad.any()
+
     def test_layer_norm_grads(self):
         x = Tensor(rnd((2, 3, 6), 64) * 3 + 1, requires_grad=True)
         gamma = Tensor(rnd((6,), 65), requires_grad=True)
@@ -746,7 +758,6 @@ class TestSplitOps:
                         T.attention(Tensor(qkv), 2, mask=masks).data,
                         T.conv3d(Tensor(xc), Tensor(wc), padding=1).data]
 
-        T._runtime()  # BLAS pinned for the wanted results too
         monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 62)  # the wanted results: one thread
         want = ops()
         monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 16)
@@ -882,6 +893,36 @@ print(json.dumps([sorted(seen)[0][:2], len(seen), T._threads, T._pool is None,
         x = Tensor(np.ones(3), requires_grad=True)
         assert T.mul(x, x)._grad_fn is not None
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one core: BLAS never threads")
+    @pytest.mark.parametrize("op", ["linear", "matmul"])
+    def test_weight_gradient_does_not_depend_on_earlier_splits(self, op):
+        """In a fresh interpreter with BLAS at two threads, a taped linear
+        (or matmul) whose x.T @ g OpenBLAS would thread gives the same
+        gradients before and after an unrelated large split: BLAS is
+        pinned before the op's first GEMM, not at the first split that
+        reaches the pool."""
+        code = f"""
+import json, numpy as np, vidmood.tensor as T
+from vidmood.tensor import Tensor
+gen = np.random.default_rng(0)
+x, w = gen.standard_normal((2013, 40), np.float32), gen.standard_normal((40, 56), np.float32)
+g = gen.standard_normal((2013, 56), np.float32)
+
+def grads():
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    T.sum_(T.mul(T.{op}(xt, wt), g)).backward()
+    return [wt.grad.view(np.uint32).tolist(), xt.grad.view(np.uint32).tolist()]
+
+first = grads()
+T.relu(Tensor(np.ones(T.POOL_MIN_BYTES // 4, np.float32)))
+print(json.dumps(first == grads()))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(T.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="2")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout
+        assert json.loads(out) is True
+
     def test_split_ranges_see_the_callers_no_grad(self):
         seen = []
 
@@ -902,10 +943,7 @@ print(json.dumps([sorted(seen)[0][:2], len(seen), T._threads, T._pool is None,
 def _inline_and_split(monkeypatch, run, splits=True):
     """``run()`` once with every op on the calling thread, once with every
     op split into ranges across the pool; returns both results. ``splits``:
-    whether some op divides its work into more than one range. The pool
-    is set up first, so both runs call BLAS pinned to one thread: OpenBLAS
-    at two threads rounds some GEMMs (x.T @ g with many rows) otherwise."""
-    T._runtime()
+    whether some op divides its work into more than one range."""
     monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 62)
     one = run()
     monkeypatch.setattr(T, "POOL_MIN_BYTES", 0)
@@ -946,9 +984,8 @@ class TestSplitFusedOps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_linear_ragged_rows(self, monkeypatch, dtype):
         """2013 rows of 40 -> 56: in float32, forward ranges of 480 rows
-        (2^20 multiply-adds), the last 573, and the weight gradient's 40
-        rows as 16 + 24; neither width is a multiple of 16, so every GEMM
-        has a ragged tail. float64 GEMMs run whole."""
+        (2^20 multiply-adds), the last 573; neither width is a multiple of
+        16, so every GEMM has a ragged tail. float64 GEMMs run whole."""
         x = rnd((3, 671, 40), 120, dtype)
         w, b = rnd((40, 56), 121, dtype), rnd(56, 122, dtype)
         g = rnd((3, 671, 56), 123, dtype)
@@ -1029,6 +1066,26 @@ class TestSplitFusedOps:
             np.testing.assert_allclose(split[1], np.stack(gx), rtol=1e-4, atol=1e-3)
             np.testing.assert_allclose(split[2], sum(gw), rtol=1e-4, atol=1e-3)
             np.testing.assert_allclose(split[3], sum(gb), rtol=1e-4, atol=1e-3)
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_conv3d_frames_off_the_kernel_width(self, monkeypatch, taped):
+        """45 output frames of 6 x 6 (36 positions, not a multiple of 16) in
+        chunks of 27 and 18 frames: each chunk's pieces start on multiples
+        of 4 frames (144 positions) and hold at least 2^20 multiply-adds,
+        20 frames here, so the split output is the one GEMM per chunk that
+        runs when nothing splits, bit for bit."""
+        xd = rnd((1, 4, 45, 6, 6), 150, np.float32)
+        wd, bd = rnd((16, 4, 3, 3, 3), 151, np.float32), rnd(16, 152, np.float32)
+        g = rnd((1, 16, 45, 6, 6), 153, np.float32)
+        monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 27 * 108 * 36 * 4)
+
+        def op(x, w, b):
+            return T.conv3d(x, w, b, stride=1, padding=1)
+
+        one, split = _inline_and_split(monkeypatch, lambda: _step(op, (xd, wd, bd), g, taped))
+        _assert_bits_equal(split, one)
+        want = conv3d_reference(xd[0], wd, bd, (1, 1, 1), (1, 1, 1))
+        np.testing.assert_allclose(split[0][0], want, rtol=1e-4, atol=1e-4)
 
     def test_relu(self, monkeypatch):
         x = _special_values((7, 9, 31), 136, np.float32)
