@@ -3,7 +3,9 @@
 Three conv/ReLU/maxpool blocks shrink each frame spatially while
 preserving the temporal extent; per-timestep features are flattened and
 projected, an LSTM integrates them over time, and a learned softmax over
-timesteps pools the hidden states for the linear head.
+timesteps pools the hidden states for the linear head. Each block pools
+before its ReLU, which gives the same bits (see ``ConvBlock``) and spares
+a full-size ReLU copy of the conv output.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ class CnnLstmConfig:
 
 
 class ConvBlock(Module):
-    """conv3d (3x3x3, stride 1, pad 1) -> ReLU -> maxpool (1, 2, 2)."""
+    """conv3d (3x3x3, stride 1, pad 1) -> maxpool (1, 2, 2) -> ReLU: bit for
+    bit conv -> ReLU -> pool, as ReLU is monotone and zeroes the value and
+    every gradient of a window whose max is <= 0."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         fan_in = c_in * 27
@@ -49,8 +53,8 @@ class ConvBlock(Module):
         self.bias = Parameter(np.zeros(c_out))
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.relu(T.conv3d(x, self.kernel, self.bias, stride=1, padding=1))
-        return T.maxpool3d(y, (1, 2, 2))
+        return T.relu(T.maxpool3d(T.conv3d(x, self.kernel, self.bias, stride=1, padding=1),
+                                  (1, 2, 2)))
 
 
 class LstmCell(Module):

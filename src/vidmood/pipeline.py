@@ -32,11 +32,10 @@ __all__ = [
 
 @dataclass
 class RawVideo:
-    """Decoded video: uint8 frames [T, H, W, 3] at a nominal fps."""
+    """Decoded video: uint8 frames [T, H, W, 3]."""
 
     frames: np.ndarray
     source_id: str
-    fps: int = 30
 
     def __post_init__(self):
         f = self.frames

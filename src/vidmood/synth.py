@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _BG, _HEAD, _EYE, _MOUTH = 30.0, 200.0, 60.0, 90.0
+_FPS, _SITE = 30, "synthetic"  # frame rate and site name of every video
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class SynthSpec:
     n_subjects: int
     frame_size: int = 64
     length: int = 60
-    fps: int = 30
     seed: int = 0
     class_weights: tuple[float, float, float] = (58.0, 95.0, 25.0)
     tasks: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
@@ -51,7 +51,6 @@ class SynthSpec:
     noise_level: float = 0.01
     n_on_only: int = 0
     n_off_only: int = 0
-    site: str = "synthetic"
 
     def __post_init__(self):
         if self.n_subjects < 1:
@@ -132,7 +131,7 @@ def build_records(spec: SynthSpec) -> list[VideoRecord]:
             for state in _subject_states(spec, i):
                 records.append(VideoRecord(
                     subject_id=sid, video=_video_name(sid, task, state),
-                    task=task, state=state, gds=gds, site=spec.site,
+                    task=task, state=state, gds=gds, site=_SITE,
                 ).validate())
     return records
 
@@ -183,7 +182,7 @@ def _render_video(spec: SynthSpec, geom: dict, freq: float, amp_eff: float,
     my, mx = geom["mouth_c"]
     t = np.arange(t_len, dtype=np.float64)
     # mean aperture is class-independent; only the oscillation encodes severity
-    hh = (0.035 + 0.03 * amp_eff * np.sin(2 * math.pi * freq * t / spec.fps + phase)) * s
+    hh = (0.035 + 0.03 * amp_eff * np.sin(2 * math.pi * freq * t / _FPS + phase)) * s
     cov_x = np.clip(geom["mouth_hw"] - np.abs(xx - mx) + 0.5, 0.0, 1.0)
     cov_y = np.clip(hh[:, None, None] - np.abs(yy - my)[None] + 0.5, 0.0, 1.0)
     mouth = cov_y * cov_x[None]
@@ -203,7 +202,7 @@ def generate_video(spec: SynthSpec, subject: int, cls: int, task: int, state: st
     frames = _render_video(spec, _geometry(spec, subject), _task_frequency(task),
                            amp_eff, phase, noise_rng)
     sid = _subject_id(subject)
-    return RawVideo(frames=frames, source_id=f"{sid}_t{task}_{state}", fps=spec.fps)
+    return RawVideo(frames=frames, source_id=f"{sid}_t{task}_{state}")
 
 
 def generate_subject(spec: SynthSpec, subject: int) -> list[SynthRecord]:
@@ -215,7 +214,7 @@ def generate_subject(spec: SynthSpec, subject: int) -> list[SynthRecord]:
         for state in _subject_states(spec, subject):
             video = generate_video(spec, subject, cls, task, state)
             rec = VideoRecord(subject_id=sid, video=_video_name(sid, task, state),
-                              task=task, state=state, gds=gds, site=spec.site).validate()
+                              task=task, state=state, gds=gds, site=_SITE).validate()
             out.append(SynthRecord(record=rec, video=video))
     return out
 

@@ -16,10 +16,9 @@ pins numpy's and scipy's OpenBLAS to one thread, so BLAS never runs a
 thread pool beside it (where no OpenBLAS setter is found, it stays one
 thread wide and BLAS keeps its own threads). Work of ``POOL_MIN_BYTES``
 and more is split into ranges on that pool: the forward passes of
-``linear``, ``layer_norm``, ``attention``, ``conv3d``, ``relu``,
-``gelu`` and ``maxpool3d``, and the backward GEMMs of ``conv3d``. Each
-output element is computed as in one whole call, so results are the same
-bit for bit.
+``linear``, ``layer_norm``, ``attention``, ``conv3d``, ``gelu`` and
+``maxpool3d``, and the backward GEMMs of ``conv3d``. Each output element
+is computed as in one whole call, so results are the same bit for bit.
 
 Forward values are numpy arrays; each op records its inputs and a
 gradient closure, so calling ``backward()`` on a scalar replays the
@@ -442,13 +441,8 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0) into a preallocated output, split across cores by ``_split``."""
     d = x.data
-    flat = np.ascontiguousarray(d).reshape(-1)
-    out = np.empty(d.shape, dtype=d.dtype)
-    of = out.reshape(-1)
-    _split(flat.size, flat.nbytes, lambda r0, r1: np.maximum(flat[r0:r1], 0, out=of[r0:r1]))
-    return _unary(x, out, lambda: (d > 0).astype(d.dtype))
+    return _unary(x, np.maximum(d, 0), lambda: (d > 0).astype(d.dtype))
 
 
 def _stable_sigmoid(d: np.ndarray, e: np.ndarray) -> np.ndarray:

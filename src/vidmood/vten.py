@@ -7,8 +7,8 @@ extents, then the raw little-endian row-major payload.
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -53,29 +53,32 @@ def write_vten(path, array: np.ndarray) -> None:
 
 
 def read_vten(path) -> np.ndarray:
+    """Reads the payload into the returned array once the file's size
+    matches the header, so a corrupt header allocates nothing."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            head = fh.read(7)
+            if len(head) < 7:
+                raise VtenError(f"{path}: truncated header ({len(head)} bytes)")
+            if head[:4] != MAGIC:
+                raise VtenError(f"{path}: bad magic {head[:4]!r}")
+            if head[4] != VERSION:
+                raise VtenError(f"{path}: unsupported version {head[4]}")
+            dtype = _CODE_DTYPES.get(head[5])
+            if dtype is None:
+                raise VtenError(f"{path}: unknown dtype code {head[5]:#x}")
+            ndim = head[6]
+            extents = fh.read(4 * ndim)
+            if len(extents) < 4 * ndim:
+                raise VtenError(f"{path}: truncated extent list")
+            shape = struct.unpack(f"<{ndim}I", extents)
+            expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size == expected:
+                arr = np.empty(shape, dtype)
+                size = fh.readinto(arr.reshape(-1).view(np.uint8))
+            if size != expected:
+                raise VtenError(f"{path}: payload is {size} bytes, shape {shape} needs {expected}")
     except OSError as exc:
         raise VtenError(f"{path}: {exc}") from exc
-    if len(raw) < 7:
-        raise VtenError(f"{path}: truncated header ({len(raw)} bytes)")
-    if raw[:4] != MAGIC:
-        raise VtenError(f"{path}: bad magic {raw[:4]!r}")
-    if raw[4] != VERSION:
-        raise VtenError(f"{path}: unsupported version {raw[4]}")
-    dtype = _CODE_DTYPES.get(raw[5])
-    if dtype is None:
-        raise VtenError(f"{path}: unknown dtype code {raw[5]:#x}")
-    ndim = raw[6]
-    header_end = 7 + 4 * ndim
-    if len(raw) < header_end:
-        raise VtenError(f"{path}: truncated extent list")
-    shape = struct.unpack(f"<{ndim}I", raw[7:header_end])
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    payload = raw[header_end:]
-    if len(payload) != expected:
-        raise VtenError(
-            f"{path}: payload is {len(payload)} bytes, shape {shape} needs {expected}"
-        )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    return arr.astype(dtype.newbyteorder("="), copy=True)
+    return arr.astype(dtype.newbyteorder("="), copy=False)  # a copy on big-endian hosts only

@@ -29,6 +29,44 @@ def test_conv_block_matches_loop_reference():
     np.testing.assert_allclose(out[0], want, atol=1e-10)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_block_is_bitwise_conv_relu_pool(dtype):
+    """Pooling before the ReLU gives the output and the x, kernel and bias
+    gradients of conv -> ReLU -> pool bit for bit, on a c07-sized batch
+    whose quarter-step values make pool windows tie and leave some windows
+    all <= 0."""
+    rng = np.random.default_rng(3)
+    blk = ConvBlock(3, 8, rng)
+    blk.kernel.data = (rng.integers(-2, 3, blk.kernel.shape) / 4).astype(dtype)
+    blk.bias.data = (rng.integers(-4, 3, blk.bias.shape) / 4).astype(dtype)
+    x = (rng.integers(-2, 3, (8, 3, 16, 32, 32)) / 4).astype(dtype)
+    g = rng.normal(size=(8, 8, 16, 16, 16)).astype(dtype)
+
+    def conv(xt):
+        return T.conv3d(xt, blk.kernel, blk.bias, stride=1, padding=1)
+
+    def run(forward):
+        xt = Tensor(x, requires_grad=True)
+        blk.zero_grad()
+        y = forward(xt)
+        T.sum_(T.mul(y, g)).backward()
+        return [y.data, xt.grad, blk.kernel.grad, blk.bias.grad]
+
+    got = run(blk)
+    want = run(lambda xt: T.maxpool3d(T.relu(conv(xt)), (1, 2, 2)))
+    for a, b in zip(got, want):
+        assert a.dtype == dtype
+        np.testing.assert_array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+
+    with T.no_grad():
+        windows = conv(Tensor(x)).data
+    windows = windows.reshape(8, 8, 16, 16, 2, 16, 2).transpose(0, 1, 2, 3, 5, 4, 6)
+    windows = windows.reshape(*windows.shape[:5], 4)
+    top = windows.max(axis=-1)
+    assert ((windows == top[..., None]).sum(axis=-1) > 1)[top > 0].any()  # positive ties
+    assert (top <= 0).mean() > 0.05  # windows the ReLU zeroes
+
+
 def test_conv_block_preserves_time_halves_space():
     blk = ConvBlock(3, 8, np.random.default_rng(1))
     out = blk(T.zeros((2, 3, 5, 16, 12)))

@@ -26,6 +26,13 @@ class TestVten:
         assert back.dtype == arr.dtype and back.shape == arr.shape
         np.testing.assert_array_equal(back, arr)
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 0, 5)])
+    def test_empty_round_trip(self, tmp_path, shape):
+        p = tmp_path / "t.vten"
+        write_vten(p, np.zeros(shape, dtype=np.float32))
+        back = read_vten(p)
+        assert back.shape == shape and back.dtype == np.float32
+
     def test_header_layout(self, tmp_path):
         p = tmp_path / "t.vten"
         write_vten(p, np.arange(6, dtype=np.uint8).reshape(2, 3))
@@ -73,6 +80,52 @@ class TestVten:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(VtenError, match="payload"):
             read_vten(p)
+
+    @pytest.mark.parametrize("cut", [0, 6])
+    def test_truncated_header_names_file(self, tmp_path, cut):
+        p = tmp_path / "short.vten"
+        write_vten(p, np.zeros(2, dtype=np.uint8))
+        p.write_bytes(p.read_bytes()[:cut])
+        with pytest.raises(VtenError, match=f"short.vten: truncated header \\({cut} bytes"):
+            read_vten(p)
+
+    def test_truncated_extent_list_names_file(self, tmp_path):
+        p = tmp_path / "ext.vten"
+        write_vten(p, np.zeros((2, 3, 4), dtype=np.uint8))
+        p.write_bytes(p.read_bytes()[:7 + 4 * 2 + 2])
+        with pytest.raises(VtenError, match="ext.vten: truncated extent list"):
+            read_vten(p)
+
+    def test_unsupported_version_names_file(self, tmp_path):
+        p = tmp_path / "ver.vten"
+        write_vten(p, np.zeros(2, dtype=np.uint8))
+        raw = bytearray(p.read_bytes())
+        raw[4] = 2
+        p.write_bytes(bytes(raw))
+        with pytest.raises(VtenError, match="ver.vten: unsupported version 2"):
+            read_vten(p)
+
+    def test_overlong_payload_names_file(self, tmp_path):
+        p = tmp_path / "long.vten"
+        write_vten(p, np.zeros((4, 4), dtype=np.float32))
+        p.write_bytes(p.read_bytes() + bytes(3))
+        with pytest.raises(VtenError, match=r"long.vten: payload is 67 bytes, shape \(4, 4\) needs 64"):
+            read_vten(p)
+
+    def test_read_peak_is_the_array(self, tmp_path):
+        """The payload is read straight into the returned array: no whole-file
+        bytes object, no payload slice, no converted copy."""
+        arr = np.arange(4 * 1024 * 1024, dtype=np.float32).reshape(4, 1024, 1024)  # 16 MiB
+        p = tmp_path / "big.vten"
+        write_vten(p, arr)
+        tracemalloc.start()
+        try:
+            back = read_vten(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back, arr)
+        assert peak < 1.1 * arr.nbytes, f"read peak {peak / arr.nbytes:.2f}x the array's bytes"
 
     def test_unknown_dtype_code(self, tmp_path):
         p = tmp_path / "t.vten"

@@ -914,7 +914,7 @@ def grads():
     return [wt.grad.view(np.uint32).tolist(), xt.grad.view(np.uint32).tolist()]
 
 first = grads()
-T.relu(Tensor(np.ones(T.POOL_MIN_BYTES // 4, np.float32)))
+T.gelu(Tensor(np.ones(T.POOL_MIN_BYTES // 4, np.float32)))
 print(json.dumps(first == grads()))
 """
         env = dict(os.environ, PYTHONPATH=str(Path(T.__file__).parents[1]),
@@ -977,9 +977,9 @@ def _assert_bits_equal(got, want):
 
 
 class TestSplitFusedOps:
-    """``linear``, ``layer_norm``, ``attention``, ``conv3d`` and ``relu``
-    split across the pool give one inline call's values and gradients bit
-    for bit, and match their loop oracles."""
+    """``linear``, ``layer_norm``, ``attention`` and ``conv3d`` split
+    across the pool give one inline call's values and gradients bit for
+    bit, and match their loop oracles."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_linear_ragged_rows(self, monkeypatch, dtype):
@@ -1087,14 +1087,15 @@ class TestSplitFusedOps:
         want = conv3d_reference(xd[0], wd, bd, (1, 1, 1), (1, 1, 1))
         np.testing.assert_allclose(split[0][0], want, rtol=1e-4, atol=1e-4)
 
-    def test_relu(self, monkeypatch):
+    def test_relu(self):
+        """NaN passes through, +inf stays, -inf gives 0, and the gradient
+        is g where x > 0 and 0 elsewhere."""
         x = _special_values((7, 9, 31), 136, np.float32)
         g = rnd(x.shape, 137, np.float32)
         with np.errstate(invalid="ignore"):
-            one, split = _inline_and_split(monkeypatch, lambda: _step(T.relu, (x,), g))
+            got = _step(T.relu, (x,), g)
             want = np.where(np.isnan(x), x, np.where(x > 0, x, 0))
-            _assert_bits_equal(split, one)
-            _assert_bits_equal(split, [want, np.zeros_like(x) + g * (x > 0).astype(x.dtype)])
+            _assert_bits_equal(got, [want, np.zeros_like(x) + g * (x > 0).astype(x.dtype)])
 
     @pytest.mark.parametrize("name", ["linear", "layer_norm", "attention"])
     def test_untaped_split_peak_is_output_and_scratch(self, monkeypatch, name):
