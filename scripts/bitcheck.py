@@ -8,6 +8,11 @@ For each model, two lines:
 - ``paper``: ``predict_probs`` of one random 30x224x224 clip at the
   default config.
 
+Each c07 digest is computed twice in the same process. The second pass
+runs on freed, non-zero memory that the allocator hands back, so an op
+that reads an ``np.empty`` buffer before writing it shows as a
+``MISMATCH`` line.
+
 Every seed is fixed, so two checkouts that compute the same numbers print
 the same lines. To compare a change against its parent, run this script
 against each checkout's sources and diff the outputs:
@@ -61,7 +66,11 @@ def paper_digest(name: str) -> str:
 
 def main() -> None:
     for name in MODEL_NAMES:
-        print(f"{name:10s} c07   {c07_digest(name)}", flush=True)
+        digest = c07_digest(name)
+        print(f"{name:10s} c07   {digest}", flush=True)
+        again = c07_digest(name)
+        if again != digest:
+            print(f"{name:10s} c07   MISMATCH on reused memory: {again}", flush=True)
     for name in MODEL_NAMES:
         print(f"{name:10s} paper {paper_digest(name)}", flush=True)
 

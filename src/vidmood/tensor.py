@@ -20,6 +20,13 @@ and more is split into ranges on that pool: the forward passes of
 ``maxpool3d``, and the backward GEMMs of ``conv3d``. Each output element
 is computed as in one whole call, so results are the same bit for bit.
 
+When that runtime starts (``_runtime``, at the first split or GEMM, not
+at import), it also has glibc serve large arrays from its heap and keep
+freed memory in the process (``mallopt``: no ``mmap`` for large blocks,
+a 1 GiB trim threshold), so each op's arrays reuse pages already faulted
+in instead of fresh kernel-zeroed mappings. Where ``mallopt`` is not
+found, the allocator is left as it is.
+
 Forward values are numpy arrays; each op records its inputs and a
 gradient closure, so calling ``backward()`` on a scalar replays the
 recorded graph in reverse topological order.
@@ -289,9 +296,29 @@ _GEMM_MIN_MACS = 1 << 20
 # the thread-count setters of numpy's and of scipy's OpenBLAS
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
 
+# glibc's mallopt parameters, and the heap top it may keep when freed
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_MAX = -4
+_TRIM_THRESHOLD = 1 << 30
+
 _pool: ThreadPoolExecutor | None = None
 _threads = 0  # threads that take ranges, the caller included; 0 until first use
 _pool_lock = threading.Lock()
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc serve large allocations from its heap and keep freed heap
+    memory for reuse, up to ``_TRIM_THRESHOLD`` at its top, instead of
+    mapping each large array afresh and unmapping it when freed: a fresh
+    mapping is page-faulted and zeroed by the kernel on first touch.
+    Sets nothing where ``mallopt`` is not found or refuses ``M_MMAP_MAX``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if mallopt(_M_MMAP_MAX, 0):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _pin_blas() -> bool:
@@ -328,7 +355,10 @@ def _runtime() -> tuple[ThreadPoolExecutor | None, int]:
     use: one thread per core this process may use, with every OpenBLAS
     pinned to one thread, or the calling thread alone where BLAS could not
     be pinned (its own threads then stay the only parallel runtime). The
-    pool starts its threads at its first range, not here.
+    pool starts its threads at its first range, not here. Set-up also has
+    glibc keep freed memory in the process (``_keep_freed_memory``),
+    whether or not BLAS was pinned, so each op's large arrays reuse pages
+    already faulted in rather than fresh kernel-zeroed mappings.
 
     ``_split`` and ``matmul`` call this before any GEMM of this module:
     OpenBLAS rounds some GEMMs differently at one and at two threads, so
@@ -338,6 +368,7 @@ def _runtime() -> tuple[ThreadPoolExecutor | None, int]:
     if not _threads:
         with _pool_lock:
             if not _threads:
+                _keep_freed_memory()
                 cores = len(os.sched_getaffinity(0))
                 threads = cores if cores > 1 and _pin_blas() else 1
                 if threads > 1:
@@ -1074,8 +1105,8 @@ def maxpool3d(x: Tensor, window) -> Tensor:
 
     Gradient routes to the first maximal element of each window in
     row-major order; a window holding a NaN gives NaN and routes to it.
-    The forward runs over ranges of channels split across cores by
-    ``_split``.
+    Only a taped call builds that route (``idx``). The forward runs over
+    ranges of channels split across cores by ``_split``.
     """
     window = _triple(window)
     batched = x.ndim == 5
@@ -1089,14 +1120,17 @@ def maxpool3d(x: Tensor, window) -> Tensor:
     views = [(..., *sl) for _, sl in _taps(window, window, out_dims)]
     shape = (*xb.shape[:2], *out_dims)
     out = np.empty(shape, dtype=xb.dtype)
-    idx = np.zeros(shape, dtype=np.min_scalar_type(len(views) - 1))
+    taped = _taped((x,))
+    if taped:
+        idx = np.zeros(shape, dtype=np.min_scalar_type(len(views) - 1))
+        step = np.empty_like(idx)
     # work arrays for every range, so the workers allocate nothing
-    better, same, step = np.empty(shape, bool), np.empty(shape, bool), np.empty_like(idx)
+    better, same = np.empty(shape, bool), np.empty(shape, bool)
     bits = np.empty(shape, dtype=f"u{out.itemsize}")
 
     def pool_channels(c0, c1):
         cs = (slice(None), slice(c0, c1))
-        o, i, bt, sm, st = out[cs], idx[cs], better[cs], same[cs], step[cs]
+        o, bt, sm = out[cs], better[cs], same[cs]
         np.copyto(o, xb[views[0]][cs])
         for n, view in enumerate(views[1:], 1):
             v = xb[view][cs]
@@ -1105,8 +1139,9 @@ def maxpool3d(x: Tensor, window) -> Tensor:
             np.equal(o, o, out=sm)
             bt &= sm  # a NaN already taken stays
             _select(o, v, bt, bits[cs])
-            np.multiply(bt, idx.dtype.type(n), out=st)
-            np.maximum(i, st, out=i)  # n exceeds every earlier offset
+            if taped:
+                np.multiply(bt, idx.dtype.type(n), out=step[cs])
+                np.maximum(idx[cs], step[cs], out=idx[cs])  # n exceeds every earlier offset
 
     _split(shape[1], xb.nbytes, pool_channels)
     if not batched:

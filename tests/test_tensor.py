@@ -5,6 +5,7 @@ reimplementations; gradients against central finite differences in
 float64.
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -798,6 +799,32 @@ class TestSplitOps:
             tracemalloc.stop()
         assert peak < 1.3 * y.data.nbytes, f"peak {peak / y.data.nbytes:.3f}x the output"
 
+    def test_untaped_maxpool3d_builds_no_route(self, monkeypatch):
+        """On a 16 MiB input, an untaped call peaks below a taped one by at
+        least the gradient index and its update array, with the same bits.
+        Both run as one range: the pool's futures would add tens of KB of
+        noise to the traced peaks."""
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 40)
+        xd = rnd((1, 8, 8, 256, 256), 116, np.float32)
+        xd[0, 0, 0, :2, :2] = [[np.nan, -0.0], [0.0, np.inf]]
+
+        def pooled(taped):
+            x = Tensor(xd, requires_grad=taped)
+            tracemalloc.start()
+            try:
+                y = T.maxpool3d(x, (2, 2, 2))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return y, peak
+
+        y_taped, taped_peak = pooled(True)
+        y, peak = pooled(False)
+        route_bytes = 2 * y.data.size  # idx and step, one byte each for 8 offsets
+        assert y_taped._grad_fn is not None and y._grad_fn is None
+        assert peak <= taped_peak - route_bytes, f"{peak} against taped {taped_peak}"
+        np.testing.assert_array_equal(_bits(y.data), _bits(y_taped.data))
+
     def test_import_starts_no_thread(self):
         code = ("import threading, vidmood.tensor as T; "
                 "print(threading.active_count(), T._pool is None)")
@@ -857,6 +884,34 @@ print(json.dumps([sorted(seen)[0][:2], len(seen), T._threads, T._pool is None,
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=60, check=True).stdout
         assert json.loads(out) == [[0, 64], 1, 1, True, 1]
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
+    def test_runtime_keeps_freed_memory(self):
+        """In a fresh interpreter, a 64 MiB array allocated and filled right
+        after another was freed: importing leaves it page-faulted in afresh,
+        and once the runtime has started it reuses the freed pages."""
+        code = """
+import resource, numpy as np
+
+def faults():
+    a = np.ones(1 << 24, np.float32)  # 64 MiB
+    del a
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    b = np.empty(1 << 24, np.float32)
+    b.fill(1.0)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+
+import vidmood.tensor as T
+imported = faults()
+T._split(2, T.POOL_MIN_BYTES, lambda r0, r1: None)
+print(imported, faults())
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(T.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout
+        imported, started = map(int, out.split())
+        assert imported >= 16, f"{imported} faults: import changed the allocator"
+        assert started < 8, f"{started} faults: freed memory was given back"
 
     def test_no_grad_belongs_to_its_thread(self):
         """Five threads enter no_grad one after another and leave in the
