@@ -1,12 +1,16 @@
 """Print SHA-256 digests of each classifier's numbers, for identity checks.
 
-For each model, two lines:
+For each model, three lines:
 
 - ``c07``: the logits and every parameter gradient (in ``named_parameters``
   order) of one sparse_cce step on a batch of 8 random 16x32x32 clips, at
   the reduced configs of c07 (tests/test_acceptance.py);
 - ``paper``: ``predict_probs`` of one random 30x224x224 clip at the
-  default config.
+  default config;
+- ``paper-grad``: the loss and every parameter gradient of one taped
+  sparse_cce step on that clip (batch 1) at the default config. These
+  three lines take about 20-25 s on a 2-core machine and peak at about
+  4.1 GiB resident (swin3d_t).
 
 Each c07 digest is computed twice in the same process. The second pass
 runs on freed, non-zero memory that the allocator hands back, so an op
@@ -41,6 +45,15 @@ REDUCED = {
 SEED = 7
 
 
+def _with_grads(values: np.ndarray, model) -> str:
+    """Digest of ``values`` then each parameter's name and gradient."""
+    h = hashlib.sha256(values.tobytes())
+    for pname, p in model.named_parameters():
+        h.update(pname.encode())
+        h.update(p.grad.tobytes())
+    return h.hexdigest()
+
+
 def c07_digest(name: str) -> str:
     """Logits and parameter gradients of one taped c07-shape step."""
     model = build_model(name, default_config(name, input_shape=(16, 32, 32, 3), classes=3,
@@ -50,11 +63,7 @@ def c07_digest(name: str) -> str:
     targets = rng.integers(0, 3, size=8)
     logits = model(T.tensor(clips))
     loss_fn(logits, targets, "sparse_cce").backward()
-    h = hashlib.sha256(logits.data.tobytes())
-    for pname, p in model.named_parameters():
-        h.update(pname.encode())
-        h.update(p.grad.tobytes())
-    return h.hexdigest()
+    return _with_grads(logits.data, model)
 
 
 def paper_digest(name: str) -> str:
@@ -62,6 +71,15 @@ def paper_digest(name: str) -> str:
     model = build_model(name, default_config(name, classes=2), seed=SEED)
     clip = np.random.default_rng([SEED, 2]).random((1, 30, 224, 224, 3), dtype=np.float32)
     return hashlib.sha256(predict_probs(model, clip, batch_size=1).tobytes()).hexdigest()
+
+
+def paper_grad_digest(name: str) -> str:
+    """Loss and parameter gradients of one taped paper-scale batch-1 step."""
+    model = build_model(name, default_config(name, classes=2), seed=SEED)
+    clip = np.random.default_rng([SEED, 2]).random((1, 30, 224, 224, 3), dtype=np.float32)
+    loss = loss_fn(model(T.tensor(clip)), np.array([1]), "sparse_cce")
+    loss.backward()
+    return _with_grads(loss.data, model)
 
 
 def main() -> None:
@@ -73,6 +91,8 @@ def main() -> None:
             print(f"{name:10s} c07   MISMATCH on reused memory: {again}", flush=True)
     for name in MODEL_NAMES:
         print(f"{name:10s} paper {paper_digest(name)}", flush=True)
+    for name in MODEL_NAMES:
+        print(f"{name:10s} paper-grad {paper_grad_digest(name)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -3,12 +3,13 @@
 Every primitive the video models need lives here: elementwise math,
 broadcasting binary ops, batched matmul, stabilized (maskable) softmax,
 3D convolution (an im2col GEMM run over chunks of whole output frames,
-so its column is bounded by ``CONV_CHUNK_BYTES``, not by the clip) and
-max-pooling, layout ops (reshape / transpose / roll / pad / slicing /
-concat), and the fused transformer ops ``linear``, ``layer_norm`` and
-``attention`` (packed-qkv multi-head attention with an additive mask
-and bias, run in cache-sized chunks), each one tape node with a
-hand-written backward pass.
+so its column is bounded by ``CONV_CHUNK_BYTES``, not by the clip, taped
+or not: the tape keeps the padded input and backward builds each chunk's
+column again) and max-pooling, layout ops (reshape / transpose / roll /
+pad / slicing / concat), and the fused transformer ops ``linear``,
+``layer_norm`` and ``attention`` (packed-qkv multi-head attention with an
+additive mask and bias, run in cache-sized chunks), each one tape node
+with a hand-written backward pass.
 
 One thread pool (``_split``), one thread per core the process may use, is
 the process's only parallel runtime: before this module's first GEMM it
@@ -17,7 +18,7 @@ thread pool beside it (where no OpenBLAS setter is found, it stays one
 thread wide and BLAS keeps its own threads). Work of ``POOL_MIN_BYTES``
 and more is split into ranges on that pool: the forward passes of
 ``linear``, ``layer_norm``, ``attention``, ``conv3d``, ``gelu`` and
-``maxpool3d``, and the backward GEMMs of ``conv3d``. Each output element
+``maxpool3d``, and the backward of ``conv3d``. Each output element
 is computed as in one whole call, so results are the same bit for bit.
 
 When that runtime starts (``_runtime``, at the first split or GEMM, not
@@ -973,14 +974,20 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     column splits, a float32 chunk is cut into pieces that start on a
     multiple of ``_GEMM_ROWS`` output positions and hold at least
     ``_GEMM_MIN_MACS`` multiply-adds, where it holds two; pieces are split
-    across cores by ``_split`` and write into the output. Under
-    ``no_grad`` each thread reuses one chunk-sized buffer; with the tape
-    the whole column is kept, and the weight and input gradients run per
-    chunk, their GEMMs split by ``_split_rows`` over column rows (col2im
-    stays on the calling thread). The chunk GEMMs give the one-chunk
-    output bit for bit when a frame's output positions are a multiple of
-    the BLAS kernel width (16 for OpenBLAS 0.3.31's sgemm), as every
-    model's frames are.
+    across cores by ``_split`` and write into the output, each thread
+    building its pieces' columns in one reused buffer, taped or not.
+
+    The tape keeps the padded input, not the column: the weight and input
+    gradients run per chunk and build its column again. With at least as
+    many batch rows as threads, each thread takes whole rows and runs a
+    row's im2col, both GEMMs and col2im while its column is in cache;
+    with fewer, the forward's pieces build the chunk's column across
+    cores, the GEMMs split by ``_split_rows`` over column rows and col2im
+    splits over input channels. Either way every output and gradient
+    element is summed in the same order, so the bits are the same. The
+    chunk GEMMs give the one-chunk output bit for bit when a frame's
+    output positions are a multiple of the BLAS kernel width (16 for
+    OpenBLAS 0.3.31's sgemm), as every model's frames are.
     """
     stride = _triple(stride)
     padding = _triple(padding)
@@ -1006,16 +1013,15 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
         return a[:, :, stride[0] * t0:stride[0] * (t1 - 1) + kshape[0]]
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    taped = _taped(parents)
     out = np.empty((b, o, *out_dims), dtype=np.result_type(wmat, xp))
     out3 = out.reshape(b, o, -1)  # [B, O, P]
-    col = np.empty((b, rows, out3.shape[2]), dtype=xp.dtype) if taped else None
 
     # one GEMM per piece of whole frames; a piece keeps its chunk GEMM's
     # bits by starting on a multiple of _GEMM_ROWS output positions and
     # doing at least _GEMM_MIN_MACS multiply-adds (the last takes the rest)
     colbytes = b * rows * out3.shape[2] * xp.itemsize
-    cut = out.dtype == np.float32 and colbytes >= POOL_MIN_BYTES and _runtime()[1] > 1
+    threads = _runtime()[1] if colbytes >= POOL_MIN_BYTES else 1  # as _split runs it
+    cut = out.dtype == np.float32 and threads > 1
     align = _GEMM_ROWS // math.gcd(frame, _GEMM_ROWS)  # frames
     unit = align * max(1, -(-_GEMM_MIN_MACS // (align * frame * o * rows)))
     pieces = []
@@ -1023,49 +1029,84 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
         k = max(1, (t1 - t0) // unit) if cut else 1
         pieces += [(t0 + i * unit, t1 if i == k - 1 else t0 + (i + 1) * unit) for i in range(k)]
 
+    def scratch(n, frames, dtype=xp.dtype):  # room for a column of n batch rows
+        return np.empty(n * rows * frames * frame, dtype=dtype)
+
+    def columns(buf, n, frames):  # the head of buf as a column [n, rows, frames * frame]
+        return buf[:n * rows * frames * frame].reshape(n, rows, -1)
+
+    def im2col(col, a, t0, t1, lo=0):
+        """Fill frames [lo, lo + t1 - t0) of ``col`` [len(a), rows, P'] from
+        output frames [t0, t1) of padded batch rows ``a``; returns ``col``."""
+        col8 = col.reshape(len(a), c, *kshape, -1, *out_dims[1:])[..., lo:lo + t1 - t0, :, :]
+        _im2col(window(a, t0, t1), kshape, stride, (t1 - t0, *out_dims[1:]), col8)
+        return col
+
     def conv_pieces(p0, p1, buf):
         for t0, t1 in pieces[p0:p1]:
-            if buf is None:
-                piece, lo = col, t0
-            else:
-                piece, lo = buf[:b * rows * (t1 - t0) * frame].reshape(b, rows, -1), 0
-            col8 = piece.reshape(b, c, *kshape, -1, *out_dims[1:])[:, :, :, :, :, lo:lo + t1 - t0]
-            _im2col(window(xp, t0, t1), kshape, stride, (t1 - t0, *out_dims[1:]), col8)
             y = out3[:, :, t0 * frame:t1 * frame]
-            np.matmul(wmat, piece[:, :, lo * frame:(lo + t1 - t0) * frame], out=y)
+            np.matmul(wmat, im2col(columns(buf, b, t1 - t0), xp, t0, t1), out=y)
             if bias is not None:
                 y += bias.data[:, None]
 
-    _split(len(pieces), colbytes, conv_pieces,
-           scratch=lambda: None if taped else np.empty(b * rows * per * frame, dtype=xp.dtype))
+    # every call builds its column piece by piece in per-thread scratch;
+    # the tape keeps the padded input and backward builds the column again
+    widest = max(t1 - t0 for t0, t1 in pieces)
+    _split(len(pieces), colbytes, conv_pieces, scratch=lambda: scratch(b, widest))
     if not batched:
         out = out[0]
-    xp_shape = xp.shape  # the tape keeps the column, not the padded input
 
     def grad_fn(g):
         g3 = g.reshape(b, o, -1)  # [B, O, P]
-        gw = None
-        gxp = np.zeros(xp_shape, dtype=np.result_type(wmat, g)) if _wants_grad(x) else None
+        gw, gdt = None, np.result_type(wmat, g3)
+        gxp = np.zeros(xp.shape, dtype=gdt) if _wants_grad(x) else None
         part = np.empty((b, o, rows), dtype=np.result_type(g3, xp))
+        rowwise = b >= threads
+        if not rowwise:  # one chunk's column and its gradient, every batch row
+            whole, gwhole = scratch(b, per), None if gxp is None else scratch(b, per, gdt)
         for t0, t1 in chunks:
-            gc, cc = g3[:, :, t0 * frame:t1 * frame], col[:, :, t0 * frame:t1 * frame]
-            gcol = None if gxp is None else np.empty(cc.shape, dtype=np.result_type(wmat, g3))
+            gc, sub = g3[:, :, t0 * frame:t1 * frame], (t1 - t0, *out_dims[1:])
+            if rowwise:
+                # each thread takes whole batch rows: it builds a row's column
+                # in its scratch, then runs both GEMMs and col2im on it while
+                # it is in cache; rows are disjoint, so bits are unchanged
+                def batch_rows(b0, b1, bufs):
+                    for bi in range(b0, b1):
+                        cc = im2col(columns(bufs[0], 1, t1 - t0), xp[bi:bi + 1], t0, t1)
+                        np.matmul(gc[bi], cc[0].T, out=part[bi])
+                        if gxp is not None:
+                            gcol = columns(bufs[1], 1, t1 - t0)
+                            np.matmul(wmat.T, gc[bi], out=gcol[0])
+                            _col2im_add(window(gxp[bi:bi + 1], t0, t1), gcol, kshape, stride, sub)
 
-            def column_rows(r0, r1):  # both GEMMs sum over O or P, never over rows
-                np.matmul(gc, cc[:, r0:r1].transpose(0, 2, 1), out=part[:, :, r0:r1])
-                if gcol is not None:
-                    np.matmul(wmat[:, r0:r1].T, gc, out=gcol[:, r0:r1])
+                _split(b, b * rows * gc.shape[2] * xp.itemsize, batch_rows, scratch=lambda: (
+                    scratch(1, per), None if gxp is None else scratch(1, per, gdt)))
+            else:
+                # fewer batch rows than threads: the forward's pieces build
+                # the chunk's column across cores, then the GEMMs split rows
+                mine = [p for p in pieces if t0 <= p[0] < t1]
+                cc = columns(whole, b, t1 - t0)
+                _split(len(mine), cc.nbytes, lambda p0, p1: [
+                    im2col(cc, xp, s0, s1, s0 - t0) for s0, s1 in mine[p0:p1]])
+                gcol = None if gxp is None else columns(gwhole, b, t1 - t0)
 
-            _split_rows(rows, o * gc.shape[2], part.dtype, cc.nbytes, column_rows)
+                def column_rows(r0, r1):  # both GEMMs sum over O or P, never over rows
+                    np.matmul(gc, cc[:, r0:r1].transpose(0, 2, 1), out=part[:, :, r0:r1])
+                    if gcol is not None:
+                        np.matmul(wmat[:, r0:r1].T, gc, out=gcol[:, r0:r1])
+
+                _split_rows(rows, o * gc.shape[2], part.dtype, cc.nbytes, column_rows)
+                if gcol is not None:  # input channels own disjoint column rows
+                    gxc, k = window(gxp, t0, t1), rows // c
+                    _split(c, gcol.nbytes, lambda c0, c1: _col2im_add(
+                        gxc[:, c0:c1], gcol[:, c0 * k:c1 * k], kshape, stride, sub))
             psum = part.sum(axis=0)
             gw = psum if gw is None else np.add(gw, psum, out=gw)
-            if gcol is not None:
-                _col2im_add(window(gxp, t0, t1), gcol, kshape, stride, (t1 - t0, *out_dims[1:]))
         kernel._accumulate(gw.reshape(kernel.shape))
         if bias is not None:
             bias._accumulate(g3.sum(axis=(0, 2)))
         if gxp is not None:
-            crop = tuple(slice(p, n - p) for p, n in zip(padding, xp_shape[2:]))
+            crop = tuple(slice(p, n - p) for p, n in zip(padding, xp.shape[2:]))
             gx = gxp[(..., *crop)]
             x._accumulate(gx if batched else gx[0])
 
@@ -1106,7 +1147,8 @@ def maxpool3d(x: Tensor, window) -> Tensor:
     Gradient routes to the first maximal element of each window in
     row-major order; a window holding a NaN gives NaN and routes to it.
     Only a taped call builds that route (``idx``). The forward runs over
-    ranges of channels split across cores by ``_split``.
+    ranges of channels split across cores by ``_split``, one channel at a
+    time through work arrays each thread reuses.
     """
     window = _triple(window)
     batched = x.ndim == 5
@@ -1123,27 +1165,29 @@ def maxpool3d(x: Tensor, window) -> Tensor:
     taped = _taped((x,))
     if taped:
         idx = np.zeros(shape, dtype=np.min_scalar_type(len(views) - 1))
-        step = np.empty_like(idx)
-    # work arrays for every range, so the workers allocate nothing
-    better, same = np.empty(shape, bool), np.empty(shape, bool)
-    bits = np.empty(shape, dtype=f"u{out.itemsize}")
+    one = (shape[0], *out_dims)  # one channel
 
-    def pool_channels(c0, c1):
-        cs = (slice(None), slice(c0, c1))
-        o, bt, sm = out[cs], better[cs], same[cs]
-        np.copyto(o, xb[views[0]][cs])
-        for n, view in enumerate(views[1:], 1):
-            v = xb[view][cs]
-            np.less_equal(v, o, out=bt)
-            np.invert(bt, out=bt)  # strict, so ties keep the earlier offset; true for a NaN v
-            np.equal(o, o, out=sm)
-            bt &= sm  # a NaN already taken stays
-            _select(o, v, bt, bits[cs])
-            if taped:
-                np.multiply(bt, idx.dtype.type(n), out=step[cs])
-                np.maximum(idx[cs], step[cs], out=idx[cs])  # n exceeds every earlier offset
+    def work():  # one channel's work arrays per thread, so the workers allocate nothing
+        return (np.empty(one, bool), np.empty(one, bool), np.empty(one, f"u{out.itemsize}"),
+                np.empty(one, idx.dtype) if taped else None)
 
-    _split(shape[1], xb.nbytes, pool_channels)
+    def pool_channels(c0, c1, arrays):
+        bt, sm, bits, step = arrays
+        for ch in range(c0, c1):
+            xc, o = xb[:, ch], out[:, ch]
+            np.copyto(o, xc[views[0]])
+            for n, view in enumerate(views[1:], 1):
+                v = xc[view]
+                np.less_equal(v, o, out=bt)
+                np.invert(bt, out=bt)  # strict, so ties keep the earlier offset; true for a NaN v
+                np.equal(o, o, out=sm)
+                bt &= sm  # a NaN already taken stays
+                _select(o, v, bt, bits)
+                if taped:
+                    np.multiply(bt, idx.dtype.type(n), out=step)
+                    np.maximum(idx[:, ch], step, out=idx[:, ch])  # n exceeds every earlier offset
+
+    _split(shape[1], xb.nbytes, pool_channels, scratch=work)
     if not batched:
         out = out[0]
 

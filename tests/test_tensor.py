@@ -652,6 +652,44 @@ class TestConvChunks:
         assert peak < bound, \
             f"peak {peak / 2 ** 20:.2f} MiB, whole column {16 * frame_bytes / 2 ** 20:.2f} MiB"
 
+    def test_taped_conv3d_keeps_the_padded_input_not_the_column(self):
+        """A taped c07 block-0 forward ([8, 3, 16, 32, 32] to 8 channels):
+        what it leaves allocated is the output and the padded input its
+        gradient closure holds, not the 40 MiB [8, 81, 16384] column."""
+        x = Tensor(rnd((8, 3, 16, 32, 32), 103, np.float32), requires_grad=True)
+        w = Tensor(rnd((8, 3, 3, 3, 3), 104, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            y = T.conv3d(x, w, stride=1, padding=1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded_bytes = 8 * 3 * 18 * 34 * 34 * 4
+        assert y._grad_fn is not None
+        assert held < y.data.nbytes + padded_bytes + (1 << 18), \
+            f"held {held / 2 ** 20:.2f} MiB, column {8 * 81 * 16384 * 4 / 2 ** 20:.2f} MiB"
+
+    def test_multi_chunk_taped_backward_peak_is_one_chunk(self, monkeypatch):
+        """A 16-frame column (7 MB) in chunks of two frames, forward and
+        backward under trace: the peak is the padded input, its gradient,
+        the output and one chunk's column and column gradient."""
+        monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * 4 * 27 * 32 * 32 * 4)
+        x = Tensor(rnd((1, 4, 16, 32, 32), 105, np.float32), requires_grad=True)
+        w = Tensor(rnd((8, 4, 3, 3, 3), 106, np.float32), requires_grad=True)
+        g = rnd((1, 8, 16, 32, 32), 107, np.float32)
+        tracemalloc.start()
+        try:
+            y = T.conv3d(x, w, stride=1, padding=1)
+            y._grad_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded_bytes = 4 * 18 * 34 * 34 * 4
+        chunk_bytes = 2 * 4 * 27 * 32 * 32 * 4
+        bound = 2 * padded_bytes + y.data.nbytes + 2 * chunk_bytes + (1 << 18)
+        assert peak < bound, \
+            f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
+
 
 def _bits(a):
     return a.view(f"u{a.itemsize}")
@@ -801,9 +839,9 @@ class TestSplitOps:
 
     def test_untaped_maxpool3d_builds_no_route(self, monkeypatch):
         """On a 16 MiB input, an untaped call peaks below a taped one by at
-        least the gradient index and its update array, with the same bits.
-        Both run as one range: the pool's futures would add tens of KB of
-        noise to the traced peaks."""
+        least the gradient index and one channel of its update array, with
+        the same bits. Both run as one range: the pool's futures would add
+        tens of KB of noise to the traced peaks."""
         monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 40)
         xd = rnd((1, 8, 8, 256, 256), 116, np.float32)
         xd[0, 0, 0, :2, :2] = [[np.nan, -0.0], [0.0, np.inf]]
@@ -820,10 +858,43 @@ class TestSplitOps:
 
         y_taped, taped_peak = pooled(True)
         y, peak = pooled(False)
-        route_bytes = 2 * y.data.size  # idx and step, one byte each for 8 offsets
+        # idx, and step for one channel, one byte each for 8 offsets
+        route_bytes = y.data.size + y.data.size // y.shape[1]
         assert y_taped._grad_fn is not None and y._grad_fn is None
         assert peak <= taped_peak - route_bytes, f"{peak} against taped {taped_peak}"
         np.testing.assert_array_equal(_bits(y.data), _bits(y_taped.data))
+
+    def test_untaped_maxpool3d_peak_is_output_and_one_channel(self, monkeypatch):
+        """The work arrays (two masks and the select bits) cover one channel
+        at a time, not the whole pooled output. One range, as above."""
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 40)
+        x = Tensor(rnd((1, 8, 8, 256, 256), 117, np.float32))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                y = T.maxpool3d(x, (2, 2, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        work = 6 * y.data.size // y.shape[1]  # two bool masks and four bytes of bits
+        bound = 1.2 * (y.data.nbytes + work)
+        assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
+
+    @pytest.mark.parametrize("window", [(1, 2, 2), (2, 2, 2)])
+    def test_maxpool3d_inline_and_split_bit_equal(self, monkeypatch, window):
+        """Batched and taped, with ties and NaNs: one range per channel
+        gives one inline call's output and routed gradient bit for bit."""
+        gen = np.random.default_rng(118)
+        xd = gen.integers(0, 3, size=(3, 5, 4, 6, 6)).astype(np.float32)
+        xd[0, 0, 0, 0, 0] = xd[2, 4, 1, 2, 3] = np.nan
+        g = gen.normal(size=(3, 5, *(n // w for n, w in zip(xd.shape[2:], window))))
+        g = g.astype(np.float32)
+        one, split = _inline_and_split(
+            monkeypatch, lambda: _step(lambda x: T.maxpool3d(x, window), (xd,), g))
+        _assert_bits_equal(split, one)
+        for i in range(3):
+            want_y, want_gx = maxpool3d_routed_reference(xd[i], window, g[i])
+            _assert_bits_equal([split[0][i], split[1][i]], [want_y, want_gx])
 
     def test_import_starts_no_thread(self):
         code = ("import threading, vidmood.tensor as T; "
@@ -1141,6 +1212,35 @@ class TestSplitFusedOps:
         _assert_bits_equal(split, one)
         want = conv3d_reference(xd[0], wd, bd, (1, 1, 1), (1, 1, 1))
         np.testing.assert_allclose(split[0][0], want, rtol=1e-4, atol=1e-4)
+
+    def test_conv3d_batch_rows_strided_ragged_chunk(self, monkeypatch):
+        """As many batch rows as threads and one more, so each thread
+        builds whole rows' columns in backward: stride (1, 2, 2) gives 9
+        output frames of 8 x 8, in chunks of four (the last holds one).
+        Each row's output and input gradient are also those of that row
+        alone, where one row is fewer than the threads."""
+        b = T._runtime()[1] + 1
+        xd = rnd((b, 6, 9, 16, 16), 154, np.float32)
+        wd, bd = rnd((8, 6, 3, 3, 3), 155, np.float32), rnd(8, 156, np.float32)
+        g = rnd((b, 8, 9, 8, 8), 157, np.float32)
+        frame_bytes = b * 162 * 64 * 4
+        monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 4 * frame_bytes)
+        assert list(T._row_chunks(9, frame_bytes, 4 * frame_bytes))[-1] == (8, 9)
+
+        def op(x, w, bias):
+            return T.conv3d(x, w, bias, stride=(1, 2, 2), padding=1)
+
+        one, split = _inline_and_split(monkeypatch, lambda: _step(op, (xd, wd, bd), g))
+        _assert_bits_equal(split, one)
+        monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 4 * frame_bytes // b)  # the same chunks
+        for i in range(b):
+            row = _step(op, (xd[i:i + 1], wd, bd), g[i:i + 1])
+            _assert_bits_equal([split[0][i], split[1][i]], [row[0][0], row[1][0]])
+        gx, gw, gb = zip(*(conv3d_grads_reference(xd[i], wd, g[i], (1, 2, 2), (1, 1, 1))
+                           for i in range(b)))
+        np.testing.assert_allclose(split[1], np.stack(gx), rtol=1e-4, atol=1e-3)
+        np.testing.assert_allclose(split[2], sum(gw), rtol=1e-4, atol=1e-3)
+        np.testing.assert_allclose(split[3], sum(gb), rtol=1e-4, atol=1e-3)
 
     def test_relu(self):
         """NaN passes through, +inf stays, -inf gives 0, and the gradient
