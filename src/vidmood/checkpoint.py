@@ -19,9 +19,10 @@ def state_hash(state: dict[str, np.ndarray]) -> str:
         h.update(name.encode())
         h.update(str(arr.dtype).encode())
         h.update(str(arr.shape).encode())
-        h.update(arr.tobytes())
+        h.update(arr)
     return h.hexdigest()
 
 
 def weight_hash(model: Module) -> str:
-    return state_hash(model.state_dict())
+    """``state_hash(model.state_dict())``, read from the parameters in place."""
+    return state_hash({name: p.data for name, p in model.named_parameters()})

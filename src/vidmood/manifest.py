@@ -18,7 +18,6 @@ __all__ = [
     "ManifestError",
     "load_manifest",
     "save_manifest",
-    "load_crop_sidecar",
 ]
 
 STATES = ("ON", "OFF")
@@ -26,7 +25,7 @@ RECORD_FIELDS = ("subject_id", "video", "task", "state", "gds", "site")
 
 
 class ManifestError(ValueError):
-    """Schema violation in a manifest or sidecar file."""
+    """Schema violation in a manifest file."""
 
 
 @dataclass(frozen=True)
@@ -79,21 +78,3 @@ def save_manifest(path, records) -> None:
     with atomic_write(path, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-
-def load_crop_sidecar(path, n_frames: int | None = None) -> list[tuple[int, int, int, int]]:
-    """Per-frame crop rectangles {x, y, w, h} from a JSON sidecar."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"{path}: {exc}") from exc
-    if not isinstance(doc, list):
-        raise ManifestError(f"{path}: sidecar must be a JSON array")
-    rects = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or set(entry) != {"x", "y", "w", "h"}:
-            raise ManifestError(f"{path}: entry {i} must have exactly keys x, y, w, h")
-        rects.append((int(entry["x"]), int(entry["y"]), int(entry["w"]), int(entry["h"])))
-    if n_frames is not None and len(rects) != n_frames:
-        raise ManifestError(f"{path}: {len(rects)} rectangles for {n_frames} frames")
-    return rects

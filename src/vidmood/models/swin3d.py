@@ -290,11 +290,11 @@ class PatchMerge(Module):
         ph, pw = nh % 2, nw % 2
         if ph or pw:
             x = T.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw), (0, 0)))
-        x00 = x[:, :, 0::2, 0::2, :]
-        x10 = x[:, :, 1::2, 0::2, :]
-        x01 = x[:, :, 0::2, 1::2, :]
-        x11 = x[:, :, 1::2, 1::2, :]
-        merged = T.concat([x00, x10, x01, x11], axis=-1)
+        mh, mw = (nh + ph) // 2, (nw + pw) // 2
+        # channels in x00, x10, x01, x11 order: (w offset, h offset, d)
+        x = T.reshape(x, (b, nt, mh, 2, mw, 2, d))
+        x = T.transpose(x, (0, 1, 2, 4, 5, 3, 6))
+        merged = T.reshape(x, (b, nt, mh, mw, 4 * d))
         return self.reduce(self.norm(merged))
 
 

@@ -1,4 +1,4 @@
-"""Deterministic preprocessing: face crop, resize, length standardization,
+"""Deterministic preprocessing: crop, resize, length standardization,
 histogram equalization, clip segmentation and normalization.
 
 Everything is pure given (input, config). Pixel work happens on uint8
@@ -19,7 +19,6 @@ __all__ = [
     "LocalizationError",
     "FaceLocalizer",
     "CenterSquareLocalizer",
-    "SidecarLocalizer",
     "localize_and_resize",
     "standardize_length",
     "segment_clips",
@@ -69,7 +68,7 @@ class FaceLocalizer(Protocol):
 
 
 class CenterSquareLocalizer:
-    """Fallback localizer: centered square of side min(H, W) in every frame."""
+    """Centered square of side min(H, W) in every frame: ``preprocess_video``'s crop."""
 
     def rectangles(self, frames: np.ndarray):
         t, h, w = frames.shape[:3]
@@ -77,20 +76,6 @@ class CenterSquareLocalizer:
         x = (w - side) // 2
         y = (h - side) // 2
         return [(x, y, side, side)] * t
-
-
-class SidecarLocalizer:
-    """Crop rectangles supplied externally (e.g. a face-detector sidecar)."""
-
-    def __init__(self, rects: Sequence[tuple[int, int, int, int]]):
-        self.rects = [tuple(int(v) for v in r) for r in rects]
-
-    def rectangles(self, frames: np.ndarray):
-        t = frames.shape[0]
-        if len(self.rects) != t:
-            raise LocalizationError(min(len(self.rects), t),
-                                    f"{len(self.rects)} rectangles for {t} frames")
-        return self.rects
 
 
 # -- resampling ----------------------------------------------------------------
@@ -146,6 +131,8 @@ def localize_and_resize(video: RawVideo, localizer: FaceLocalizer, side: int) ->
     frames = video.frames
     t, h, w, _ = frames.shape
     rects = list(localizer.rectangles(frames))
+    if len(rects) != t:
+        raise LocalizationError(min(len(rects), t), f"{len(rects)} rectangles for {t} frames")
     for i, (x, y, rw, rh) in enumerate(rects):
         if rw <= 0 or rh <= 0:
             raise LocalizationError(i, f"degenerate rectangle {(x, y, rw, rh)}")
@@ -223,11 +210,9 @@ class PipelineConfig:
             raise ValueError(f"length {self.length} not divisible by clip_len {self.clip_len}")
 
 
-def preprocess_video(video: RawVideo, cfg: PipelineConfig,
-                     localizer: FaceLocalizer | None = None) -> list[Clip]:
-    """crop/resize -> standardize length -> equalize -> segment -> normalize."""
-    loc = localizer if localizer is not None else CenterSquareLocalizer()
-    frames = localize_and_resize(video, loc, cfg.side)
+def preprocess_video(video: RawVideo, cfg: PipelineConfig) -> list[Clip]:
+    """center crop/resize -> standardize length -> equalize -> segment -> normalize."""
+    frames = localize_and_resize(video, CenterSquareLocalizer(), cfg.side)
     frames = standardize_length(frames, cfg.length)
     frames = equalize_frames(frames)
     blocks = segment_clips(frames, cfg.clip_len)

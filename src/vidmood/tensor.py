@@ -5,11 +5,13 @@ broadcasting binary ops, batched matmul, stabilized (maskable) softmax,
 3D convolution (an im2col GEMM run over chunks of whole output frames,
 so its column is bounded by ``CONV_CHUNK_BYTES``, not by the clip, taped
 or not: the tape keeps the padded input and backward builds each chunk's
-column again) and max-pooling, layout ops (reshape / transpose / roll /
-pad / slicing / concat), and the fused transformer ops ``linear``,
-``layer_norm`` and ``attention`` (packed-qkv multi-head attention with an
-additive mask and bias, run in cache-sized chunks), each one tape node
-with a hand-written backward pass.
+column again), max-pooling (one ``np.maximum`` per window offset, taped
+or not: backward rebuilds each window's route from the input and the
+output), layout ops (reshape / transpose / roll / pad / slicing /
+concat), and the fused transformer ops ``linear``, ``layer_norm`` and
+``attention`` (packed-qkv multi-head attention with an additive mask and
+bias, run in cache-sized chunks), each one tape node with a hand-written
+backward pass.
 
 One thread pool (``_split``), one thread per core the process may use, is
 the process's only parallel runtime: before this module's first GEMM it
@@ -1130,25 +1132,14 @@ def _col2im_add(gxp: np.ndarray, gcol: np.ndarray, kshape, stride, out_dims) -> 
 # -- 3D max-pooling ------------------------------------------------------------
 
 
-def _select(out: np.ndarray, v: np.ndarray, mask: np.ndarray, d: np.ndarray) -> None:
-    """out[mask] = v[mask] in place, bit for bit, as an xor blend of the raw
-    bits: numpy vectorizes it, where a masked copy goes element by element.
-    ``d`` is a work array of out's shape in the unsigned integer dtype of its
-    width."""
-    ob = out.view(d.dtype)
-    np.bitwise_xor(v.view(d.dtype), ob, out=d)
-    d *= mask  # keeps the differing bits where mask is true
-    ob ^= d
-
-
 def maxpool3d(x: Tensor, window) -> Tensor:
     """Window max with stride = window; trailing remainder is truncated.
 
-    Gradient routes to the first maximal element of each window in
-    row-major order; a window holding a NaN gives NaN and routes to it.
-    Only a taped call builds that route (``idx``). The forward runs over
-    ranges of channels split across cores by ``_split``, one channel at a
-    time through work arrays each thread reuses.
+    A window's value is its maximum, or NaN if it holds one. The forward
+    is one ``np.maximum`` per window offset, taped or not, over ranges of
+    channels split across cores by ``_split``. Backward rebuilds the route
+    from the input and the output: each window's gradient goes to its first
+    element in row-major order equal to the maximum, or to its first NaN.
     """
     window = _triple(window)
     batched = x.ndim == 5
@@ -1160,42 +1151,26 @@ def maxpool3d(x: Tensor, window) -> Tensor:
     out_dims = tuple(n // p for n, p in zip(xb.shape[2:], window))
     # one strided view of x per window offset, each shaped like the output
     views = [(..., *sl) for _, sl in _taps(window, window, out_dims)]
-    shape = (*xb.shape[:2], *out_dims)
-    out = np.empty(shape, dtype=xb.dtype)
-    taped = _taped((x,))
-    if taped:
-        idx = np.zeros(shape, dtype=np.min_scalar_type(len(views) - 1))
-    one = (shape[0], *out_dims)  # one channel
+    ob = np.empty((*xb.shape[:2], *out_dims), dtype=xb.dtype)
 
-    def work():  # one channel's work arrays per thread, so the workers allocate nothing
-        return (np.empty(one, bool), np.empty(one, bool), np.empty(one, f"u{out.itemsize}"),
-                np.empty(one, idx.dtype) if taped else None)
+    def pool_channels(c0, c1):
+        xc, o = xb[:, c0:c1], ob[:, c0:c1]
+        np.copyto(o, xc[views[0]])
+        for view in views[1:]:
+            np.maximum(xc[view], o, out=o)
 
-    def pool_channels(c0, c1, arrays):
-        bt, sm, bits, step = arrays
-        for ch in range(c0, c1):
-            xc, o = xb[:, ch], out[:, ch]
-            np.copyto(o, xc[views[0]])
-            for n, view in enumerate(views[1:], 1):
-                v = xc[view]
-                np.less_equal(v, o, out=bt)
-                np.invert(bt, out=bt)  # strict, so ties keep the earlier offset; true for a NaN v
-                np.equal(o, o, out=sm)
-                bt &= sm  # a NaN already taken stays
-                _select(o, v, bt, bits)
-                if taped:
-                    np.multiply(bt, idx.dtype.type(n), out=step)
-                    np.maximum(idx[:, ch], step, out=idx[:, ch])  # n exceeds every earlier offset
-
-    _split(shape[1], xb.nbytes, pool_channels, scratch=work)
-    if not batched:
-        out = out[0]
+    _split(ob.shape[1], xb.nbytes, pool_channels)
 
     def grad_fn(g):
         gb = g if batched else g[None]
         gx = np.zeros_like(xb)
-        for n, view in enumerate(views):
-            np.multiply(gb, idx == n, out=gx[view])
+        free = np.ones(ob.shape, bool)  # windows whose gradient is not yet routed
+        for view in views:
+            v = xb[view]
+            hit = (v == ob) | np.isnan(v)  # a NaN v makes its window's maximum NaN
+            hit &= free
+            free ^= hit
+            np.multiply(gb, hit, out=gx[view])
         x._accumulate(gx if batched else gx[0])
 
-    return _make(out, (x,), grad_fn)
+    return _make(ob if batched else ob[0], (x,), grad_fn)

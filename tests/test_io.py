@@ -10,8 +10,7 @@ import pytest
 from vidmood import atomic
 from vidmood.cli import _write_json
 from vidmood.labels import BINARY_CLASSES, SEVERITY_CLASSES, binary_class, severity_class
-from vidmood.manifest import (ManifestError, VideoRecord, load_crop_sidecar,
-                              load_manifest, save_manifest)
+from vidmood.manifest import ManifestError, VideoRecord, load_manifest, save_manifest
 from vidmood.vten import VtenError, read_vten, write_vten
 
 
@@ -202,20 +201,6 @@ class TestManifest:
         p.write_text(json.dumps({"not": "array"}))
         with pytest.raises(ManifestError, match="array"):
             load_manifest(p)
-
-    def test_sidecar_round_trip(self, tmp_path):
-        p = tmp_path / "crops.json"
-        p.write_text(json.dumps([{"x": 1, "y": 2, "w": 3, "h": 4},
-                                 {"x": 0, "y": 0, "w": 5, "h": 5}]))
-        assert load_crop_sidecar(p) == [(1, 2, 3, 4), (0, 0, 5, 5)]
-        with pytest.raises(ManifestError, match="rectangles"):
-            load_crop_sidecar(p, n_frames=3)
-
-    def test_sidecar_rejects_wrong_keys(self, tmp_path):
-        p = tmp_path / "crops.json"
-        p.write_text(json.dumps([{"x": 1, "y": 2, "w": 3}]))
-        with pytest.raises(ManifestError):
-            load_crop_sidecar(p)
 
 
 class _DiskFull:

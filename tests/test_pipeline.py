@@ -16,6 +16,16 @@ def u8video(t, h, w, seed=0):
     return P.RawVideo(frames=frames, source_id=f"vid{seed}")
 
 
+class FixedLocalizer:
+    """The rectangles it was given, whatever the frames."""
+
+    def __init__(self, rects):
+        self.rects = rects
+
+    def rectangles(self, frames):
+        return self.rects
+
+
 class TestLocalizeResize:
     def test_square_frame_is_identity(self):
         v = u8video(3, 16, 16, seed=1)
@@ -34,9 +44,9 @@ class TestLocalizeResize:
         out = P.localize_and_resize(v, P.CenterSquareLocalizer(), 8)
         np.testing.assert_array_equal(out[0], v.frames[0][:, 3:11])
 
-    def test_sidecar_rectangles_applied_per_frame(self):
+    def test_rectangles_applied_per_frame(self):
         v = u8video(2, 8, 6, seed=3)
-        loc = P.SidecarLocalizer([(0, 0, 3, 3), (2, 1, 4, 4)])
+        loc = FixedLocalizer([(0, 0, 3, 3), (2, 1, 4, 4)])
         out = P.localize_and_resize(v, loc, 4)
         expect0 = P._resize_frames_u8(v.frames[0:1, 0:3, 0:3], 4)[0]
         expect1 = P._resize_frames_u8(v.frames[1:2, 1:5, 2:6], 4)[0]
@@ -45,13 +55,13 @@ class TestLocalizeResize:
 
     def test_degenerate_rectangle_names_frame(self):
         v = u8video(2, 8, 8, seed=4)
-        loc = P.SidecarLocalizer([(0, 0, 4, 4), (0, 0, 0, 4)])
+        loc = FixedLocalizer([(0, 0, 4, 4), (0, 0, 0, 4)])
         with pytest.raises(P.LocalizationError, match="frame 1"):
             P.localize_and_resize(v, loc, 4)
 
     def test_out_of_bounds_rectangle_rejected(self):
         v = u8video(1, 8, 8, seed=5)
-        loc = P.SidecarLocalizer([(5, 5, 4, 4)])
+        loc = FixedLocalizer([(5, 5, 4, 4)])
         with pytest.raises(P.LocalizationError, match="exceeds"):
             P.localize_and_resize(v, loc, 4)
 
@@ -82,9 +92,9 @@ class TestLocalizeResize:
         per_sample = peak / out.size
         assert per_sample < 4, f"resize peak {per_sample:.1f} bytes per output sample"
 
-    def test_sidecar_count_mismatch(self):
+    def test_rectangle_count_mismatch(self):
         v = u8video(3, 8, 8, seed=6)
-        loc = P.SidecarLocalizer([(0, 0, 4, 4)])
+        loc = FixedLocalizer([(0, 0, 4, 4)])
         with pytest.raises(P.LocalizationError):
             P.localize_and_resize(v, loc, 4)
 
