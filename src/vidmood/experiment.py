@@ -85,6 +85,7 @@ class ExperimentResult:
 
 def _gather(records: Sequence[VideoRecord], subjects, task: str,
             load_clips: Callable[[VideoRecord], np.ndarray]):
+    """Views of the chosen subjects' clips (no copy), and each clip's label, video, subject."""
     chosen = set(subjects)
     clips, labels, videos, subj = [], [], [], []
     for rec in records:
@@ -95,14 +96,13 @@ def _gather(records: Sequence[VideoRecord], subjects, task: str,
             raise ValueError(f"loader for {rec.video} returned shape {batch.shape}, "
                              "expected [n_clips, T, H, W, C]")
         label = _record_label(rec, task)
-        for clip in batch:
-            clips.append(clip)
-            labels.append(label)
-            videos.append(rec.video)
-            subj.append(rec.subject_id)
+        clips.extend(batch)
+        labels += [label] * len(batch)
+        videos += [rec.video] * len(batch)
+        subj += [rec.subject_id] * len(batch)
     if not clips:
         raise ValueError(f"no clips found for subjects {sorted(chosen)}")
-    return np.stack(clips), np.asarray(labels, dtype=np.int64), videos, subj
+    return clips, np.asarray(labels, dtype=np.int64), videos, subj
 
 
 def _grouped_prediction(probs, labels, keys):

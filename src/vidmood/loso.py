@@ -47,13 +47,7 @@ def make_loso_folds(subjects, val_fraction: float = 0.1, seed: int = 0) -> list[
         raise ValueError(f"leave-one-subject-out needs >= 3 subjects, got {len(ordered)}")
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
-    folds = []
-    for fold_index, held_out in enumerate(ordered):
-        rest = [s for s in ordered if s != held_out]
-        rng = np.random.default_rng(seed ^ fold_index)
-        val, train = _split_off_validation(rest, val_fraction, rng)
-        folds.append(Fold(test_subjects=(held_out,), val_subjects=val, train_subjects=train))
-    return folds
+    return grouped_kfold(ordered, len(ordered), val_fraction, seed)
 
 
 def grouped_kfold(subjects, k: int, val_fraction: float = 0.1, seed: int = 0) -> list[Fold]:

@@ -96,8 +96,8 @@ class LstmCell(Module):
         outs = []
         for t in range(t_len):
             h, c = self.step(xs[:, t], h, c)
-            outs.append(T.reshape(h, (b, 1, self.hidden)))
-        return T.concat(outs, axis=1)
+            outs.append(h)
+        return T.reshape(T.concat(outs, axis=1), (b, t_len, self.hidden))
 
 
 def attention_pool(hs: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -69,7 +69,7 @@ class Module:
                 raise T.ShapeError(
                     f"parameter {name}: state shape {state[name].shape} != model shape {p.shape}"
                 )
-            p.data = state[name].astype(p.data.dtype).copy()
+            p.data = state[name].astype(p.data.dtype)  # a copy, never the state's array
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

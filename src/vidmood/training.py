@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -98,8 +99,9 @@ def loss_fn(logits: Tensor, targets, kind: str) -> Tensor:
     raise ValueError(f"loss kind must be one of {LOSSES}, got {kind!r}")
 
 
-def predict_probs(model: Module, clips: np.ndarray, batch_size: int = 8) -> np.ndarray:
-    """Softmax class probabilities for [N, T, H, W, C] clips."""
+def predict_probs(model: Module, clips: Sequence[np.ndarray], batch_size: int = 8) -> np.ndarray:
+    """Softmax class probabilities for a sequence of [T, H, W, C] clips (an
+    array or a list of arrays)."""
     outs = []
     with T.no_grad():
         for start in range(0, len(clips), batch_size):
@@ -108,7 +110,7 @@ def predict_probs(model: Module, clips: np.ndarray, batch_size: int = 8) -> np.n
     return np.concatenate(outs, axis=0)
 
 
-def _dataset_loss(model: Module, clips: np.ndarray, labels: np.ndarray,
+def _dataset_loss(model: Module, clips: Sequence[np.ndarray], labels: np.ndarray,
                   cfg: TrainConfig) -> float:
     total = 0.0
     with T.no_grad():
@@ -131,10 +133,11 @@ class TrainResult:
         return [json.dumps(rec, sort_keys=True) for rec in self.epochs]
 
 
-def train_model(model: Module, train_clips: np.ndarray, train_labels: np.ndarray,
-                val_clips: np.ndarray, val_labels: np.ndarray,
+def train_model(model: Module, train_clips: Sequence[np.ndarray], train_labels: np.ndarray,
+                val_clips: Sequence[np.ndarray], val_labels: np.ndarray,
                 cfg: TrainConfig) -> TrainResult:
-    """Train in place; the model ends at its best-validation-epoch weights."""
+    """Train in place on sequences of [T, H, W, C] clips (an array or a list
+    of arrays); the model ends at its best-validation-epoch weights."""
     n = len(train_clips)
     if n == 0:
         raise ValueError("empty training set")
@@ -161,7 +164,8 @@ def train_model(model: Module, train_clips: np.ndarray, train_labels: np.ndarray
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
             model.zero_grad()
-            loss = loss_fn(model(T.tensor(train_clips[idx])), train_labels[idx], cfg.loss)
+            batch = T.tensor([train_clips[i] for i in idx])  # stacks only this batch
+            loss = loss_fn(model(batch), train_labels[idx], cfg.loss)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(

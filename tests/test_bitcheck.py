@@ -1,0 +1,27 @@
+"""``scripts/bitcheck.py``'s reused-memory check: each model's c07 digest
+computed twice in one process is the same. The second pass runs on freed,
+non-zero memory, so an op that reads an ``np.empty`` buffer before writing
+it fails here. The digests themselves are not pinned: they depend on the
+BLAS kernels of the machine."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from vidmood.models import MODEL_NAMES
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bitcheck.py"
+
+
+def _bitcheck():
+    spec = importlib.util.spec_from_file_location("bitcheck", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_c07_digest_is_the_same_on_reused_memory(name):
+    c07_digest = _bitcheck().c07_digest
+    assert c07_digest(name) == c07_digest(name)

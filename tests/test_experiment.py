@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vidmood.experiment import (ExperimentSpec, _grouped_prediction, run_experiment,
                                 select_records)
-from vidmood.loso import Fold, grouped_kfold
+from vidmood.loso import Fold, grouped_kfold, make_loso_folds
 from vidmood.manifest import VideoRecord
 from vidmood.models import default_config
 from vidmood.training import TrainConfig
@@ -149,6 +151,38 @@ def test_run_experiment_flags_leaky_fold():
     object.__setattr__(bad[0], "train_subjects", ("s000", "s002", "s003"))
     with pytest.raises(AssertionError):
         run_experiment(spec, records, _toy_loader, _tiny_cfg(), _tiny_train(), folds=bad)
+
+
+def _traced_fold_peak(n_subjects):
+    """Traced peak of one LOSO fold over an in-memory store of 144 KiB per
+    subject (two records of two [4, 48, 48, 1] float32 clips), made before
+    tracing starts; returns (peak, store bytes)."""
+    shape = (4, 48, 48, 1)
+    records = _toy_records(n_subjects)
+    gen = np.random.default_rng(n_subjects)
+    store = {r.video: gen.random((2, *shape), dtype=np.float32) for r in records}
+    cfg = default_config("cnn_lstm", input_shape=shape, channels=(2,), proj_dim=8, hidden=8)
+    spec = ExperimentSpec(model="cnn_lstm", task="binary")
+    folds = make_loso_folds(sorted({r.subject_id for r in records}))[:1]
+    tracemalloc.start()
+    try:
+        run_experiment(spec, records, lambda r: store[r.video], cfg,
+                       _tiny_train(max_epochs=1), folds=folds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, sum(a.nbytes for a in store.values())
+
+
+def test_fold_memory_is_bounded_by_the_batch_not_the_cohort():
+    """Quadrupling the subjects grows a fold's traced peak by under a tenth
+    of the store's growth: the fold trains on views of the loader's arrays
+    and stacks one batch at a time, never a copy of the cohort."""
+    small_peak, small_store = _traced_fold_peak(6)
+    large_peak, large_store = _traced_fold_peak(24)
+    grown = large_store - small_store
+    assert large_peak - small_peak < 0.1 * grown, \
+        f"peak grew {(large_peak - small_peak) >> 10} KiB for {grown >> 10} KiB of store"
 
 
 def test_mixed_labels_in_a_group_are_rejected():

@@ -61,6 +61,8 @@ def test_loso_partition_properties(n, seed, frac):
         assert len(f.val_subjects) == max(1, int((n - 1) * frac))
     # every subject held out exactly once
     assert sorted(t for f in folds for t in f.test_subjects) == subjects
+    # LOSO is grouped k-fold with one subject per group
+    assert folds == grouped_kfold(subjects, n, frac, seed)
 
 
 def test_fold_validates_overlap():

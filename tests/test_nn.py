@@ -7,9 +7,11 @@ import pytest
 
 from vidmood import nn, tensor as T
 from vidmood.gradcheck import gradcheck
+from vidmood.models import build_model, default_config
 from vidmood.tensor import ShapeError, Tensor
 
 from reference import attention_loop_reference, trunc_normal_reference
+from test_acceptance import _REDUCED
 
 
 def rng(seed=0):
@@ -167,6 +169,25 @@ class TestModuleSystem:
         for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)
+
+    def test_load_state_dict_copies_each_parameter_once(self):
+        """Restoring the c07 cnn_lstm's own state allocates each parameter
+        once, and no parameter shares memory with the state it came from."""
+        cfg = default_config("cnn_lstm", input_shape=(16, 32, 32, 3), classes=2,
+                             **_REDUCED["cnn_lstm"])
+        model = build_model("cnn_lstm", cfg, seed=0)
+        state = model.state_dict()
+        param_bytes = sum(a.nbytes for a in state.values())
+        tracemalloc.start()
+        try:
+            model.load_state_dict(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * param_bytes, f"peak {peak} for {param_bytes} parameter bytes"
+        for name, p in model.named_parameters():
+            assert not np.shares_memory(p.data, state[name])
+            np.testing.assert_array_equal(p.data, state[name])
 
     def test_load_rejects_mismatched_keys(self):
         m = self._composite()

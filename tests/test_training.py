@@ -188,6 +188,18 @@ def test_two_runs_same_seed_identical():
     assert results[0].epochs == results[1].epochs
 
 
+def test_list_of_clips_trains_as_the_stacked_array():
+    """A list of per-clip arrays, as the LOSO harness passes, gives the
+    stacked array's epochs and weights bit for bit."""
+    clips, labels = _toy_data(n=24, seed=3)
+    results = []
+    for train, val in ((clips, clips[:6]), (list(clips), list(clips[:6]))):
+        results.append(train_model(TinyNet(seed=5), train, labels, val, labels[:6],
+                                   _quick_cfg(seed=11)))
+    assert results[0].weight_digest == results[1].weight_digest
+    assert results[0].epochs == results[1].epochs
+
+
 def test_different_seed_changes_updates():
     clips, labels = _toy_data(n=24, seed=3)
     digests = set()
