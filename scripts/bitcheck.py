@@ -10,7 +10,7 @@ For each model, three lines:
 - ``paper-grad``: the loss and every parameter gradient of one taped
   sparse_cce step on that clip (batch 1) at the default config. These
   three lines take about 20-25 s on a 2-core machine and peak at about
-  4.1 GiB resident (swin3d_t).
+  3.7 GiB resident (swin3d_t's step).
 
 Each c07 digest is computed twice in the same process. The second pass
 runs on freed, non-zero memory that the allocator hands back, so an op

@@ -43,9 +43,10 @@ class CnnLstmConfig:
 
 
 class ConvBlock(Module):
-    """conv3d (3x3x3, stride 1, pad 1) -> maxpool (1, 2, 2) -> ReLU: bit for
-    bit conv -> ReLU -> pool, as ReLU is monotone and zeroes the value and
-    every gradient of a window whose max is <= 0."""
+    """conv3d (3x3x3, stride 1, pad 1) -> maxpool (1, 2, 2) -> ReLU, the
+    first two as one fused ``tensor.conv_pool``: bit for bit conv -> ReLU
+    -> pool, as ReLU is monotone and zeroes the value and every gradient
+    of a window whose max is <= 0."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         fan_in = c_in * 27
@@ -53,8 +54,7 @@ class ConvBlock(Module):
         self.bias = Parameter(np.zeros(c_out))
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.relu(T.maxpool3d(T.conv3d(x, self.kernel, self.bias, stride=1, padding=1),
-                                  (1, 2, 2)))
+        return T.relu(T.conv_pool(x, self.kernel, self.bias, 1, (1, 2, 2)))
 
 
 class LstmCell(Module):

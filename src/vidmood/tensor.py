@@ -8,9 +8,13 @@ or not: the tape keeps the padded input and backward builds each chunk's
 column again), max-pooling (one ``np.maximum`` per window offset, taped
 or not: backward rebuilds each window's route from the input and the
 output), layout ops (reshape / transpose / roll / pad / slicing /
-concat), and the fused transformer ops ``linear``, ``layer_norm`` and
+concat), the fused transformer ops ``linear``, ``layer_norm``,
 ``attention`` (packed-qkv multi-head attention with an additive mask and
-bias, run in cache-sized chunks), each one tape node with a hand-written
+bias, run in cache-sized chunks) and ``mlp`` (fc1, GELU and fc2 over
+blocks of rows; the tape keeps fc1's output and Phi of it), and
+``conv_pool``, a conv3d whose output is max-pooled piece by piece, so no
+full-size conv output exists (the tape keeps the padded input and a uint8
+route per pooled element), each one tape node with a hand-written
 backward pass.
 
 One thread pool (``_split``), one thread per core the process may use, is
@@ -19,9 +23,10 @@ pins numpy's and scipy's OpenBLAS to one thread, so BLAS never runs a
 thread pool beside it (where no OpenBLAS setter is found, it stays one
 thread wide and BLAS keeps its own threads). Work of ``POOL_MIN_BYTES``
 and more is split into ranges on that pool: the forward passes of
-``linear``, ``layer_norm``, ``attention``, ``conv3d``, ``gelu`` and
-``maxpool3d``, and the backward of ``conv3d``. Each output element
-is computed as in one whole call, so results are the same bit for bit.
+``linear``, ``layer_norm``, ``attention``, ``conv3d``, ``conv_pool``,
+``mlp``, ``gelu`` and ``maxpool3d``, and the backward of ``conv3d`` and
+``conv_pool``. Each output element is computed as in one whole call, so
+results are the same bit for bit.
 
 When that runtime starts (``_runtime``, at the first split or GEMM, not
 at import), it also has glibc serve large arrays from its heap and keep
@@ -68,6 +73,8 @@ __all__ = [
     "attention",
     "conv3d",
     "maxpool3d",
+    "conv_pool",
+    "mlp",
 ]
 
 
@@ -429,14 +436,20 @@ def _split(n: int, nbytes: int, fn, scratch=None) -> None:
         f.result()
 
 
-def _split_rows(n: int, row_macs: int, dtype, nbytes: int, fn) -> None:
-    """``_split`` over the rows [0, n) that one ``dtype`` GEMM's output is
-    split into, each row ``row_macs`` multiply-adds, in ranges that start
-    on a multiple of ``_GEMM_ROWS`` and hold at least ``_GEMM_MIN_MACS``
-    multiply-adds (the last takes the remainder); other than float32, one
-    range."""
+def _gemm_units(n: int, row_macs: int, dtype) -> tuple[int, int]:
+    """(rows per unit, units) for the rows [0, n) of one ``dtype`` GEMM's
+    output, each row ``row_macs`` multiply-adds: a unit is a multiple of
+    ``_GEMM_ROWS`` rows holding at least ``_GEMM_MIN_MACS`` multiply-adds,
+    and the last unit takes the remainder. Ranges of whole units give the
+    whole GEMM's bits. Other than float32, one unit."""
     unit = _GEMM_ROWS * max(1, -(-_GEMM_MIN_MACS // (_GEMM_ROWS * max(1, row_macs))))
-    units = max(1, n // unit) if dtype == np.float32 else 1
+    return unit, max(1, n // unit) if dtype == np.float32 else 1
+
+
+def _split_rows(n: int, row_macs: int, dtype, nbytes: int, fn) -> None:
+    """``_split`` over the rows [0, n) of one ``dtype`` GEMM's output in
+    ranges of whole ``_gemm_units``."""
+    unit, units = _gemm_units(n, row_macs, dtype)
     _split(units, nbytes, lambda u0, u1: fn(u0 * unit, n if u1 == units else u1 * unit))
 
 
@@ -505,6 +518,22 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _BLOCK = 1 << 16
 
 
+def _gelu_block(xb: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+    """gelu's float ops, in its order, on one cache-sized block: Phi(xb)
+    into ``c``, then xb * Phi(xb) into ``out``, which may be ``c`` or
+    ``xb``."""
+    np.multiply(xb, _INV_SQRT2, out=c)
+    erf(c, out=c)
+    c += 1.0
+    c *= 0.5
+    np.multiply(xb, c, out=out)
+
+
+def _gelu_grad(d: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """gelu's local derivative Phi(d) + d * phi(d), given Phi(d)."""
+    return cdf + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI)
+
+
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2))). Cache-sized
     blocks run the float ops of that expression in place, in its order,
@@ -519,15 +548,10 @@ def gelu(x: Tensor) -> Tensor:
     def blocks(r0, r1):
         for b0 in range(r0, r1, _BLOCK):
             b1 = min(r1, b0 + _BLOCK)
-            xb, c = flat[b0:b1], cf[b0:b1]
-            np.multiply(xb, _INV_SQRT2, out=c)
-            erf(c, out=c)
-            c += 1.0
-            c *= 0.5
-            np.multiply(xb, c, out=of[b0:b1])
+            _gelu_block(flat[b0:b1], cf[b0:b1], of[b0:b1])
 
     _split(flat.size, flat.nbytes, blocks)
-    return _unary(x, out, lambda: cdf + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI))
+    return _unary(x, out, lambda: _gelu_grad(d, cdf))
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -659,6 +683,75 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(y.reshape(x.shape[:-1] + (w.shape[1],)), parents, grad_fn)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one op over blocks of
+    rows: x [..., dim], w1 [dim, hidden], w2 [hidden, dim].
+
+    Each block of rows runs fc1's GEMM plus bias, ``gelu``'s float ops in
+    cache-sized pieces and fc2's GEMM plus bias while its [rows, hidden]
+    activation is in cache. A block is whole ``_gemm_units`` of rows under
+    ``ATTN_CHUNK_BYTES`` of hidden activation (at least one unit), so both
+    GEMMs give the whole GEMMs' bits; float64 runs as one block. Blocks are
+    split across cores by ``_split``, each thread reusing its own
+    [rows, hidden] scratch: untaped, no [N, hidden] array exists.
+
+    Taped, the op keeps fc1's output and Phi of it, not gelu's output.
+    Backward recomputes gelu's output as the same product, then runs
+    ``linear``'s and ``gelu``'s backward arithmetic in the chain's order,
+    as whole GEMMs, so every gradient is the chain's bit for bit.
+    """
+    dim, hidden = w1.shape if w1.ndim == 2 else (None, None)
+    if (x.ndim < 1 or x.shape[-1] != dim or w2.shape != (hidden, dim)
+            or b1.shape != (hidden,) or b2.shape != (dim,)):
+        raise ShapeError(f"mlp: input {x.shape} does not match fc1 {w1.shape} + {b1.shape}, "
+                         f"fc2 {w2.shape} + {b2.shape}")
+    x2 = x.data.reshape(-1, dim)
+    n = len(x2)
+    ht = np.result_type(x2, w1.data)
+    y = np.empty((n, dim), dtype=np.result_type(ht, w2.data))
+    parents = (x, w1, b1, w2, b2)
+    taped = _taped(parents)
+    h, cdf = (np.empty((n, hidden), dtype=ht), np.empty((n, hidden), dtype=ht)) if taped \
+        else (None, None)
+    unit, units = _gemm_units(n, w1.size, ht)  # w2 has as many multiply-adds per row
+    blocks = [(u0 * unit, n if u1 == units else u1 * unit)
+              for u0, u1 in _row_chunks(units, unit * hidden * ht.itemsize)]
+    widest = max(r1 - r0 for r0, r1 in blocks)
+
+    def run(p0, p1, scratch):
+        for r0, r1 in blocks[p0:p1]:
+            # taped: fc1's output and Phi into the kept arrays, gelu's output
+            # into scratch; untaped: fc1's output and then gelu's in scratch
+            hb = h[r0:r1] if taped else scratch[0][:r1 - r0]
+            np.matmul(x2[r0:r1], w1.data, out=hb)
+            hb += b1.data
+            ab, cf = (scratch[0][:r1 - r0], cdf[r0:r1].reshape(-1)) if taped else (hb, None)
+            hf, af = hb.reshape(-1), ab.reshape(-1)
+            for c0 in range(0, hf.size, _BLOCK):
+                c1 = min(hf.size, c0 + _BLOCK)
+                _gelu_block(hf[c0:c1], scratch[1][:c1 - c0] if cf is None else cf[c0:c1],
+                            af[c0:c1])
+            np.matmul(ab, w2.data, out=y[r0:r1])
+            y[r0:r1] += b2.data
+
+    _split(len(blocks), n * hidden * ht.itemsize, run, scratch=lambda: (
+        np.empty((widest, hidden), dtype=ht), None if taped else np.empty(_BLOCK, dtype=ht)))
+
+    def grad_fn(g):
+        g2 = g.reshape(n, dim)
+        a = h * cdf  # gelu's output, the forward's product
+        w2._accumulate(a.T @ g2)
+        del a
+        b2._accumulate(g2.sum(axis=0))
+        gh = (g2 @ w2.data.T) * _gelu_grad(h, cdf)
+        w1._accumulate(x2.T @ gh)
+        b1._accumulate(gh.sum(axis=0))
+        if _wants_grad(x):
+            x._accumulate((gh @ w1.data.T).reshape(x.shape))
+
+    return _make(y.reshape(x.shape[:-1] + (dim,)), parents, grad_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -964,6 +1057,155 @@ def _im2col(xp: np.ndarray, kshape, stride, out_dims, col: np.ndarray) -> None:
         col[:, :, i, j, k] = xp[:, :, st, sh, sw]
 
 
+class _Conv:
+    """One convolution's geometry and the machinery that ``conv3d`` and
+    ``conv_pool`` share: the padded input, the chunks of whole output
+    frames whose column fits ``CONV_CHUNK_BYTES``, the pieces the forward
+    GEMMs run in, per-thread column scratch and the chunk-by-chunk
+    backward. A 4-D [C, T, H, W] input runs as a batch of one."""
+
+    def __init__(self, op: str, x: Tensor, kernel: Tensor, stride, padding):
+        self.stride, self.padding = _triple(stride), _triple(padding)
+        self.batched = x.ndim == 5
+        if x.ndim not in (4, 5):
+            raise ShapeError(f"{op} input must be 4-D or 5-D, got {x.shape}")
+        if x.shape[-4] != kernel.shape[1]:
+            raise ShapeError(f"{op} channel mismatch: input {x.shape} vs kernel {kernel.shape}")
+        xb = x.data if self.batched else x.data[None]
+        self.xp = xp = np.pad(xb, ((0, 0), (0, 0)) + tuple((p, p) for p in self.padding))
+        self.kshape = kshape = kernel.shape[2:]
+        if any(n < k for n, k in zip(xp.shape[2:], kshape)):
+            raise ShapeError(f"kernel {kshape} larger than padded input {xp.shape[2:]}")
+        self.out_dims = out_dims = tuple((n - k) // s + 1 for n, k, s in
+                                         zip(xp.shape[2:], kshape, self.stride))
+        (b, self.c), o = xb.shape[:2], kernel.shape[0]
+        self.b, self.o = b, o
+        self.wmat = kernel.data.reshape(o, -1)
+        self.rows = rows = self.wmat.shape[1]  # column rows, C * kt * kh * kw
+        self.frame = frame = math.prod(out_dims[1:])  # output positions per frame
+        self.dtype = np.result_type(self.wmat, xp)
+        self.chunks = list(_row_chunks(out_dims[0], b * rows * frame * xp.itemsize,
+                                       CONV_CHUNK_BYTES))
+        self.per = self.chunks[0][1]  # output frames per chunk
+
+        # one GEMM per piece of whole frames; a piece keeps its chunk GEMM's
+        # bits by starting on a multiple of _GEMM_ROWS output positions and
+        # doing at least _GEMM_MIN_MACS multiply-adds (the last takes the rest)
+        self.colbytes = b * rows * out_dims[0] * frame * xp.itemsize
+        self.threads = _runtime()[1] if self.colbytes >= POOL_MIN_BYTES else 1  # as _split runs it
+        cut = self.dtype == np.float32 and self.threads > 1
+        align = _GEMM_ROWS // math.gcd(frame, _GEMM_ROWS)  # frames
+        unit = align * max(1, -(-_GEMM_MIN_MACS // (align * frame * o * rows)))
+        self.pieces = []
+        for t0, t1 in self.chunks:
+            k = max(1, (t1 - t0) // unit) if cut else 1
+            self.pieces += [(t0 + i * unit, t1 if i == k - 1 else t0 + (i + 1) * unit)
+                            for i in range(k)]
+        self.widest = max(t1 - t0 for t0, t1 in self.pieces)  # output frames
+
+    def window(self, a, t0, t1):  # the padded frames that output frames [t0, t1) read
+        return a[:, :, self.stride[0] * t0:self.stride[0] * (t1 - 1) + self.kshape[0]]
+
+    def scratch(self, n, frames, dtype=None):  # room for a column of n batch rows
+        return np.empty(n * self.rows * frames * self.frame, dtype=dtype or self.xp.dtype)
+
+    def columns(self, buf, n, frames):  # the head of buf as a column [n, rows, frames * frame]
+        return buf[:n * self.rows * frames * self.frame].reshape(n, self.rows, -1)
+
+    def im2col(self, col, a, t0, t1, lo=0):
+        """Fill frames [lo, lo + t1 - t0) of ``col`` [len(a), rows, P'] from
+        output frames [t0, t1) of padded batch rows ``a``; returns ``col``."""
+        col8 = col.reshape(len(a), self.c, *self.kshape, -1,
+                           *self.out_dims[1:])[..., lo:lo + t1 - t0, :, :]
+        _im2col(self.window(a, t0, t1), self.kshape, self.stride,
+                (t1 - t0, *self.out_dims[1:]), col8)
+        return col
+
+    def forward(self, bias: Tensor | None, target, done=None, extra=tuple) -> None:
+        """Every piece's GEMM plus bias into ``y = target(t0, t1, *more)``
+        [B, O, (t1 - t0) * frame], then ``done(t0, t1, y, *more)``. Pieces
+        are split across cores by ``_split``: each thread builds its
+        pieces' columns in one reused buffer, and gets its own ``more =
+        extra()``."""
+        def run(p0, p1, scratch):
+            buf, *more = scratch
+            for t0, t1 in self.pieces[p0:p1]:
+                y = target(t0, t1, *more)
+                col = self.im2col(self.columns(buf, self.b, t1 - t0), self.xp, t0, t1)
+                np.matmul(self.wmat, col, out=y)
+                if bias is not None:
+                    y += bias.data[:, None]
+                if done is not None:
+                    done(t0, t1, y, *more)
+
+        _split(len(self.pieces), self.colbytes, run,
+               scratch=lambda: (self.scratch(self.b, self.widest), *extra()))
+
+    def backward(self, chunk_grad, gdtype, x: Tensor, kernel: Tensor) -> None:
+        """Accumulate the kernel's and x's gradients, chunk by chunk, from
+        ``chunk_grad(t0, t1)``: the ``gdtype`` output gradient [B, O, (t1 -
+        t0) * frame] of output frames [t0, t1).
+
+        With at least as many batch rows as threads, each thread takes
+        whole rows and runs a row's im2col, both GEMMs and col2im while its
+        column is in cache; with fewer, the forward's pieces build the
+        chunk's column across cores, the GEMMs split by ``_split_rows`` over
+        column rows and col2im splits over input channels. Either way every
+        element is summed in the same order, so the bits are the same."""
+        b, o, c, rows, frame, per = self.b, self.o, self.c, self.rows, self.frame, self.per
+        xp, wmat, kshape, stride = self.xp, self.wmat, self.kshape, self.stride
+        gw, gdt = None, np.result_type(wmat, gdtype)
+        gxp = np.zeros(xp.shape, dtype=gdt) if _wants_grad(x) else None
+        part = np.empty((b, o, rows), dtype=np.result_type(gdtype, xp))
+        rowwise = b >= self.threads
+        if not rowwise:  # one chunk's column and its gradient, every batch row
+            whole, gwhole = self.scratch(b, per), None if gxp is None else self.scratch(b, per, gdt)
+        for t0, t1 in self.chunks:
+            gc, sub = chunk_grad(t0, t1), (t1 - t0, *self.out_dims[1:])
+            if rowwise:
+                # each thread takes whole batch rows: it builds a row's column
+                # in its scratch, then runs both GEMMs and col2im on it while
+                # it is in cache; rows are disjoint, so bits are unchanged
+                def batch_rows(b0, b1, bufs):
+                    for bi in range(b0, b1):
+                        cc = self.im2col(self.columns(bufs[0], 1, t1 - t0), xp[bi:bi + 1], t0, t1)
+                        np.matmul(gc[bi], cc[0].T, out=part[bi])
+                        if gxp is not None:
+                            gcol = self.columns(bufs[1], 1, t1 - t0)
+                            np.matmul(wmat.T, gc[bi], out=gcol[0])
+                            _col2im_add(self.window(gxp[bi:bi + 1], t0, t1), gcol, kshape,
+                                        stride, sub)
+
+                _split(b, b * rows * gc.shape[2] * xp.itemsize, batch_rows, scratch=lambda: (
+                    self.scratch(1, per), None if gxp is None else self.scratch(1, per, gdt)))
+            else:
+                # fewer batch rows than threads: the forward's pieces build
+                # the chunk's column across cores, then the GEMMs split rows
+                mine = [p for p in self.pieces if t0 <= p[0] < t1]
+                cc = self.columns(whole, b, t1 - t0)
+                _split(len(mine), cc.nbytes, lambda p0, p1: [
+                    self.im2col(cc, xp, s0, s1, s0 - t0) for s0, s1 in mine[p0:p1]])
+                gcol = None if gxp is None else self.columns(gwhole, b, t1 - t0)
+
+                def column_rows(r0, r1):  # both GEMMs sum over O or P, never over rows
+                    np.matmul(gc, cc[:, r0:r1].transpose(0, 2, 1), out=part[:, :, r0:r1])
+                    if gcol is not None:
+                        np.matmul(wmat[:, r0:r1].T, gc, out=gcol[:, r0:r1])
+
+                _split_rows(rows, o * gc.shape[2], part.dtype, cc.nbytes, column_rows)
+                if gcol is not None:  # input channels own disjoint column rows
+                    gxc, k = self.window(gxp, t0, t1), rows // c
+                    _split(c, gcol.nbytes, lambda c0, c1: _col2im_add(
+                        gxc[:, c0:c1], gcol[:, c0 * k:c1 * k], kshape, stride, sub))
+            psum = part.sum(axis=0)
+            gw = psum if gw is None else np.add(gw, psum, out=gw)
+        kernel._accumulate(gw.reshape(kernel.shape))
+        if gxp is not None:
+            crop = tuple(slice(p, n - p) for p, n in zip(self.padding, xp.shape[2:]))
+            gx = gxp[(..., *crop)]
+            x._accumulate(gx if self.batched else gx[0])
+
+
 def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
     """Direct-sum 3D convolution (cross-correlation form).
 
@@ -980,139 +1222,25 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     building its pieces' columns in one reused buffer, taped or not.
 
     The tape keeps the padded input, not the column: the weight and input
-    gradients run per chunk and build its column again. With at least as
-    many batch rows as threads, each thread takes whole rows and runs a
-    row's im2col, both GEMMs and col2im while its column is in cache;
-    with fewer, the forward's pieces build the chunk's column across
-    cores, the GEMMs split by ``_split_rows`` over column rows and col2im
-    splits over input channels. Either way every output and gradient
-    element is summed in the same order, so the bits are the same. The
-    chunk GEMMs give the one-chunk output bit for bit when a frame's
+    gradients run per chunk and build its column again (``_Conv.backward``).
+    The chunk GEMMs give the one-chunk output bit for bit when a frame's
     output positions are a multiple of the BLAS kernel width (16 for
     OpenBLAS 0.3.31's sgemm), as every model's frames are.
     """
-    stride = _triple(stride)
-    padding = _triple(padding)
-    batched = x.ndim == 5
-    if x.ndim not in (4, 5):
-        raise ShapeError(f"conv3d input must be 4-D or 5-D, got {x.shape}")
-    if x.shape[-4] != kernel.shape[1]:
-        raise ShapeError(f"conv3d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    xb = x.data if batched else x.data[None]
-    xp = np.pad(xb, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
-    kshape = kernel.shape[2:]
-    if any(n < k for n, k in zip(xp.shape[2:], kshape)):
-        raise ShapeError(f"kernel {kshape} larger than padded input {xp.shape[2:]}")
-    out_dims = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kshape, stride))
-    (b, c), o = xb.shape[:2], kernel.shape[0]
-    wmat = kernel.data.reshape(o, -1)
-    rows = wmat.shape[1]  # column rows, C * kt * kh * kw
-    frame = math.prod(out_dims[1:])  # output positions per frame
-    chunks = list(_row_chunks(out_dims[0], b * rows * frame * xp.itemsize, CONV_CHUNK_BYTES))
-    per = chunks[0][1]  # output frames per chunk
-
-    def window(a, t0, t1):  # the padded frames that output frames [t0, t1) read
-        return a[:, :, stride[0] * t0:stride[0] * (t1 - 1) + kshape[0]]
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    out = np.empty((b, o, *out_dims), dtype=np.result_type(wmat, xp))
+    conv = _Conv("conv3d", x, kernel, stride, padding)
+    b, o, frame = conv.b, conv.o, conv.frame
+    out = np.empty((b, o, *conv.out_dims), dtype=conv.dtype)
     out3 = out.reshape(b, o, -1)  # [B, O, P]
-
-    # one GEMM per piece of whole frames; a piece keeps its chunk GEMM's
-    # bits by starting on a multiple of _GEMM_ROWS output positions and
-    # doing at least _GEMM_MIN_MACS multiply-adds (the last takes the rest)
-    colbytes = b * rows * out3.shape[2] * xp.itemsize
-    threads = _runtime()[1] if colbytes >= POOL_MIN_BYTES else 1  # as _split runs it
-    cut = out.dtype == np.float32 and threads > 1
-    align = _GEMM_ROWS // math.gcd(frame, _GEMM_ROWS)  # frames
-    unit = align * max(1, -(-_GEMM_MIN_MACS // (align * frame * o * rows)))
-    pieces = []
-    for t0, t1 in chunks:
-        k = max(1, (t1 - t0) // unit) if cut else 1
-        pieces += [(t0 + i * unit, t1 if i == k - 1 else t0 + (i + 1) * unit) for i in range(k)]
-
-    def scratch(n, frames, dtype=xp.dtype):  # room for a column of n batch rows
-        return np.empty(n * rows * frames * frame, dtype=dtype)
-
-    def columns(buf, n, frames):  # the head of buf as a column [n, rows, frames * frame]
-        return buf[:n * rows * frames * frame].reshape(n, rows, -1)
-
-    def im2col(col, a, t0, t1, lo=0):
-        """Fill frames [lo, lo + t1 - t0) of ``col`` [len(a), rows, P'] from
-        output frames [t0, t1) of padded batch rows ``a``; returns ``col``."""
-        col8 = col.reshape(len(a), c, *kshape, -1, *out_dims[1:])[..., lo:lo + t1 - t0, :, :]
-        _im2col(window(a, t0, t1), kshape, stride, (t1 - t0, *out_dims[1:]), col8)
-        return col
-
-    def conv_pieces(p0, p1, buf):
-        for t0, t1 in pieces[p0:p1]:
-            y = out3[:, :, t0 * frame:t1 * frame]
-            np.matmul(wmat, im2col(columns(buf, b, t1 - t0), xp, t0, t1), out=y)
-            if bias is not None:
-                y += bias.data[:, None]
-
-    # every call builds its column piece by piece in per-thread scratch;
-    # the tape keeps the padded input and backward builds the column again
-    widest = max(t1 - t0 for t0, t1 in pieces)
-    _split(len(pieces), colbytes, conv_pieces, scratch=lambda: scratch(b, widest))
-    if not batched:
-        out = out[0]
+    conv.forward(bias, lambda t0, t1: out3[:, :, t0 * frame:t1 * frame])
 
     def grad_fn(g):
         g3 = g.reshape(b, o, -1)  # [B, O, P]
-        gw, gdt = None, np.result_type(wmat, g3)
-        gxp = np.zeros(xp.shape, dtype=gdt) if _wants_grad(x) else None
-        part = np.empty((b, o, rows), dtype=np.result_type(g3, xp))
-        rowwise = b >= threads
-        if not rowwise:  # one chunk's column and its gradient, every batch row
-            whole, gwhole = scratch(b, per), None if gxp is None else scratch(b, per, gdt)
-        for t0, t1 in chunks:
-            gc, sub = g3[:, :, t0 * frame:t1 * frame], (t1 - t0, *out_dims[1:])
-            if rowwise:
-                # each thread takes whole batch rows: it builds a row's column
-                # in its scratch, then runs both GEMMs and col2im on it while
-                # it is in cache; rows are disjoint, so bits are unchanged
-                def batch_rows(b0, b1, bufs):
-                    for bi in range(b0, b1):
-                        cc = im2col(columns(bufs[0], 1, t1 - t0), xp[bi:bi + 1], t0, t1)
-                        np.matmul(gc[bi], cc[0].T, out=part[bi])
-                        if gxp is not None:
-                            gcol = columns(bufs[1], 1, t1 - t0)
-                            np.matmul(wmat.T, gc[bi], out=gcol[0])
-                            _col2im_add(window(gxp[bi:bi + 1], t0, t1), gcol, kshape, stride, sub)
-
-                _split(b, b * rows * gc.shape[2] * xp.itemsize, batch_rows, scratch=lambda: (
-                    scratch(1, per), None if gxp is None else scratch(1, per, gdt)))
-            else:
-                # fewer batch rows than threads: the forward's pieces build
-                # the chunk's column across cores, then the GEMMs split rows
-                mine = [p for p in pieces if t0 <= p[0] < t1]
-                cc = columns(whole, b, t1 - t0)
-                _split(len(mine), cc.nbytes, lambda p0, p1: [
-                    im2col(cc, xp, s0, s1, s0 - t0) for s0, s1 in mine[p0:p1]])
-                gcol = None if gxp is None else columns(gwhole, b, t1 - t0)
-
-                def column_rows(r0, r1):  # both GEMMs sum over O or P, never over rows
-                    np.matmul(gc, cc[:, r0:r1].transpose(0, 2, 1), out=part[:, :, r0:r1])
-                    if gcol is not None:
-                        np.matmul(wmat[:, r0:r1].T, gc, out=gcol[:, r0:r1])
-
-                _split_rows(rows, o * gc.shape[2], part.dtype, cc.nbytes, column_rows)
-                if gcol is not None:  # input channels own disjoint column rows
-                    gxc, k = window(gxp, t0, t1), rows // c
-                    _split(c, gcol.nbytes, lambda c0, c1: _col2im_add(
-                        gxc[:, c0:c1], gcol[:, c0 * k:c1 * k], kshape, stride, sub))
-            psum = part.sum(axis=0)
-            gw = psum if gw is None else np.add(gw, psum, out=gw)
-        kernel._accumulate(gw.reshape(kernel.shape))
+        conv.backward(lambda t0, t1: g3[:, :, t0 * frame:t1 * frame], g3.dtype, x, kernel)
         if bias is not None:
             bias._accumulate(g3.sum(axis=(0, 2)))
-        if gxp is not None:
-            crop = tuple(slice(p, n - p) for p, n in zip(padding, xp.shape[2:]))
-            gx = gxp[(..., *crop)]
-            x._accumulate(gx if batched else gx[0])
 
-    return _make(out, parents, grad_fn)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _make(out if conv.batched else out[0], parents, grad_fn)
 
 
 def _col2im_add(gxp: np.ndarray, gcol: np.ndarray, kshape, stride, out_dims) -> None:
@@ -1130,6 +1258,15 @@ def _col2im_add(gxp: np.ndarray, gcol: np.ndarray, kshape, stride, out_dims) -> 
 
 
 # -- 3D max-pooling ------------------------------------------------------------
+
+
+def _window_max(x: np.ndarray, out: np.ndarray, views) -> None:
+    """``out`` = the maximum over ``x``'s window-offset ``views``, one
+    ``np.maximum`` per view in offset order: each window's maximum, or NaN
+    if it holds one."""
+    np.copyto(out, x[views[0]])
+    for view in views[1:]:
+        np.maximum(x[view], out, out=out)
 
 
 def maxpool3d(x: Tensor, window) -> Tensor:
@@ -1154,10 +1291,7 @@ def maxpool3d(x: Tensor, window) -> Tensor:
     ob = np.empty((*xb.shape[:2], *out_dims), dtype=xb.dtype)
 
     def pool_channels(c0, c1):
-        xc, o = xb[:, c0:c1], ob[:, c0:c1]
-        np.copyto(o, xc[views[0]])
-        for view in views[1:]:
-            np.maximum(xc[view], o, out=o)
+        _window_max(xb[:, c0:c1], ob[:, c0:c1], views)
 
     _split(ob.shape[1], xb.nbytes, pool_channels)
 
@@ -1174,3 +1308,88 @@ def maxpool3d(x: Tensor, window) -> Tensor:
         x._accumulate(gx if batched else gx[0])
 
     return _make(ob if batched else ob[0], (x,), grad_fn)
+
+
+def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -> Tensor:
+    """``maxpool3d(conv3d(x, kernel, bias, 1, padding), window)`` as one op,
+    for a window one frame long, so each output frame pools on its own.
+
+    Each forward piece's GEMM plus bias goes into per-thread scratch and is
+    pooled from there into the output, one ``np.maximum`` per window offset:
+    no full-size conv output exists. Taped, the op keeps the padded input
+    (as ``conv3d`` does) and a uint8 route, each pooled element's winning
+    offset: the first maximum in row-major order, or the first NaN.
+    Backward builds each chunk's conv-output gradient from the route, as
+    ``maxpool3d``'s backward does, and runs ``conv3d``'s chunk backward;
+    the bias gradient sums whole channels' conv-output gradients, rebuilt
+    a few channels at a time, in ``conv3d``'s order. So the output and
+    every gradient are those of the two ops bit for bit.
+    """
+    window = _triple(window)
+    if window[0] != 1:
+        raise ShapeError(f"conv_pool pools within frames, but window {window} spans frames")
+    conv = _Conv("conv_pool", x, kernel, 1, padding)
+    b, o, frame, dims = conv.b, conv.o, conv.frame, conv.out_dims
+    if any(p > n for p, n in zip(window, dims)):
+        raise ShapeError(f"pool window {window} exceeds conv output {dims}")
+    pdims = tuple(n // p for n, p in zip(dims, window))
+    # one strided view of a piece's conv output per window offset
+    views = [(..., slice(None), sh, sw) for _, (_, sh, sw) in _taps(window, window, pdims)]
+    pooled = np.empty((b, o, *pdims), dtype=conv.dtype)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    route = np.empty(pooled.shape, np.uint8) if _taped(parents) else None
+
+    def gemm_out(t0, t1, ybuf, hit):
+        return ybuf[:b * o * (t1 - t0) * frame].reshape(b, o, -1)
+
+    def pool(t0, t1, y, ybuf, hit):
+        y5, p = y.reshape(b, o, t1 - t0, *dims[1:]), pooled[:, :, t0:t1]
+        _window_max(y5, p, views)
+        if route is None:
+            return
+        r, h = route[:, :, t0:t1], hit[:p.size].reshape(p.shape)
+        for k in reversed(range(len(views))):  # the first offset that hits writes last
+            np.copyto(r, k, where=np.equal(y5[views[k]], p, out=h))
+        if np.isnan(p, out=h).any():  # a window holding a NaN routes to its first NaN
+            for k in reversed(range(len(views))):
+                np.copyto(r, k, where=np.isnan(y5[views[k]], out=h))
+
+    conv.forward(bias, gemm_out, pool, extra=lambda: (
+        np.empty(b * o * conv.widest * frame, dtype=conv.dtype),
+        None if route is None else np.empty(b * o * conv.widest * pdims[1] * pdims[2], bool)))
+
+    def grad_fn(g):
+        gb = g if conv.batched else g[None]
+        hw = [n * p for n, p in zip(pdims[1:], window[1:])]  # the rows and columns pooled
+        channel = b * dims[0] * frame  # one channel's conv output, every batch row
+        buf = np.empty(max(b * o * conv.per * frame, 0 if bias is None else channel),
+                       dtype=conv.dtype)
+
+        def unpool(o0, o1, t0, t1):
+            """The conv-output gradient of channels [o0, o1) and frames
+            [t0, t1), in ``buf``, as [B, o1 - o0, (t1 - t0) * frame]."""
+            d = buf[:b * (o1 - o0) * (t1 - t0) * frame].reshape(b, o1 - o0, t1 - t0, *dims[1:])
+            d[..., hw[0]:, :] = 0  # the remainder no window reads
+            d[..., hw[1]:] = 0
+            gs, rs = gb[:, o0:o1, t0:t1], route[:, o0:o1, t0:t1]
+            for k, view in enumerate(views):
+                np.multiply(gs, rs == k, out=d[view])
+            return d.reshape(b, o1 - o0, -1)
+
+        if len(conv.chunks) == 1:  # the one chunk's gradient is the whole conv-output gradient
+            whole = unpool(0, o, 0, dims[0])
+            conv.backward(lambda t0, t1: whole, buf.dtype, x, kernel)
+            if bias is not None:
+                bias._accumulate(whole.sum(axis=(0, 2)))
+            return
+        conv.backward(lambda t0, t1: unpool(0, o, t0, t1), buf.dtype, x, kernel)
+        if bias is not None:
+            # conv3d's g.sum(axis=(0, 2)) sums each (row, channel)'s whole
+            # gradient alone, then adds the batch rows in order
+            gbias, group = np.zeros(o, dtype=buf.dtype), len(buf) // channel
+            for o0 in range(0, o, group):
+                for row in unpool(o0, min(o, o0 + group), 0, dims[0]).sum(axis=2):
+                    gbias[o0:o0 + group] += row
+            bias._accumulate(gbias)
+
+    return _make(pooled if conv.batched else pooled[0], parents, grad_fn)

@@ -109,6 +109,17 @@ def maxpool3d_routed_reference(x, window, g):
     return out, gx
 
 
+def conv_pool_routed_reference(x, w, b, pad, window, g):
+    """conv3d (stride 1) then a routed max-pool of [C, T, H, W], with the
+    input, weight and bias gradients for upstream ``g`` on the pooled
+    output: each window's gradient goes to its first maximal conv output,
+    or to its first NaN, and from there through the convolution's loops."""
+    conv = conv3d_reference(x, w, b, (1, 1, 1), pad)
+    out, gconv = maxpool3d_routed_reference(conv, window, g)
+    gx, gw, gb = conv3d_grads_reference(x, w, gconv, (1, 1, 1), pad)
+    return out, gx, gw, gb
+
+
 def attention_loop_reference(q, k, v, mask=None, bias=None):
     """Per-query softmax attention on [B, H, N, dh], explicit loops."""
     b, h, n, dh = q.shape
@@ -163,6 +174,14 @@ def linear_loop_reference(x, w, b=None):
             if b is not None:
                 out[r, j] += b[j]
     return out.reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def mlp_loop_reference(x, w1, b1, w2, b2):
+    """fc1, the exact GELU h * Phi(h) with Phi from ``math.erf``, then fc2,
+    one entry at a time."""
+    h = linear_loop_reference(x, w1, b1)
+    a = np.vectorize(lambda u: u * 0.5 * (1.0 + math.erf(u / math.sqrt(2.0))))(h)
+    return linear_loop_reference(a, w2, b2)
 
 
 def layer_norm_loop_reference(x, gamma, beta, eps=1e-5):

@@ -23,9 +23,10 @@ from vidmood import tensor as T
 from vidmood.gradcheck import gradcheck
 from vidmood.tensor import NumericError, ShapeError, Tensor
 
-from reference import (conv3d_grads_reference, conv3d_reference, gelu_composite_reference,
-                       layer_norm_loop_reference, linear_loop_reference,
-                       maxpool3d_routed_reference, packed_attention_loop_reference)
+from reference import (conv3d_grads_reference, conv3d_reference, conv_pool_routed_reference,
+                       gelu_composite_reference, layer_norm_loop_reference,
+                       linear_loop_reference, maxpool3d_routed_reference, mlp_loop_reference,
+                       packed_attention_loop_reference)
 
 
 UNARY_OPS = {"relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh, "exp": T.exp, "neg": T.neg}
@@ -481,6 +482,26 @@ class TestGradients:
         for t in (x, w, b):
             assert t.grad.shape == t.shape and not t.grad.any()
 
+    def test_conv_pool_grads(self):
+        # 5 x 6 frames pool to 2 x 3 windows, dropping the last row
+        x = Tensor(rnd((1, 2, 3, 5, 6), 160), requires_grad=True)
+        w = Tensor(rnd((3, 2, 3, 3, 3), 161), requires_grad=True)
+        b = Tensor(rnd(3, 162), requires_grad=True)
+        wt = rnd((1, 3, 3, 2, 3), 163)
+        check(lambda: T.sum_(T.mul(T.conv_pool(x, w, b, 1, (1, 2, 2)), wt)),
+              {"x": x, "w": w, "b": b})
+        # no time padding, so one output frame; 5 x 6 frames pool to 2 x 2 windows of 2 x 3
+        wt1 = wt[:, :, :1, :, :2]
+        check(lambda: T.sum_(T.mul(T.conv_pool(x, w, None, (0, 1, 1), (1, 2, 3)), wt1)),
+              {"x": x, "w": w})
+
+    def test_mlp_grads(self):
+        x = Tensor(rnd((2, 3, 4), 164), requires_grad=True)
+        params = {name: Tensor(rnd(shape, 165 + i), requires_grad=True) for i, (name, shape) in
+                  enumerate([("w1", (4, 6)), ("b1", 6), ("w2", (6, 4)), ("b2", 4)])}
+        wt = rnd((2, 3, 4), 169)
+        check(lambda: T.sum_(T.mul(T.mlp(x, *params.values()), wt)), {"x": x, **params})
+
     def test_layer_norm_grads(self):
         x = Tensor(rnd((2, 3, 6), 64) * 3 + 1, requires_grad=True)
         gamma = Tensor(rnd((6,), 65), requires_grad=True)
@@ -710,6 +731,220 @@ class TestConvChunks:
         bound = 2 * padded_bytes + y.data.nbytes + 2 * chunk_bytes + (1 << 18)
         assert peak < bound, \
             f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
+
+
+class TestConvPool:
+    """``conv_pool`` against its loop oracle, and bit for bit against the
+    ``conv3d`` -> ``maxpool3d`` chain it fuses."""
+
+    def test_ties_and_nans_match_routed_loop_reference(self):
+        """Integer inputs and kernel, so many windows tie and every sum is
+        exact; a NaN input makes windows whose first NaN is not their first
+        element. Values and gradients equal the oracle's exactly."""
+        gen = np.random.default_rng(170)
+        xd = gen.integers(0, 2, size=(2, 2, 3, 6, 6)).astype(np.float64)
+        xd[0, 0, 1, 2, 2] = np.nan  # conv outputs 1-3 down and across read it
+        wd = gen.integers(0, 2, size=(3, 2, 3, 3, 3)).astype(np.float64)
+        bd = gen.integers(-1, 2, size=3).astype(np.float64)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        y = T.conv_pool(x, w, b, 1, (1, 2, 2))
+        g = gen.integers(-4, 5, size=y.shape) / 4
+        with np.errstate(invalid="ignore"):
+            T.sum_(T.mul(y, g)).backward()
+        want_w, want_b = np.zeros_like(wd), np.zeros_like(bd)
+        for i in range(2):
+            want_y, want_x, gw, gb = conv_pool_routed_reference(xd[i], wd, bd, (1, 1, 1),
+                                                                (1, 2, 2), g[i])
+            np.testing.assert_array_equal(y.data[i], want_y)
+            np.testing.assert_array_equal(x.grad[i], want_x)
+            want_w += gw
+            want_b += gb
+        np.testing.assert_array_equal(w.grad, want_w)
+        np.testing.assert_array_equal(b.grad, want_b)
+        assert np.isnan(y.data[0, :, 1, 0, 0]).all()  # a window whose first NaN is its last element
+        with T.no_grad():
+            conv = T.conv3d(Tensor(xd), Tensor(wd), Tensor(bd), padding=1).data
+        windows = conv.reshape(2, 3, 3, 3, 2, 3, 2).transpose(0, 1, 2, 3, 5, 4, 6)
+        windows = windows.reshape(*windows.shape[:5], 4)
+        assert ((windows == windows.max(axis=-1, keepdims=True)).sum(axis=-1) > 1).mean() > 0.05
+
+    @pytest.mark.parametrize("window", [(1, 2, 2), (1, 3, 3)])
+    @pytest.mark.parametrize("rows", ["one", "threads"])
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_bit_equals_conv3d_then_maxpool3d(self, monkeypatch, window, rows, taped):
+        """Batch 1 (fewer rows than threads: the backward splits column
+        rows) and one row more than threads (each thread takes whole rows),
+        5 frames of 8 x 8 in chunks of two, every op split, with ties,
+        signed zeros and a NaN; a (1, 3, 3) window leaves 2 rows and 2
+        columns unpooled.
+        The bias gradient is rebuilt three channels at a time."""
+        b = 1 if rows == "one" else T._runtime()[1] + 1
+        gen = np.random.default_rng(171)
+        xd = (gen.integers(-2, 3, size=(b, 3, 5, 8, 8)) / 4).astype(np.float32)
+        xd[0, 1, 2, 3, 4] = np.nan
+        wd = (gen.integers(-2, 3, size=(8, 3, 3, 3, 3)) / 4).astype(np.float32)
+        bd = (gen.integers(-2, 3, size=8) / 4).astype(np.float32)
+        pooled = (b, 8, 5, 8 // window[1], 8 // window[2])
+        g = gen.normal(size=pooled).astype(np.float32)
+        monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * b * 81 * 64 * 4)
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 0)
+
+        def fused(x, w, bias):
+            return T.conv_pool(x, w, bias, 1, window)
+
+        def chain(x, w, bias):
+            return T.maxpool3d(T.conv3d(x, w, bias, stride=1, padding=1), window)
+
+        with np.errstate(invalid="ignore"):
+            got = _step(fused, (xd, wd, bd), g, taped)
+            want = _step(chain, (xd, wd, bd), g, taped)
+        _assert_bits_equal(got, want)
+        assert np.isnan(got[0]).any()
+
+    def test_unbatched_input(self):
+        """A 4-D [C, T, H, W] input runs as a batch of one and comes back
+        4-D, with its gradient."""
+        xd = rnd((3, 4, 8, 8), 172, np.float32)
+        wd, bd = rnd((5, 3, 3, 3, 3), 173, np.float32), rnd(5, 174, np.float32)
+        g = rnd((5, 4, 4, 4), 175, np.float32)
+        got = _step(lambda x, w, b: T.conv_pool(x, w, b, 1, (1, 2, 2)), (xd, wd, bd), g)
+        want = _step(lambda x, w, b: T.conv_pool(x, w, b, 1, (1, 2, 2)),
+                     (xd[None], wd, bd), g[None])
+        assert got[0].shape == (5, 4, 4, 4) and got[1].shape == xd.shape
+        _assert_bits_equal([got[0][None], got[1][None]] + got[2:], want)
+
+    def test_shape_errors(self):
+        x, w = Tensor(rnd((1, 2, 4, 6, 6), 176)), Tensor(rnd((3, 2, 3, 3, 3), 177))
+        with pytest.raises(ShapeError, match="spans frames"):
+            T.conv_pool(x, w, None, 1, (2, 2, 2))
+        with pytest.raises(ShapeError, match="exceeds"):
+            T.conv_pool(x, w, None, 1, (1, 7, 2))
+        with pytest.raises(ShapeError, match="channel mismatch"):
+            T.conv_pool(Tensor(rnd((1, 3, 4, 6, 6), 178)), w, None, 1, (1, 2, 2))
+
+    def test_untaped_paper_block_never_holds_the_conv_output(self):
+        """cnn_lstm's block 0 on one 30 x 224 x 224 clip: the traced peak is
+        the pooled output, the padded input and each thread's column and
+        GEMM output for one piece, well under the 184 MiB conv output."""
+        x = Tensor(rnd((1, 3, 30, 224, 224), 179, np.float32))
+        w, b = Tensor(rnd((32, 3, 3, 3, 3), 180, np.float32)), Tensor(np.zeros(32, np.float32))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                y = T.conv_pool(x, w, b, 1, (1, 2, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        conv_bytes = 32 * 30 * 224 * 224 * 4
+        padded_bytes = 3 * 32 * 226 * 226 * 4
+        piece_bytes = (81 + 32) * 224 * 224 * 4  # one frame's column and GEMM output
+        bound = y.data.nbytes + padded_bytes + T._runtime()[1] * piece_bytes + (1 << 20)
+        assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
+        assert peak < conv_bytes / 1.5, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    def test_taped_conv_pool_keeps_the_padded_input_and_a_route(self):
+        """A taped c07 block-0 forward ([8, 3, 16, 32, 32] to 8 channels)
+        leaves allocated the pooled output, the padded input and one uint8
+        route entry per pooled element, not the 4 MiB conv output."""
+        x = Tensor(rnd((8, 3, 16, 32, 32), 181, np.float32), requires_grad=True)
+        w = Tensor(rnd((8, 3, 3, 3, 3), 182, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            y = T.conv_pool(x, w, None, 1, (1, 2, 2))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded_bytes = 8 * 3 * 18 * 34 * 34 * 4
+        assert y._grad_fn is not None
+        assert held < y.data.nbytes + padded_bytes + y.data.size + (1 << 16), \
+            f"held {held / 2 ** 20:.2f} MiB"
+
+
+class TestMlp:
+    """``mlp`` against its loop oracle, and bit for bit against the
+    ``linear`` -> ``gelu`` -> ``linear`` chain it fuses."""
+
+    def test_matches_loop_reference(self):
+        x, w1, b1 = rnd((2, 5, 4), 183), rnd((4, 7), 184), rnd(7, 185)
+        w2, b2 = rnd((7, 4), 186), rnd(4, 187)
+        got = T.mlp(*(Tensor(a) for a in (x, w1, b1, w2, b2))).data
+        np.testing.assert_allclose(got, mlp_loop_reference(x, w1, b1, w2, b2),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, dtype, one_unit_blocks", [
+        (1000, np.float32, False),  # not a multiple of 16: 2 units of 480 rows, the last 520
+        (1000, np.float32, True),   # ... one unit per block
+        (1, np.float32, False),     # a single row
+        (1445, np.float32, True),   # 3 units + 5 rows: the last block holds 485 rows
+        (1445, np.float64, True),   # float64: one block
+    ])
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_bit_equals_linear_gelu_linear(self, monkeypatch, rows, dtype, one_unit_blocks,
+                                           taped):
+        """40 -> 56 -> 40 features: a unit is 480 rows (2^20
+        multiply-adds), and every op is split across the pool. A block of
+        the 5 rows past the last whole unit would give both GEMMs other
+        bits there."""
+        x = _special_values((rows, 40), 188, dtype)
+        w1, b1 = rnd((40, 56), 189, dtype), rnd(56, 190, dtype)
+        w2, b2 = rnd((56, 40), 191, dtype), rnd(40, 192, dtype)
+        g = rnd((rows, 40), 193, dtype)
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 0)
+        if one_unit_blocks:
+            monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", 480 * 56 * np.dtype(dtype).itemsize)
+
+        def chain(a, v1, c1, v2, c2):
+            return T.linear(T.gelu(T.linear(a, v1, c1)), v2, c2)
+
+        with np.errstate(invalid="ignore"):
+            got = _step(T.mlp, (x, w1, b1, w2, b2), g, taped)
+            want = _step(chain, (x, w1, b1, w2, b2), g, taped)
+        _assert_bits_equal(got, want)
+
+    def test_shape_errors(self):
+        x, w1, b1 = Tensor(rnd((3, 4), 194)), Tensor(rnd((4, 6), 195)), Tensor(rnd(6, 196))
+        w2, b2 = Tensor(rnd((6, 4), 197)), Tensor(rnd(4, 198))
+        for args in [(Tensor(rnd((3, 5), 199)), w1, b1, w2, b2), (x, w1, b1, w1, b2),
+                     (x, w1, b2, w2, b2), (x, w1, b1, w2, b1), (x, b1, b1, w2, b2)]:
+            with pytest.raises(ShapeError, match="mlp"):
+                T.mlp(*args)
+
+    def test_untaped_swin_stage_one_allocates_no_hidden_array(self):
+        """Swin stage 1 at paper scale: 47040 tokens of 96 through 384
+        hidden. The traced peak is the output and each thread's block of
+        hidden rows, far below one [47040, 384] array (72 MB)."""
+        rows, dim, hidden = 15 * 56 * 56, 96, 384
+        args = [Tensor(rnd(s, 200 + i, np.float32)) for i, s in
+                enumerate([(1, rows, dim), (dim, hidden), hidden, (hidden, dim), dim])]
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                y = T.mlp(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unit = 32  # 16 rows do 16 * 96 * 384 < 2^20 multiply-adds
+        block = T.ATTN_CHUNK_BYTES // (unit * hidden * 4) * unit * hidden * 4
+        bound = y.data.nbytes + T._runtime()[1] * (block + T._BLOCK * 4) + (1 << 20)
+        assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
+        assert bound < rows * hidden * 4
+
+    def test_taped_mlp_holds_two_hidden_arrays(self):
+        """Taped, the op keeps fc1's output and Phi of it: two [4096, 128]
+        arrays besides its output, where the chain kept three."""
+        x = Tensor(rnd((4096, 32), 205, np.float32), requires_grad=True)
+        params = [Tensor(rnd(s, 206 + i, np.float32), requires_grad=True)
+                  for i, s in enumerate([(32, 128), 128, (128, 32), 32])]
+        tracemalloc.start()
+        try:
+            y = T.mlp(x, *params)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        hidden_bytes = 4096 * 128 * 4
+        assert y._grad_fn is not None
+        assert held < y.data.nbytes + 2 * hidden_bytes + (64 << 10), \
+            f"held {held / hidden_bytes:.2f} hidden arrays besides the output"
 
 
 def _bits(a):
