@@ -1044,6 +1044,11 @@ def _taps(kshape, stride, out_dims):
 # column (at most 42 MB) is one chunk
 CONV_CHUNK_BYTES = 64 << 20
 
+# column bytes above which a one-frame forward piece is cut into bands of
+# output rows: each thread's column scratch is then cache-sized, not up to
+# 43 MB (cnn_lstm block 1 at paper scale); no c07 frame reaches it
+CONV_PIECE_BYTES = 4 << 20
+
 
 def _im2col(xp: np.ndarray, kshape, stride, out_dims, col: np.ndarray) -> None:
     """Fill ``col`` [B, C, kt, kh, kw, T', H', W'] from padded x [B, C, T, H, W].
@@ -1061,10 +1066,11 @@ class _Conv:
     """One convolution's geometry and the machinery that ``conv3d`` and
     ``conv_pool`` share: the padded input, the chunks of whole output
     frames whose column fits ``CONV_CHUNK_BYTES``, the pieces the forward
-    GEMMs run in, per-thread column scratch and the chunk-by-chunk
+    GEMMs run in (bands of rows a multiple of ``pool_rows`` high, where
+    frames are cut), per-thread column scratch and the chunk-by-chunk
     backward. A 4-D [C, T, H, W] input runs as a batch of one."""
 
-    def __init__(self, op: str, x: Tensor, kernel: Tensor, stride, padding):
+    def __init__(self, op: str, x: Tensor, kernel: Tensor, stride, padding, pool_rows=1):
         self.stride, self.padding = _triple(stride), _triple(padding)
         self.batched = x.ndim == 5
         if x.ndim not in (4, 5):
@@ -1088,55 +1094,77 @@ class _Conv:
                                        CONV_CHUNK_BYTES))
         self.per = self.chunks[0][1]  # output frames per chunk
 
-        # one GEMM per piece of whole frames; a piece keeps its chunk GEMM's
-        # bits by starting on a multiple of _GEMM_ROWS output positions and
-        # doing at least _GEMM_MIN_MACS multiply-adds (the last takes the rest)
+        # one GEMM per piece (t0, t1, h0, h1), output rows [h0, h1) of frames
+        # [t0, t1): whole frames, or where one frame's column passes
+        # CONV_PIECE_BYTES, bands of a multiple of pool_rows rows. A piece
+        # keeps its chunk GEMM's bits by starting on a multiple of
+        # _GEMM_ROWS output positions and doing at least _GEMM_MIN_MACS
+        # multiply-adds (the last frame or band takes the rest)
         self.colbytes = b * rows * out_dims[0] * frame * xp.itemsize
         self.threads = _runtime()[1] if self.colbytes >= POOL_MIN_BYTES else 1  # as _split runs it
         cut = self.dtype == np.float32 and self.threads > 1
+        (h, w), macs = out_dims[1:], o * rows  # multiply-adds per output position
         align = _GEMM_ROWS // math.gcd(frame, _GEMM_ROWS)  # frames
-        unit = align * max(1, -(-_GEMM_MIN_MACS // (align * frame * o * rows)))
+        unit = align * max(1, -(-_GEMM_MIN_MACS // (align * frame * macs)))
+        ralign = math.lcm(pool_rows, _GEMM_ROWS // math.gcd(w, _GEMM_ROWS))  # rows
+        band = ralign * max(1, CONV_PIECE_BYTES // (ralign * b * rows * w * xp.itemsize),
+                            -(-_GEMM_MIN_MACS // (ralign * w * macs)))
         self.pieces = []
         for t0, t1 in self.chunks:
             k = max(1, (t1 - t0) // unit) if cut else 1
-            self.pieces += [(t0 + i * unit, t1 if i == k - 1 else t0 + (i + 1) * unit)
-                            for i in range(k)]
-        self.widest = max(t1 - t0 for t0, t1 in self.pieces)  # output frames
+            for s0, s1 in ((t0 + i * unit, t1 if i == k - 1 else t0 + (i + 1) * unit)
+                           for i in range(k)):
+                n = max(1, h // band) if cut and s1 - s0 == 1 else 1
+                self.pieces += [(s0, s1, i * band, h if i == n - 1 else (i + 1) * band)
+                                for i in range(n)]
+        self.widest = max((t1 - t0) * (h1 - h0) for t0, t1, h0, h1 in self.pieces) * w  # positions
 
     def window(self, a, t0, t1):  # the padded frames that output frames [t0, t1) read
         return a[:, :, self.stride[0] * t0:self.stride[0] * (t1 - 1) + self.kshape[0]]
 
-    def scratch(self, n, frames, dtype=None):  # room for a column of n batch rows
-        return np.empty(n * self.rows * frames * self.frame, dtype=dtype or self.xp.dtype)
+    def scratch(self, n, positions, dtype=None):  # room for a column of n batch rows
+        return np.empty(n * self.rows * positions, dtype=dtype or self.xp.dtype)
 
-    def columns(self, buf, n, frames):  # the head of buf as a column [n, rows, frames * frame]
-        return buf[:n * self.rows * frames * self.frame].reshape(n, self.rows, -1)
+    def columns(self, buf, n, positions):  # the head of buf as a column [n, rows, positions]
+        return buf[:n * self.rows * positions].reshape(n, self.rows, positions)
 
-    def im2col(self, col, a, t0, t1, lo=0):
-        """Fill frames [lo, lo + t1 - t0) of ``col`` [len(a), rows, P'] from
-        output frames [t0, t1) of padded batch rows ``a``; returns ``col``."""
-        col8 = col.reshape(len(a), self.c, *self.kshape, -1,
-                           *self.out_dims[1:])[..., lo:lo + t1 - t0, :, :]
-        _im2col(self.window(a, t0, t1), self.kshape, self.stride,
-                (t1 - t0, *self.out_dims[1:]), col8)
+    def positions(self, piece):  # the output positions [q0, q1) of a piece, frame by frame
+        t0, t1, h0, h1 = piece
+        w = self.out_dims[2]
+        return t0 * self.frame + h0 * w, (t1 - 1) * self.frame + h1 * w
+
+    def im2col(self, col, a, piece, t_base=None):
+        """Fill ``col`` [len(a), rows, P'] with ``piece``'s columns from
+        padded batch rows ``a``: ``col`` holds the piece alone, or with
+        ``t_base`` whole output frames from ``t_base`` on; returns ``col``."""
+        t0, t1, h0, h1 = piece
+        h, w = self.out_dims[1:]
+        if t_base is None:
+            col8 = col.reshape(len(a), self.c, *self.kshape, t1 - t0, h1 - h0, w)
+        else:
+            col8 = col.reshape(len(a), self.c, *self.kshape, -1, h,
+                               w)[..., t0 - t_base:t1 - t_base, h0:h1, :]
+        sh, kh = self.stride[1], self.kshape[1]
+        _im2col(self.window(a, t0, t1)[:, :, :, sh * h0:sh * (h1 - 1) + kh], self.kshape,
+                self.stride, (t1 - t0, h1 - h0, w), col8)
         return col
 
     def forward(self, bias: Tensor | None, target, done=None, extra=tuple) -> None:
-        """Every piece's GEMM plus bias into ``y = target(t0, t1, *more)``
-        [B, O, (t1 - t0) * frame], then ``done(t0, t1, y, *more)``. Pieces
-        are split across cores by ``_split``: each thread builds its
+        """Every piece's GEMM plus bias into ``y = target(piece, *more)``
+        [B, O, q1 - q0] (its ``positions``), then ``done(piece, y, *more)``.
+        Pieces are split across cores by ``_split``: each thread builds its
         pieces' columns in one reused buffer, and gets its own ``more =
         extra()``."""
         def run(p0, p1, scratch):
             buf, *more = scratch
-            for t0, t1 in self.pieces[p0:p1]:
-                y = target(t0, t1, *more)
-                col = self.im2col(self.columns(buf, self.b, t1 - t0), self.xp, t0, t1)
+            for piece in self.pieces[p0:p1]:
+                y = target(piece, *more)
+                col = self.im2col(self.columns(buf, self.b, y.shape[2]), self.xp, piece)
                 np.matmul(self.wmat, col, out=y)
                 if bias is not None:
                     y += bias.data[:, None]
                 if done is not None:
-                    done(t0, t1, y, *more)
+                    done(piece, y, *more)
 
         _split(len(self.pieces), self.colbytes, run,
                scratch=lambda: (self.scratch(self.b, self.widest), *extra()))
@@ -1159,33 +1187,37 @@ class _Conv:
         part = np.empty((b, o, rows), dtype=np.result_type(gdtype, xp))
         rowwise = b >= self.threads
         if not rowwise:  # one chunk's column and its gradient, every batch row
-            whole, gwhole = self.scratch(b, per), None if gxp is None else self.scratch(b, per, gdt)
+            whole = self.scratch(b, per * frame)
+            gwhole = None if gxp is None else self.scratch(b, per * frame, gdt)
         for t0, t1 in self.chunks:
             gc, sub = chunk_grad(t0, t1), (t1 - t0, *self.out_dims[1:])
+            frames = (t0, t1, 0, self.out_dims[1])
             if rowwise:
                 # each thread takes whole batch rows: it builds a row's column
                 # in its scratch, then runs both GEMMs and col2im on it while
                 # it is in cache; rows are disjoint, so bits are unchanged
                 def batch_rows(b0, b1, bufs):
                     for bi in range(b0, b1):
-                        cc = self.im2col(self.columns(bufs[0], 1, t1 - t0), xp[bi:bi + 1], t0, t1)
+                        cc = self.im2col(self.columns(bufs[0], 1, gc.shape[2]), xp[bi:bi + 1],
+                                         frames)
                         np.matmul(gc[bi], cc[0].T, out=part[bi])
                         if gxp is not None:
-                            gcol = self.columns(bufs[1], 1, t1 - t0)
+                            gcol = self.columns(bufs[1], 1, gc.shape[2])
                             np.matmul(wmat.T, gc[bi], out=gcol[0])
                             _col2im_add(self.window(gxp[bi:bi + 1], t0, t1), gcol, kshape,
                                         stride, sub)
 
                 _split(b, b * rows * gc.shape[2] * xp.itemsize, batch_rows, scratch=lambda: (
-                    self.scratch(1, per), None if gxp is None else self.scratch(1, per, gdt)))
+                    self.scratch(1, per * frame),
+                    None if gxp is None else self.scratch(1, per * frame, gdt)))
             else:
                 # fewer batch rows than threads: the forward's pieces build
                 # the chunk's column across cores, then the GEMMs split rows
                 mine = [p for p in self.pieces if t0 <= p[0] < t1]
-                cc = self.columns(whole, b, t1 - t0)
+                cc = self.columns(whole, b, gc.shape[2])
                 _split(len(mine), cc.nbytes, lambda p0, p1: [
-                    self.im2col(cc, xp, s0, s1, s0 - t0) for s0, s1 in mine[p0:p1]])
-                gcol = None if gxp is None else self.columns(gwhole, b, t1 - t0)
+                    self.im2col(cc, xp, p, t0) for p in mine[p0:p1]])
+                gcol = None if gxp is None else self.columns(gwhole, b, gc.shape[2])
 
                 def column_rows(r0, r1):  # both GEMMs sum over O or P, never over rows
                     np.matmul(gc, cc[:, r0:r1].transpose(0, 2, 1), out=part[:, :, r0:r1])
@@ -1217,9 +1249,11 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     whose column fits ``CONV_CHUNK_BYTES`` (at least one frame). Where the
     column splits, a float32 chunk is cut into pieces that start on a
     multiple of ``_GEMM_ROWS`` output positions and hold at least
-    ``_GEMM_MIN_MACS`` multiply-adds, where it holds two; pieces are split
-    across cores by ``_split`` and write into the output, each thread
-    building its pieces' columns in one reused buffer, taped or not.
+    ``_GEMM_MIN_MACS`` multiply-adds, where it holds two: whole frames, or
+    bands of output rows where one frame's column passes
+    ``CONV_PIECE_BYTES``. Pieces are split across cores by ``_split`` and
+    write into the output, each thread building its pieces' columns in one
+    reused buffer, taped or not.
 
     The tape keeps the padded input, not the column: the weight and input
     gradients run per chunk and build its column again (``_Conv.backward``).
@@ -1231,7 +1265,7 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     b, o, frame = conv.b, conv.o, conv.frame
     out = np.empty((b, o, *conv.out_dims), dtype=conv.dtype)
     out3 = out.reshape(b, o, -1)  # [B, O, P]
-    conv.forward(bias, lambda t0, t1: out3[:, :, t0 * frame:t1 * frame])
+    conv.forward(bias, lambda piece: out3[:, :, slice(*conv.positions(piece))])
 
     def grad_fn(g):
         g3 = g.reshape(b, o, -1)  # [B, O, P]
@@ -1314,7 +1348,8 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
     """``maxpool3d(conv3d(x, kernel, bias, 1, padding), window)`` as one op,
     for a window one frame long, so each output frame pools on its own.
 
-    Each forward piece's GEMM plus bias goes into per-thread scratch and is
+    Each forward piece's GEMM plus bias (whole frames, or bands of rows a
+    multiple of the window's height) goes into per-thread scratch and is
     pooled from there into the output, one ``np.maximum`` per window offset:
     no full-size conv output exists. Taped, the op keeps the padded input
     (as ``conv3d`` does) and a uint8 route, each pooled element's winning
@@ -1328,35 +1363,40 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
     window = _triple(window)
     if window[0] != 1:
         raise ShapeError(f"conv_pool pools within frames, but window {window} spans frames")
-    conv = _Conv("conv_pool", x, kernel, 1, padding)
+    conv = _Conv("conv_pool", x, kernel, 1, padding, pool_rows=window[1])
     b, o, frame, dims = conv.b, conv.o, conv.frame, conv.out_dims
     if any(p > n for p, n in zip(window, dims)):
         raise ShapeError(f"pool window {window} exceeds conv output {dims}")
     pdims = tuple(n // p for n, p in zip(dims, window))
-    # one strided view of a piece's conv output per window offset
-    views = [(..., slice(None), sh, sw) for _, (_, sh, sw) in _taps(window, window, pdims)]
     pooled = np.empty((b, o, *pdims), dtype=conv.dtype)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     route = np.empty(pooled.shape, np.uint8) if _taped(parents) else None
 
-    def gemm_out(t0, t1, ybuf, hit):
-        return ybuf[:b * o * (t1 - t0) * frame].reshape(b, o, -1)
+    def views(pshape):  # one strided view of conv output per window offset, pooled to pshape
+        return [(..., *sl) for _, sl in _taps(window, window, pshape)]
 
-    def pool(t0, t1, y, ybuf, hit):
-        y5, p = y.reshape(b, o, t1 - t0, *dims[1:]), pooled[:, :, t0:t1]
-        _window_max(y5, p, views)
+    def gemm_out(piece, ybuf, hit):
+        q0, q1 = conv.positions(piece)
+        return ybuf[:b * o * (q1 - q0)].reshape(b, o, -1)
+
+    def pool(piece, y, ybuf, hit):
+        t0, t1, h0, h1 = piece  # h0 is a multiple of the window's height
+        rows = slice(h0 // window[1], h0 // window[1] + (h1 - h0) // window[1])
+        y5, p = y.reshape(b, o, t1 - t0, h1 - h0, dims[2]), pooled[:, :, t0:t1, rows]
+        pv = views(p.shape[2:])
+        _window_max(y5, p, pv)
         if route is None:
             return
-        r, h = route[:, :, t0:t1], hit[:p.size].reshape(p.shape)
-        for k in reversed(range(len(views))):  # the first offset that hits writes last
-            np.copyto(r, k, where=np.equal(y5[views[k]], p, out=h))
+        r, h = route[:, :, t0:t1, rows], hit[:p.size].reshape(p.shape)
+        for k in reversed(range(len(pv))):  # the first offset that hits writes last
+            np.copyto(r, k, where=np.equal(y5[pv[k]], p, out=h))
         if np.isnan(p, out=h).any():  # a window holding a NaN routes to its first NaN
-            for k in reversed(range(len(views))):
-                np.copyto(r, k, where=np.isnan(y5[views[k]], out=h))
+            for k in reversed(range(len(pv))):
+                np.copyto(r, k, where=np.isnan(y5[pv[k]], out=h))
 
     conv.forward(bias, gemm_out, pool, extra=lambda: (
-        np.empty(b * o * conv.widest * frame, dtype=conv.dtype),
-        None if route is None else np.empty(b * o * conv.widest * pdims[1] * pdims[2], bool)))
+        np.empty(b * o * conv.widest, dtype=conv.dtype),
+        None if route is None else np.empty(b * o * conv.widest // (window[1] * window[2]), bool)))
 
     def grad_fn(g):
         gb = g if conv.batched else g[None]
@@ -1372,7 +1412,7 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
             d[..., hw[0]:, :] = 0  # the remainder no window reads
             d[..., hw[1]:] = 0
             gs, rs = gb[:, o0:o1, t0:t1], route[:, o0:o1, t0:t1]
-            for k, view in enumerate(views):
+            for k, view in enumerate(views(gs.shape[2:])):
                 np.multiply(gs, rs == k, out=d[view])
             return d.reshape(b, o1 - o0, -1)
 
