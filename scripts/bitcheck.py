@@ -12,6 +12,11 @@ For each model, three lines:
   three lines take about 20-25 s on a 2-core machine and peak at about
   3.7 GiB resident (swin3d_t's step).
 
+A first line, ``prep``, digests the clip stacks that
+``preprocess_video(video, cfg)`` returns for four seeded raw videos at a
+32-px side: one trimmed to the standard length, one padded to it, and
+two non-square ones (centre crops of a wide and of a tall frame).
+
 Each c07 digest is computed twice in the same process. The second pass
 runs on freed, non-zero memory that the allocator hands back, so an op
 that reads an ``np.empty`` buffer before writing it shows as a
@@ -32,6 +37,7 @@ import numpy as np
 
 import vidmood.tensor as T
 from vidmood.models import MODEL_NAMES, build_model, default_config
+from vidmood.pipeline import PipelineConfig, RawVideo, preprocess_video
 from vidmood.training import loss_fn, predict_probs
 
 # the c07 model configs (tests/test_acceptance.py _REDUCED)
@@ -43,6 +49,9 @@ REDUCED = {
     "cnn_lstm": dict(channels=(8, 16), proj_dim=32, hidden=32),
 }
 SEED = 7
+# preprocessing: config and raw (frames, height, width) of each video
+PREP_CFG = PipelineConfig(side=32, length=40, clip_len=10)
+PREP_VIDEOS = ((50, 48, 48), (27, 40, 40), (40, 36, 60), (33, 70, 44))
 
 
 def _with_grads(values: np.ndarray, model) -> str:
@@ -82,7 +91,19 @@ def paper_grad_digest(name: str) -> str:
     return _with_grads(loss.data, model)
 
 
+def prep_digest() -> str:
+    """Clip stacks of preprocessed seeded raw videos (trim, pad, crop)."""
+    rng = np.random.default_rng([SEED, 3])
+    h = hashlib.sha256()
+    for i, shape in enumerate(PREP_VIDEOS):
+        video = RawVideo(frames=rng.integers(0, 256, (*shape, 3), dtype=np.uint8),
+                         source_id=f"v{i}")
+        h.update(np.stack([c.frames for c in preprocess_video(video, PREP_CFG)]).tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
+    print(f"{'pipeline':10s} prep  {prep_digest()}", flush=True)
     for name in MODEL_NAMES:
         digest = c07_digest(name)
         print(f"{name:10s} c07   {digest}", flush=True)

@@ -20,7 +20,7 @@ from .atomic import atomic_write
 from .experiment import ExperimentSpec, run_experiment
 from .manifest import ManifestError, VideoRecord, load_manifest, save_manifest
 from .models import MODEL_NAMES, default_config
-from .pipeline import PipelineConfig, RawVideo, preprocess_video
+from .pipeline import PipelineConfig, RawVideo, clip_stack_shape, preprocess_video
 from .synth import SynthSpec, generate_corpus
 from .tensor import NumericError
 from .training import TrainConfig, default_train_config
@@ -118,19 +118,26 @@ def cmd_preprocess(args, config: dict) -> int:
     out = Path(args.out or config.get("output", "preprocessed"))
     (out / "clips").mkdir(parents=True, exist_ok=True)
 
+    # one clip stack for the whole run: each video's clips are normalized
+    # into it and written from it, and nothing of a video outlives its turn
+    stack = np.empty(clip_stack_shape(pipe_cfg), dtype=np.float32)
     new_records = []
     for rec in records:
-        frames = read_vten(src_root / rec.video)
-        video = RawVideo(frames=frames, source_id=rec.video)
-        clips = preprocess_video(video, pipe_cfg)
-        stack = np.stack([c.frames for c in clips])
         clip_rel = f"clips/{Path(rec.video).stem}_clips.vten"
-        write_vten(out / clip_rel, stack)
+        _preprocess_one(src_root / rec.video, rec.video, pipe_cfg, stack, out / clip_rel)
         new_records.append(dataclasses.replace(rec, video=clip_rel))
     save_manifest(out / "manifest.json", new_records)
     print(f"preprocessed {len(records)} videos -> {out} "
           f"({pipe_cfg.length // pipe_cfg.clip_len} clips each)")
     return EXIT_OK
+
+
+def _preprocess_one(src: Path, source_id: str, cfg: PipelineConfig, stack: np.ndarray,
+                    dst: Path) -> None:
+    """Read one raw video, preprocess it into ``stack`` and write the stack."""
+    video = RawVideo(frames=read_vten(src), source_id=source_id)
+    preprocess_video(video, cfg, out=stack)
+    write_vten(dst, stack)
 
 
 # -- loso ------------------------------------------------------------------------

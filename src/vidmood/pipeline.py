@@ -23,6 +23,7 @@ __all__ = [
     "standardize_length",
     "segment_clips",
     "normalize_pixels",
+    "clip_stack_shape",
     "equalize_histogram",
     "equalize_frames",
     "preprocess_video",
@@ -46,7 +47,11 @@ class RawVideo:
 
 @dataclass
 class Clip:
-    """Model input unit: float32 frames [F, S, S, 3] with values in [0, 1]."""
+    """Model input unit: float32 frames [F, S, S, 3] with values in [0, 1].
+
+    ``preprocess_video``'s clips are rows of one clip stack, the caller's
+    ``out`` when given, so a later write into that stack changes them.
+    """
 
     frames: np.ndarray
     parent_id: str
@@ -164,8 +169,16 @@ def segment_clips(frames: np.ndarray, clip_len: int) -> list[np.ndarray]:
     return [frames[i:i + clip_len] for i in range(0, t, clip_len)]
 
 
-def normalize_pixels(frames: np.ndarray) -> np.ndarray:
-    return frames.astype(np.float32) / np.float32(255.0)
+def normalize_pixels(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """float32 frames / 255. The cast and the division run in ``out``, a
+    float32 array of ``frames``' shape (allocated when not given), which is
+    returned.
+    """
+    if out is None:
+        out = np.empty(frames.shape, dtype=np.float32)
+    _check_out(out, frames.shape)
+    out[...] = frames
+    return np.divide(out, np.float32(255.0), out=out)
 
 
 def equalize_histogram(channel: np.ndarray) -> np.ndarray:
@@ -210,13 +223,36 @@ class PipelineConfig:
             raise ValueError(f"length {self.length} not divisible by clip_len {self.clip_len}")
 
 
-def preprocess_video(video: RawVideo, cfg: PipelineConfig) -> list[Clip]:
-    """center crop/resize -> standardize length -> equalize -> segment -> normalize."""
-    frames = localize_and_resize(video, CenterSquareLocalizer(), cfg.side)
+def _check_out(out: np.ndarray, shape: tuple) -> None:
+    if out.shape != shape or out.dtype != np.float32:
+        raise ValueError(f"out must be float32 {shape}, got {out.dtype} {out.shape}")
+
+
+def clip_stack_shape(cfg: PipelineConfig) -> tuple[int, int, int, int, int]:
+    """Shape of one video's clips stacked: [length / clip_len, clip_len, side, side, 3]."""
+    return (cfg.length // cfg.clip_len, cfg.clip_len, cfg.side, cfg.side, 3)
+
+
+def preprocess_video(video: RawVideo, cfg: PipelineConfig,
+                     out: np.ndarray | None = None) -> list[Clip]:
+    """center crop/resize -> standardize length -> equalize -> segment -> normalize.
+
+    Only the first ``cfg.length`` frames are resized; each frame resizes
+    on its own, so trimming first changes no byte. Each clip is normalized
+    into its row of ``out``, a float32 array of ``clip_stack_shape(cfg)``
+    (allocated when not given), so the returned clips' frames are views of
+    it and one caller-owned stack can serve video after video.
+    """
+    shape = clip_stack_shape(cfg)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    _check_out(out, shape)
+    trimmed = RawVideo(frames=video.frames[:cfg.length], source_id=video.source_id)
+    frames = localize_and_resize(trimmed, CenterSquareLocalizer(), cfg.side)
     frames = standardize_length(frames, cfg.length)
     frames = equalize_frames(frames)
     blocks = segment_clips(frames, cfg.clip_len)
     return [
-        Clip(frames=normalize_pixels(b), parent_id=video.source_id, clip_index=i)
-        for i, b in enumerate(blocks)
+        Clip(frames=normalize_pixels(b, out=row), parent_id=video.source_id, clip_index=i)
+        for i, (b, row) in enumerate(zip(blocks, out))
     ]

@@ -280,6 +280,21 @@ def bilinear_resize_reference(frames, side):
     return out
 
 
+def preprocess_stack_reference(video, cfg):
+    """The preprocessing chain as it stood before clips were written into a
+    caller's stack: every raw frame resized, then the length standardized,
+    equalized, segmented, each segment normalized to its own float32 array,
+    and the segments stacked. Returns [length / clip_len, clip_len, side,
+    side, 3]."""
+    from vidmood import pipeline as P
+
+    frames = P.localize_and_resize(video, P.CenterSquareLocalizer(), cfg.side)
+    frames = P.standardize_length(frames, cfg.length)
+    frames = P.equalize_frames(frames)
+    blocks = P.segment_clips(frames, cfg.clip_len)
+    return np.stack([b.astype(np.float32) / np.float32(255.0) for b in blocks])
+
+
 def trunc_normal_reference(rng, shape, std=0.02):
     """Normal(0, std) drawn as one float64 array, out-of-range entries
     redrawn together in flat order until all lie in [-2 std, 2 std]."""

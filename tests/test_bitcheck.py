@@ -1,8 +1,8 @@
-"""``scripts/bitcheck.py``'s reused-memory check: each model's c07 digest
-computed twice in one process is the same. The second pass runs on freed,
-non-zero memory, so an op that reads an ``np.empty`` buffer before writing
-it fails here. The digests themselves are not pinned: they depend on the
-BLAS kernels of the machine."""
+"""``scripts/bitcheck.py``'s reused-memory check: each model's c07 digest,
+and the preprocessing digest, computed twice in one process is the same.
+The second pass runs on freed, non-zero memory, so an op that reads an
+``np.empty`` buffer before writing it fails here. The digests themselves
+are not pinned: they depend on the BLAS kernels of the machine."""
 
 import importlib.util
 from pathlib import Path
@@ -25,3 +25,8 @@ def _bitcheck():
 def test_c07_digest_is_the_same_on_reused_memory(name):
     c07_digest = _bitcheck().c07_digest
     assert c07_digest(name) == c07_digest(name)
+
+
+def test_prep_digest_is_the_same_on_reused_memory():
+    prep_digest = _bitcheck().prep_digest
+    assert prep_digest() == prep_digest()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,12 @@ import pytest
 from vidmood import cli
 from vidmood.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _model_overrides,
                          load_run_config, main)
+from vidmood.manifest import VideoRecord, save_manifest
 from vidmood.models import default_config
-from vidmood.vten import read_vten
+from vidmood.pipeline import PipelineConfig, RawVideo
+from vidmood.vten import read_vten, write_vten
+
+from reference import preprocess_stack_reference
 
 
 def _write_config(tmp_path, **extra):
@@ -116,6 +121,59 @@ def test_preprocess_corrupt_video_exit_io_naming_file(tmp_path, capsys):
                  "--out", str(tmp_path / "p")])
     assert code == EXIT_IO
     assert victim in capsys.readouterr().err
+
+
+def _raw_corpus(tmp_path, name, shapes, seed=0):
+    """Raw uint8 videos of the given (frames, height, width) and their manifest."""
+    root = tmp_path / name
+    (root / "videos").mkdir(parents=True)
+    rng = np.random.default_rng(seed)
+    records = []
+    for i, (t, h, w) in enumerate(shapes):
+        rel = f"videos/v{i}.vten"
+        write_vten(root / rel, rng.integers(0, 256, (t, h, w, 3), dtype=np.uint8))
+        records.append(VideoRecord(subject_id=f"s{i}", video=rel, task=1, state="ON",
+                                   gds=3, site="test"))
+    save_manifest(root / "manifest.json", records)
+    return root
+
+
+def test_preprocess_writes_the_stacked_chain_of_each_video(tmp_path):
+    cfg = _write_config(tmp_path)   # side 16, length 16, clip_len 8
+    corpus = _raw_corpus(tmp_path, "raw", [(20, 18, 24), (9, 16, 16), (16, 30, 17)])
+    prep = _preprocess(tmp_path, cfg, corpus)
+    pipe_cfg = PipelineConfig(side=16, length=16, clip_len=8)
+    for row in json.loads((prep / "manifest.json").read_text()):
+        raw = read_vten(corpus / "videos" / Path(row["video"]).name.replace("_clips", ""))
+        want = preprocess_stack_reference(RawVideo(frames=raw, source_id="v"), pipe_cfg)
+        got = read_vten(prep / row["video"])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_preprocess_peak_memory_is_one_video_whatever_the_count(tmp_path):
+    """The run's traced peak is bounded by one video and one clip stack: a
+    3-video manifest peaks within one clip of a 1-video one."""
+    cfg = _write_config(tmp_path, data={"side": 32, "length": 40, "clip_len": 10})
+    shape = (48, 40, 36)
+    one = _raw_corpus(tmp_path, "one", [shape], seed=1)
+    three = _raw_corpus(tmp_path, "three", [shape] * 3, seed=2)
+    clip_bytes = 10 * 32 * 32 * 3 * 4
+
+    def peak(corpus, out):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _preprocess(tmp_path, cfg, corpus, out=out)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(one, "warm")
+        p1, p3 = peak(one, "p1"), peak(three, "p3")
+    finally:
+        tracemalloc.stop()
+    assert p1 > 4 * clip_bytes, "the run should hold at least its clip stack"
+    assert p3 - p1 <= clip_bytes, (
+        f"3 videos peak {p3 - p1} B above 1 video; one clip is {clip_bytes} B")
 
 
 # -- loso -------------------------------------------------------------------------

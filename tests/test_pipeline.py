@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vidmood import pipeline as P
 
-from reference import bilinear_resize_reference
+from reference import bilinear_resize_reference, preprocess_stack_reference
 
 
 def u8video(t, h, w, seed=0):
@@ -149,6 +149,24 @@ class TestSegmentNormalize:
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, [0.0, 128 / 255, 1.0], rtol=1e-7)
 
+    def test_normalize_into_out_is_bit_identical(self):
+        frames = u8video(3, 5, 7, seed=14).frames
+        buf = np.full(frames.shape, np.nan, dtype=np.float32)
+        got = P.normalize_pixels(frames, out=buf)
+        assert got is buf
+        old = frames.astype(np.float32) / np.float32(255.0)
+        np.testing.assert_array_equal(got.view(np.uint32), old.view(np.uint32))
+        np.testing.assert_array_equal(P.normalize_pixels(frames).view(np.uint32),
+                                      old.view(np.uint32))
+
+    @pytest.mark.parametrize("shape, dtype", [((3, 5, 7, 3), np.float64),
+                                              ((3, 5, 7, 1), np.float32),
+                                              ((2, 5, 7, 3), np.float32)])
+    def test_normalize_rejects_wrong_out(self, shape, dtype):
+        frames = u8video(3, 5, 7, seed=15).frames
+        with pytest.raises(ValueError, match=r"\(3, 5, 7, 3\)"):
+            P.normalize_pixels(frames, out=np.zeros(shape, dtype=dtype))
+
 
 class TestEqualize:
     def test_constant_frame_maps_to_zero(self):
@@ -205,6 +223,40 @@ class TestFullChain:
         b = P.preprocess_video(v, cfg)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.frames, cb.frames)
+
+    @pytest.mark.parametrize("t, h, w", [(17, 20, 20),    # trimmed to 12 frames
+                                         (7, 20, 20),     # padded from frame 0
+                                         (12, 20, 20),    # exactly the length
+                                         (15, 13, 22),    # centre crop of a wide frame
+                                         (9, 26, 11)])    # and of a tall one, padded
+    def test_matches_the_stacked_chain_bit_for_bit(self, t, h, w):
+        v = u8video(t, h, w, seed=t * 100 + h)
+        cfg = P.PipelineConfig(side=8, length=12, clip_len=4)
+        want = preprocess_stack_reference(v, cfg).view(np.uint32)
+        got = np.stack([c.frames for c in P.preprocess_video(v, cfg)])
+        np.testing.assert_array_equal(got.view(np.uint32), want)
+        stack = np.full(P.clip_stack_shape(cfg), np.nan, dtype=np.float32)
+        clips = P.preprocess_video(v, cfg, out=stack)
+        np.testing.assert_array_equal(stack.view(np.uint32), want)
+        for i, c in enumerate(clips):
+            assert np.shares_memory(c.frames, stack[i]) and c.clip_index == i
+
+    def test_reused_stack_holds_only_the_latest_video(self):
+        cfg = P.PipelineConfig(side=8, length=12, clip_len=4)
+        stack = np.empty(P.clip_stack_shape(cfg), dtype=np.float32)
+        P.preprocess_video(u8video(14, 16, 16, seed=30), cfg, out=stack)
+        v = u8video(10, 18, 18, seed=31)
+        P.preprocess_video(v, cfg, out=stack)
+        np.testing.assert_array_equal(stack, preprocess_stack_reference(v, cfg))
+
+    @pytest.mark.parametrize("shape, dtype", [((3, 4, 8, 8, 3), np.float64),
+                                              ((3, 4, 8, 8, 3), np.uint8),
+                                              ((2, 4, 8, 8, 3), np.float32),
+                                              ((12, 8, 8, 3), np.float32)])
+    def test_rejects_out_of_the_wrong_shape_or_dtype(self, shape, dtype):
+        cfg = P.PipelineConfig(side=8, length=12, clip_len=4)
+        with pytest.raises(ValueError, match=r"float32 \(3, 4, 8, 8, 3\)"):
+            P.preprocess_video(u8video(12, 8, 8), cfg, out=np.zeros(shape, dtype=dtype))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="divisible"):
