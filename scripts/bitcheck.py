@@ -17,6 +17,12 @@ A first line, ``prep``, digests the clip stacks that
 32-px side: one trimmed to the standard length, one padded to it, and
 two non-square ones (centre crops of a wide and of a tall frame).
 
+A second line, ``prims``, digests the outputs and the input, kernel and
+bias gradients of ``gelu``, ``maxpool3d``, ``conv3d`` (stride (1, 2, 2),
+padding 1) and ``conv_pool`` in float32 and float64, at batch 1 and 2, on
+inputs of more than ``tensor.POOL_MIN_BYTES`` holding ties, signed zeros,
+infinities and NaNs.
+
 Each c07 digest is computed twice in the same process. The second pass
 runs on freed, non-zero memory that the allocator hands back, so an op
 that reads an ``np.empty`` buffer before writing it shows as a
@@ -29,6 +35,9 @@ against each checkout's sources and diff the outputs:
     PYTHONPATH=<parent>/src python scripts/bitcheck.py > parent.txt
     PYTHONPATH=src python scripts/bitcheck.py > change.txt
     diff parent.txt change.txt
+
+The ``prims`` line calls only the ops' public signatures, so it runs
+against any checkout that has them.
 """
 
 import hashlib
@@ -52,6 +61,8 @@ SEED = 7
 # preprocessing: config and raw (frames, height, width) of each video
 PREP_CFG = PipelineConfig(side=32, length=40, clip_len=10)
 PREP_VIDEOS = ((50, 48, 48), (27, 40, 40), (40, 36, 60), (33, 70, 44))
+# primitives: frames per [2, T, 256, 256] sample, so one sample passes 8 MiB
+PRIM_FRAMES = {np.float32: 17, np.float64: 9}
 
 
 def _with_grads(values: np.ndarray, model) -> str:
@@ -102,8 +113,48 @@ def prep_digest() -> str:
     return h.hexdigest()
 
 
+def _prim_input(rng, shape, dtype) -> np.ndarray:
+    """Quarter steps in [-1, 1] (ties, exact sums, +-0); channel 0 also
+    holds infinities and NaNs, so channel 1's kernel gradients stay finite."""
+    x = (rng.integers(-4, 5, size=shape) / 4).astype(dtype)
+    x[:, 1].flat[::7] = -0.0
+    x[:, 0].flat[3::1009] = np.inf
+    x[:, 0].flat[5::1013] = -np.inf
+    x[:, 0].flat[::997] = np.nan
+    return x
+
+
+def prims_digest() -> str:
+    """Outputs and gradients of gelu, maxpool3d, conv3d and conv_pool."""
+    ops = {
+        "gelu": lambda x, w, b: T.gelu(x),
+        "maxpool3d": lambda x, w, b: T.maxpool3d(x, (2, 2, 2)),
+        "conv3d": lambda x, w, b: T.conv3d(x, w, b, stride=(1, 2, 2), padding=1),
+        "conv_pool": lambda x, w, b: T.conv_pool(x, w, b, 1, (1, 2, 2)),
+    }
+    h = hashlib.sha256()
+    for dtype, frames in PRIM_FRAMES.items():
+        for batch in (1, 2):
+            for name, op in ops.items():
+                rng = np.random.default_rng([SEED, 4, batch, frames])
+                x = T.tensor(_prim_input(rng, (batch, 2, frames, 256, 256), dtype),
+                             requires_grad=True)
+                w = T.tensor((rng.integers(-2, 3, size=(3, 2, 3, 3, 3)) / 4).astype(dtype),
+                             requires_grad=True)
+                b = T.tensor((rng.integers(-2, 3, size=3) / 4).astype(dtype), requires_grad=True)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    y = op(x, w, b)
+                    g = rng.standard_normal(y.shape).astype(dtype)
+                    T.sum_(T.mul(y, g)).backward()
+                h.update(name.encode())
+                for a in (y.data, x.grad, w.grad, b.grad):
+                    h.update(b"-" if a is None else a.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     print(f"{'pipeline':10s} prep  {prep_digest()}", flush=True)
+    print(f"{'tensor':10s} prims {prims_digest()}", flush=True)
     for name in MODEL_NAMES:
         digest = c07_digest(name)
         print(f"{name:10s} c07   {digest}", flush=True)

@@ -120,20 +120,20 @@ def _video_name(subject_id: str, task: int, state: str) -> str:
     return f"videos/{subject_id}_t{task}_{state}.vten"
 
 
+def _subject_records(spec: SynthSpec, subject: int, cls: int) -> list[VideoRecord]:
+    """One subject's manifest records, task by task, each in its states."""
+    sid = _subject_id(subject)
+    gds = _subject_gds(spec, subject, cls)
+    return [VideoRecord(subject_id=sid, video=_video_name(sid, task, state), task=task,
+                        state=state, gds=gds, site=_SITE).validate()
+            for task in spec.tasks for state in _subject_states(spec, subject)]
+
+
 def build_records(spec: SynthSpec) -> list[VideoRecord]:
     """Manifest records only (no rendering) — cheap corpus-shape queries."""
     classes = subject_classes(spec)
-    records = []
-    for i in range(spec.n_subjects):
-        sid = _subject_id(i)
-        gds = _subject_gds(spec, i, int(classes[i]))
-        for task in spec.tasks:
-            for state in _subject_states(spec, i):
-                records.append(VideoRecord(
-                    subject_id=sid, video=_video_name(sid, task, state),
-                    task=task, state=state, gds=gds, site=_SITE,
-                ).validate())
-    return records
+    return [rec for i in range(spec.n_subjects)
+            for rec in _subject_records(spec, i, int(classes[i]))]
 
 
 def _task_frequency(task: int) -> float:
@@ -207,16 +207,8 @@ def generate_video(spec: SynthSpec, subject: int, cls: int, task: int, state: st
 
 def generate_subject(spec: SynthSpec, subject: int) -> list[SynthRecord]:
     cls = int(subject_classes(spec)[subject])
-    sid = _subject_id(subject)
-    gds = _subject_gds(spec, subject, cls)
-    out = []
-    for task in spec.tasks:
-        for state in _subject_states(spec, subject):
-            video = generate_video(spec, subject, cls, task, state)
-            rec = VideoRecord(subject_id=sid, video=_video_name(sid, task, state),
-                              task=task, state=state, gds=gds, site=_SITE).validate()
-            out.append(SynthRecord(record=rec, video=video))
-    return out
+    return [SynthRecord(record=rec, video=generate_video(spec, subject, cls, rec.task, rec.state))
+            for rec in _subject_records(spec, subject, cls)]
 
 
 def generate_corpus(spec: SynthSpec, out_dir) -> Path:

@@ -23,10 +23,12 @@ pins numpy's and scipy's OpenBLAS to one thread, so BLAS never runs a
 thread pool beside it (where no OpenBLAS setter is found, it stays one
 thread wide and BLAS keeps its own threads). Work of ``POOL_MIN_BYTES``
 and more is split into ranges on that pool: the forward passes of
-``linear``, ``layer_norm``, ``attention``, ``conv3d``, ``conv_pool``,
-``mlp``, ``gelu`` and ``maxpool3d``, and the backward of ``conv3d`` and
-``conv_pool``. Each output element is computed as in one whole call, so
-results are the same bit for bit.
+``linear``, ``layer_norm``, ``attention``, ``conv3d``, ``conv_pool`` and
+``mlp``, and the backward of ``conv3d`` and ``conv_pool``. Each output
+element is computed as in one whole call, so results are the same bit for
+bit. One budget, ``CACHE_BYTES``, bounds what one thread works on at a
+time: an attention chunk's logits, an ``mlp`` block's hidden rows and a
+conv band's column.
 
 When that runtime starts (``_runtime``, at the first split or GEMM, not
 at import), it also has glibc serve large arrays from its heap and keep
@@ -289,9 +291,9 @@ def div(a, b) -> Tensor:
 # -- splitting work across cores ---------------------------------------------
 
 # work under this many bytes (as each op counts them: its input, output or
-# im2col column) runs on the calling thread. At c07 only cnn_lstm's conv3d
-# columns (28 and 42 MB) reach it; at paper scale every swin3d_t gelu input
-# (8.6 MiB and up) does
+# im2col column) runs on the calling thread. At c07 only cnn_lstm's conv
+# columns (28 and 42 MB) reach it; at paper scale every swin3d_t mlp hidden
+# layer (8.6 MiB and up) does
 POOL_MIN_BYTES = 8 << 20
 
 # A float32 GEMM split into row ranges gives each output element the bits
@@ -387,6 +389,13 @@ def _runtime() -> tuple[ThreadPoolExecutor | None, int]:
     return _pool, _threads
 
 
+def _width(nbytes: int) -> int:
+    """The threads that ``_split`` runs work of ``nbytes`` on, when it has
+    two ranges or more: all of the runtime's from ``POOL_MIN_BYTES`` on,
+    else the calling thread alone."""
+    return _runtime()[1] if nbytes >= POOL_MIN_BYTES else 1
+
+
 def _split(n: int, nbytes: int, fn, scratch=None) -> None:
     """Run ``fn(r0, r1)`` over contiguous ranges covering [0, n) on the
     calling thread and the process's one pool of threads, one thread per
@@ -406,9 +415,8 @@ def _split(n: int, nbytes: int, fn, scratch=None) -> None:
     worker waits on the pool. Returns once every range has finished; an
     exception raised in any range reaches the caller.
     """
-    pool, threads = _runtime()
-    if nbytes < POOL_MIN_BYTES or n < 2:
-        threads = 1
+    pool = _runtime()[0]
+    threads = _width(nbytes) if n > 1 else 1
     args = [(scratch(),) if scratch else () for _ in range(threads)]
     if threads == 1:
         fn(0, n, *args[0])
@@ -536,21 +544,16 @@ def _gelu_grad(d: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2))). Cache-sized
-    blocks run the float ops of that expression in place, in its order,
-    split across cores by ``_split``; the taped call also keeps Phi(x)
-    for backward."""
+    blocks run the float ops of that expression in place, in its order;
+    the taped call also keeps Phi(x) for backward."""
     d = x.data
     flat = np.ascontiguousarray(d).reshape(-1)
     out = np.empty(d.shape, dtype=d.dtype)
     cdf = np.empty_like(out) if _taped((x,)) else None
     of, cf = out.reshape(-1), (out if cdf is None else cdf).reshape(-1)
-
-    def blocks(r0, r1):
-        for b0 in range(r0, r1, _BLOCK):
-            b1 = min(r1, b0 + _BLOCK)
-            _gelu_block(flat[b0:b1], cf[b0:b1], of[b0:b1])
-
-    _split(flat.size, flat.nbytes, blocks)
+    for b0 in range(0, flat.size, _BLOCK):
+        b1 = min(flat.size, b0 + _BLOCK)
+        _gelu_block(flat[b0:b1], cf[b0:b1], of[b0:b1])
     return _unary(x, out, lambda: _gelu_grad(d, cdf))
 
 
@@ -692,7 +695,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     Each block of rows runs fc1's GEMM plus bias, ``gelu``'s float ops in
     cache-sized pieces and fc2's GEMM plus bias while its [rows, hidden]
     activation is in cache. A block is whole ``_gemm_units`` of rows under
-    ``ATTN_CHUNK_BYTES`` of hidden activation (at least one unit), so both
+    ``CACHE_BYTES`` of hidden activation (at least one unit), so both
     GEMMs give the whole GEMMs' bits; float64 runs as one block. Blocks are
     split across cores by ``_split``, each thread reusing its own
     [rows, hidden] scratch: untaped, no [N, hidden] array exists.
@@ -819,15 +822,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return _make(y, (x, gamma, beta), grad_fn)
 
 
-# logits per attention chunk: small enough that the in-place softmax passes
-# over a chunk stay in cache
-ATTN_CHUNK_BYTES = 4 << 20
+# one thread's working set that stays in cache: an attention chunk's logits
+# (the in-place softmax passes over them), an mlp block's hidden rows and a
+# conv band's column
+CACHE_BYTES = 4 << 20
 
 
 def _row_chunks(rows: int, row_bytes: int, budget: int | None = None):
     """[r0, r1) ranges of whole rows, each under ``budget`` bytes (default
-    ATTN_CHUNK_BYTES) when one row fits."""
-    step = max(1, (ATTN_CHUNK_BYTES if budget is None else budget) // row_bytes)
+    CACHE_BYTES) when one row fits."""
+    step = max(1, (CACHE_BYTES if budget is None else budget) // row_bytes)
     for r0 in range(0, rows, step):
         yield r0, min(rows, r0 + step)
 
@@ -859,7 +863,7 @@ def attention(qkv: Tensor, heads: int, mask: Sequence[np.ndarray | None] | None 
     multiple of M. Excluded pairs get exactly zero weight, and a row with
     every key excluded gives zeros. ``bias`` broadcasts to [heads, N, N].
 
-    Rows run in chunks whose logits fit ``ATTN_CHUNK_BYTES``, the softmax
+    Rows run in chunks whose logits fit ``CACHE_BYTES``, the softmax
     in place; the tape keeps only the probabilities. The forward's batch
     rows are split across cores by ``_split``.
     """
@@ -1044,11 +1048,6 @@ def _taps(kshape, stride, out_dims):
 # column (at most 42 MB) is one chunk
 CONV_CHUNK_BYTES = 64 << 20
 
-# column bytes above which a one-frame forward piece is cut into bands of
-# output rows: each thread's column scratch is then cache-sized, not up to
-# 43 MB (cnn_lstm block 1 at paper scale); no c07 frame reaches it
-CONV_PIECE_BYTES = 4 << 20
-
 
 def _im2col(xp: np.ndarray, kshape, stride, out_dims, col: np.ndarray) -> None:
     """Fill ``col`` [B, C, kt, kh, kw, T', H', W'] from padded x [B, C, T, H, W].
@@ -1067,8 +1066,8 @@ class _Conv:
     ``conv_pool`` share: the padded input, the chunks of whole output
     frames whose column fits ``CONV_CHUNK_BYTES``, the pieces the forward
     GEMMs run in (bands of rows a multiple of ``pool_rows`` high, where
-    frames are cut), per-thread column scratch and the chunk-by-chunk
-    backward. A 4-D [C, T, H, W] input runs as a batch of one."""
+    frames are cut), set by the shapes and dtype alone, per-thread column
+    and GEMM-output scratch and the chunk-by-chunk backward. A 4-D [C, T, H, W] input runs as a batch of one."""
 
     def __init__(self, op: str, x: Tensor, kernel: Tensor, stride, padding, pool_rows=1):
         self.stride, self.padding = _triple(stride), _triple(padding)
@@ -1096,18 +1095,18 @@ class _Conv:
 
         # one GEMM per piece (t0, t1, h0, h1), output rows [h0, h1) of frames
         # [t0, t1): whole frames, or where one frame's column passes
-        # CONV_PIECE_BYTES, bands of a multiple of pool_rows rows. A piece
-        # keeps its chunk GEMM's bits by starting on a multiple of
-        # _GEMM_ROWS output positions and doing at least _GEMM_MIN_MACS
-        # multiply-adds (the last frame or band takes the rest)
+        # CACHE_BYTES (no c07 frame does), bands of a multiple of pool_rows
+        # rows. In float32 a piece keeps its chunk GEMM's bits by starting
+        # on a multiple of _GEMM_ROWS output positions and doing at least
+        # _GEMM_MIN_MACS multiply-adds (the last frame or band takes the
+        # rest); other dtypes run one piece per chunk
         self.colbytes = b * rows * out_dims[0] * frame * xp.itemsize
-        self.threads = _runtime()[1] if self.colbytes >= POOL_MIN_BYTES else 1  # as _split runs it
-        cut = self.dtype == np.float32 and self.threads > 1
+        cut = self.dtype == np.float32
         (h, w), macs = out_dims[1:], o * rows  # multiply-adds per output position
         align = _GEMM_ROWS // math.gcd(frame, _GEMM_ROWS)  # frames
         unit = align * max(1, -(-_GEMM_MIN_MACS // (align * frame * macs)))
         ralign = math.lcm(pool_rows, _GEMM_ROWS // math.gcd(w, _GEMM_ROWS))  # rows
-        band = ralign * max(1, CONV_PIECE_BYTES // (ralign * b * rows * w * xp.itemsize),
+        band = ralign * max(1, CACHE_BYTES // (ralign * b * rows * w * xp.itemsize),
                             -(-_GEMM_MIN_MACS // (ralign * w * macs)))
         self.pieces = []
         for t0, t1 in self.chunks:
@@ -1149,25 +1148,26 @@ class _Conv:
                 self.stride, (t1 - t0, h1 - h0, w), col8)
         return col
 
-    def forward(self, bias: Tensor | None, target, done=None, extra=tuple) -> None:
-        """Every piece's GEMM plus bias into ``y = target(piece, *more)``
-        [B, O, q1 - q0] (its ``positions``), then ``done(piece, y, *more)``.
-        Pieces are split across cores by ``_split``: each thread builds its
-        pieces' columns in one reused buffer, and gets its own ``more =
+    def forward(self, bias: Tensor | None, done, extra=tuple) -> None:
+        """Every piece's GEMM plus bias into ``y`` [B, O, q1 - q0] (its
+        ``positions``), then ``done(piece, y, *more)``. Pieces are split
+        across cores by ``_split``: each thread builds its pieces' columns
+        and GEMM outputs in reused buffers, and gets its own ``more =
         extra()``."""
         def run(p0, p1, scratch):
-            buf, *more = scratch
+            buf, ybuf, *more = scratch
             for piece in self.pieces[p0:p1]:
-                y = target(piece, *more)
-                col = self.im2col(self.columns(buf, self.b, y.shape[2]), self.xp, piece)
+                q0, q1 = self.positions(piece)
+                y = ybuf[:self.b * self.o * (q1 - q0)].reshape(self.b, self.o, -1)
+                col = self.im2col(self.columns(buf, self.b, q1 - q0), self.xp, piece)
                 np.matmul(self.wmat, col, out=y)
                 if bias is not None:
                     y += bias.data[:, None]
-                if done is not None:
-                    done(piece, y, *more)
+                done(piece, y, *more)
 
-        _split(len(self.pieces), self.colbytes, run,
-               scratch=lambda: (self.scratch(self.b, self.widest), *extra()))
+        _split(len(self.pieces), self.colbytes, run, scratch=lambda: (
+            self.scratch(self.b, self.widest), np.empty(self.b * self.o * self.widest, self.dtype),
+            *extra()))
 
     def backward(self, chunk_grad, gdtype, x: Tensor, kernel: Tensor) -> None:
         """Accumulate the kernel's and x's gradients, chunk by chunk, from
@@ -1185,7 +1185,7 @@ class _Conv:
         gw, gdt = None, np.result_type(wmat, gdtype)
         gxp = np.zeros(xp.shape, dtype=gdt) if _wants_grad(x) else None
         part = np.empty((b, o, rows), dtype=np.result_type(gdtype, xp))
-        rowwise = b >= self.threads
+        rowwise = b >= _width(self.colbytes)
         if not rowwise:  # one chunk's column and its gradient, every batch row
             whole = self.scratch(b, per * frame)
             gwhole = None if gxp is None else self.scratch(b, per * frame, gdt)
@@ -1246,14 +1246,13 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     floor((in + 2*pad - k) / stride) + 1.
 
     The im2col column and its GEMM run over chunks of whole output frames
-    whose column fits ``CONV_CHUNK_BYTES`` (at least one frame). Where the
-    column splits, a float32 chunk is cut into pieces that start on a
-    multiple of ``_GEMM_ROWS`` output positions and hold at least
-    ``_GEMM_MIN_MACS`` multiply-adds, where it holds two: whole frames, or
-    bands of output rows where one frame's column passes
-    ``CONV_PIECE_BYTES``. Pieces are split across cores by ``_split`` and
-    write into the output, each thread building its pieces' columns in one
-    reused buffer, taped or not.
+    whose column fits ``CONV_CHUNK_BYTES`` (at least one frame). A float32
+    chunk is cut into pieces that start on a multiple of ``_GEMM_ROWS``
+    output positions and hold at least ``_GEMM_MIN_MACS`` multiply-adds,
+    where it holds two: whole frames, or bands of output rows where one
+    frame's column passes ``CACHE_BYTES``. Pieces are split across cores by
+    ``_split``, each thread building its pieces' columns and GEMM outputs
+    in reused buffers, taped or not, and copied into the output.
 
     The tape keeps the padded input, not the column: the weight and input
     gradients run per chunk and build its column again (``_Conv.backward``).
@@ -1265,7 +1264,7 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     b, o, frame = conv.b, conv.o, conv.frame
     out = np.empty((b, o, *conv.out_dims), dtype=conv.dtype)
     out3 = out.reshape(b, o, -1)  # [B, O, P]
-    conv.forward(bias, lambda piece: out3[:, :, slice(*conv.positions(piece))])
+    conv.forward(bias, lambda piece, y: np.copyto(out3[:, :, slice(*conv.positions(piece))], y))
 
     def grad_fn(g):
         g3 = g.reshape(b, o, -1)  # [B, O, P]
@@ -1303,14 +1302,28 @@ def _window_max(x: np.ndarray, out: np.ndarray, views) -> None:
         np.maximum(x[view], out, out=out)
 
 
+def _route(src: np.ndarray, pooled: np.ndarray, views, route: np.ndarray,
+           hit: np.ndarray) -> None:
+    """``route`` = each window's winning offset, an index into ``views``:
+    its first element in row-major order equal to its maximum ``pooled``
+    (``_window_max`` of ``src``), or its first NaN where ``pooled`` is NaN.
+    ``route``'s dtype is ``np.min_scalar_type(len(views) - 1)``; ``hit`` is
+    bool scratch shaped like ``pooled``."""
+    for k in reversed(range(len(views))):  # the first offset that hits writes last
+        np.copyto(route, k, where=np.equal(src[views[k]], pooled, out=hit))
+    if np.isnan(pooled, out=hit).any():  # a window holding a NaN routes to its first NaN
+        for k in reversed(range(len(views))):
+            np.copyto(route, k, where=np.isnan(src[views[k]], out=hit))
+
+
 def maxpool3d(x: Tensor, window) -> Tensor:
     """Window max with stride = window; trailing remainder is truncated.
 
     A window's value is its maximum, or NaN if it holds one. The forward
-    is one ``np.maximum`` per window offset, taped or not, over ranges of
-    channels split across cores by ``_split``. Backward rebuilds the route
-    from the input and the output: each window's gradient goes to its first
-    element in row-major order equal to the maximum, or to its first NaN.
+    is one ``np.maximum`` per window offset, taped or not. Backward
+    rebuilds the route from the input and the output (``_route``): each
+    window's gradient goes to its first element in row-major order equal
+    to the maximum, or to its first NaN.
     """
     window = _triple(window)
     batched = x.ndim == 5
@@ -1323,22 +1336,15 @@ def maxpool3d(x: Tensor, window) -> Tensor:
     # one strided view of x per window offset, each shaped like the output
     views = [(..., *sl) for _, sl in _taps(window, window, out_dims)]
     ob = np.empty((*xb.shape[:2], *out_dims), dtype=xb.dtype)
-
-    def pool_channels(c0, c1):
-        _window_max(xb[:, c0:c1], ob[:, c0:c1], views)
-
-    _split(ob.shape[1], xb.nbytes, pool_channels)
+    _window_max(xb, ob, views)
 
     def grad_fn(g):
         gb = g if batched else g[None]
+        route = np.empty(ob.shape, np.min_scalar_type(len(views) - 1))
+        _route(xb, ob, views, route, np.empty(ob.shape, bool))
         gx = np.zeros_like(xb)
-        free = np.ones(ob.shape, bool)  # windows whose gradient is not yet routed
-        for view in views:
-            v = xb[view]
-            hit = (v == ob) | np.isnan(v)  # a NaN v makes its window's maximum NaN
-            hit &= free
-            free ^= hit
-            np.multiply(gb, hit, out=gx[view])
+        for k, view in enumerate(views):
+            np.multiply(gb, route == k, out=gx[view])
         x._accumulate(gx if batched else gx[0])
 
     return _make(ob if batched else ob[0], (x,), grad_fn)
@@ -1352,10 +1358,10 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
     multiple of the window's height) goes into per-thread scratch and is
     pooled from there into the output, one ``np.maximum`` per window offset:
     no full-size conv output exists. Taped, the op keeps the padded input
-    (as ``conv3d`` does) and a uint8 route, each pooled element's winning
-    offset: the first maximum in row-major order, or the first NaN.
-    Backward builds each chunk's conv-output gradient from the route, as
-    ``maxpool3d``'s backward does, and runs ``conv3d``'s chunk backward;
+    (as ``conv3d`` does) and ``maxpool3d``'s route (``_route``), one byte
+    per pooled element for windows of up to 256 offsets. Backward builds
+    each chunk's conv-output gradient from the route, as ``maxpool3d``'s
+    backward does, and runs ``conv3d``'s chunk backward;
     the bias gradient sums whole channels' conv-output gradients, rebuilt
     a few channels at a time, in ``conv3d``'s order. So the output and
     every gradient are those of the two ops bit for bit.
@@ -1370,33 +1376,24 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
     pdims = tuple(n // p for n, p in zip(dims, window))
     pooled = np.empty((b, o, *pdims), dtype=conv.dtype)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    route = np.empty(pooled.shape, np.uint8) if _taped(parents) else None
 
     def views(pshape):  # one strided view of conv output per window offset, pooled to pshape
         return [(..., *sl) for _, sl in _taps(window, window, pshape)]
 
-    def gemm_out(piece, ybuf, hit):
-        q0, q1 = conv.positions(piece)
-        return ybuf[:b * o * (q1 - q0)].reshape(b, o, -1)
+    route = np.empty(pooled.shape, np.min_scalar_type(len(views(pdims)) - 1)) \
+        if _taped(parents) else None
 
-    def pool(piece, y, ybuf, hit):
+    def pool(piece, y, hit):
         t0, t1, h0, h1 = piece  # h0 is a multiple of the window's height
         rows = slice(h0 // window[1], h0 // window[1] + (h1 - h0) // window[1])
         y5, p = y.reshape(b, o, t1 - t0, h1 - h0, dims[2]), pooled[:, :, t0:t1, rows]
         pv = views(p.shape[2:])
         _window_max(y5, p, pv)
-        if route is None:
-            return
-        r, h = route[:, :, t0:t1, rows], hit[:p.size].reshape(p.shape)
-        for k in reversed(range(len(pv))):  # the first offset that hits writes last
-            np.copyto(r, k, where=np.equal(y5[pv[k]], p, out=h))
-        if np.isnan(p, out=h).any():  # a window holding a NaN routes to its first NaN
-            for k in reversed(range(len(pv))):
-                np.copyto(r, k, where=np.isnan(y5[pv[k]], out=h))
+        if route is not None:
+            _route(y5, p, pv, route[:, :, t0:t1, rows], hit[:p.size].reshape(p.shape))
 
-    conv.forward(bias, gemm_out, pool, extra=lambda: (
-        np.empty(b * o * conv.widest, dtype=conv.dtype),
-        None if route is None else np.empty(b * o * conv.widest // (window[1] * window[2]), bool)))
+    conv.forward(bias, pool, extra=lambda: (
+        None if route is None else np.empty(b * o * conv.widest // (window[1] * window[2]), bool),))
 
     def grad_fn(g):
         gb = g if conv.batched else g[None]

@@ -595,7 +595,7 @@ class TestFusedOps:
         g = rnd((b, n, heads * 4), 98, np.float32)
 
         def run(chunk_bytes, values):
-            monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(T, "CACHE_BYTES", chunk_bytes)
             x = Tensor(values, requires_grad=taped)
             if not taped:
                 with T.no_grad():
@@ -774,7 +774,7 @@ class TestConvPool:
     def test_bit_equals_conv3d_then_maxpool3d(self, monkeypatch, window, rows, taped):
         """Batch 1 (fewer rows than threads: the backward splits column
         rows) and one row more than threads (each thread takes whole rows),
-        5 frames of 8 x 8 in chunks of two, every op split, with ties,
+        5 frames of 8 x 8 in chunks of two, every conv split, with ties,
         signed zeros and a NaN; a (1, 3, 3) window leaves 2 rows and 2
         columns unpooled.
         The bias gradient is rebuilt three channels at a time."""
@@ -810,7 +810,7 @@ class TestConvPool:
     @pytest.mark.parametrize("taped", [True, False])
     def test_bands_bit_equal_whole_frames(self, monkeypatch, frame, bands, window, rows, taped):
         """Output frames of 3456 multiply-adds per position, so every
-        forward piece is one frame; with ``CONV_PIECE_BYTES`` at 1 a frame
+        forward piece is one frame; with ``CACHE_BYTES`` at 1 a frame
         is cut into bands of the fewest rows that are a multiple of the
         window's height, start on a multiple of 16 positions and do 2^20
         multiply-adds, the last band taking the rest. conv_pool and conv3d
@@ -830,12 +830,53 @@ class TestConvPool:
             return T.maxpool3d(T.conv3d(x, w, bias, stride=1, padding=1), window)
 
         for op in (fused, chain):
-            monkeypatch.setattr(T, "CONV_PIECE_BYTES", 1 << 40)
+            monkeypatch.setattr(T, "CACHE_BYTES", 1 << 40)
             whole = _step(op, (xd, wd, bd), g, taped)
-            monkeypatch.setattr(T, "CONV_PIECE_BYTES", 1)
+            monkeypatch.setattr(T, "CACHE_BYTES", 1)
             _assert_bits_equal(_step(op, (xd, wd, bd), g, taped), whole)
         pieces = T._Conv("conv_pool", Tensor(xd), Tensor(wd), 1, 1, pool_rows=window[1]).pieces
         assert [h1 - h0 for t0, t1, h0, h1 in pieces] == bands[window] * 3
+
+    @pytest.mark.parametrize("xshape, out, frames, edges, widest", [
+        # c07: batch 8 of 16 x 32 x 32, channels (8, 16)
+        ((8, 3, 16, 32, 32), 8, 2, [0, 32], 2048),
+        ((8, 8, 16, 16, 16), 16, 2, [0, 16], 512),
+        # paper scale: batch 1 of 30 x 224 x 224, channels (32, 64, 128)
+        ((1, 3, 30, 224, 224), 32, 1, [0, 56, 112, 168, 224], 12544),
+        ((1, 32, 30, 112, 112), 64, 1, [*range(0, 101, 10), 112], 1344),
+        ((1, 64, 30, 56, 56), 128, 1, [0, 10, 20, 30, 40, 56], 896),
+    ])
+    def test_cnn_lstm_pieces_do_not_depend_on_threads(self, monkeypatch, xshape, out, frames,
+                                                      edges, widest):
+        """cnn_lstm's conv blocks cut their forward GEMMs into the same
+        pieces with one thread and with two: pieces of ``frames`` whole
+        frames, each cut into bands at ``edges``."""
+        x = Tensor(np.zeros(xshape, np.float32))
+        w = Tensor(np.zeros((out, xshape[1], 3, 3, 3), np.float32))
+        want = [(t, t + frames, h0, h1) for t in range(0, xshape[2], frames)
+                for h0, h1 in zip(edges, edges[1:])]
+        pool = T._runtime()[0]
+        for threads in (1, 2):
+            monkeypatch.setattr(T, "_runtime", lambda: (pool, threads))
+            conv = T._Conv("conv_pool", x, w, 1, 1, pool_rows=2)
+            assert (conv.pieces, conv.widest) == (want, widest), f"{threads} threads"
+
+    def test_route_past_256_offsets(self):
+        """A (1, 17, 16) window has 272 offsets, more than one byte holds:
+        a window whose maximum is its last element still routes its
+        gradient there, through conv_pool and through maxpool3d."""
+        xd = rnd((1, 1, 1, 17, 16), 212)
+        xd[0, 0, 0, 16, 15] = 10.0
+        wd = np.zeros((1, 1, 3, 3, 3))
+        wd[0, 0, 1, 1, 1] = 1.0  # the conv output is x
+        g = np.full((1, 1, 1, 1, 1), 2.0)
+        want = np.zeros_like(xd)
+        want[0, 0, 0, 16, 15] = 2.0
+        for op, arrays in [(lambda x, w: T.conv_pool(x, w, None, 1, (1, 17, 16)), (xd, wd)),
+                           (lambda x: T.maxpool3d(x, (1, 17, 16)), (xd,))]:
+            got = _step(op, arrays, g)
+            assert got[0].item() == 10.0
+            np.testing.assert_array_equal(got[1], want)
 
     def test_unbatched_input(self):
         """A 4-D [C, T, H, W] input runs as a batch of one and comes back
@@ -875,7 +916,7 @@ class TestConvPool:
         conv_bytes = 32 * 30 * 224 * 224 * 4
         padded_bytes = 3 * 32 * 226 * 226 * 4
         band = T._Conv("conv_pool", x, w, 1, 1, pool_rows=2).widest  # output positions
-        assert band * 81 * 4 <= T.CONV_PIECE_BYTES
+        assert band * 81 * 4 <= T.CACHE_BYTES
         bound = y.data.nbytes + padded_bytes + T._runtime()[1] * (81 + 32) * band * 4 + (1 << 20)
         assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
         assert peak < conv_bytes / 2, f"peak {peak / 2 ** 20:.1f} MiB"
@@ -929,7 +970,7 @@ class TestMlp:
         g = rnd((rows, 40), 193, dtype)
         monkeypatch.setattr(T, "POOL_MIN_BYTES", 0)
         if one_unit_blocks:
-            monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", 480 * 56 * np.dtype(dtype).itemsize)
+            monkeypatch.setattr(T, "CACHE_BYTES", 480 * 56 * np.dtype(dtype).itemsize)
 
         def chain(a, v1, c1, v2, c2):
             return T.linear(T.gelu(T.linear(a, v1, c1)), v2, c2)
@@ -962,7 +1003,7 @@ class TestMlp:
         finally:
             tracemalloc.stop()
         unit = 32  # 16 rows do 16 * 96 * 384 < 2^20 multiply-adds
-        block = T.ATTN_CHUNK_BYTES // (unit * hidden * 4) * unit * hidden * 4
+        block = T.CACHE_BYTES // (unit * hidden * 4) * unit * hidden * 4
         bound = y.data.nbytes + T._runtime()[1] * (block + T._BLOCK * 4) + (1 << 20)
         assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
         assert bound < rows * hidden * 4
@@ -998,8 +1039,9 @@ def _special_values(shape, seed, dtype):
 
 
 class TestSplitOps:
-    """``gelu`` and ``maxpool3d`` on inputs that ``_split`` divides into
-    ranges run on several threads."""
+    """``_split`` itself, the runtime it starts, and ``gelu`` and
+    ``maxpool3d`` (which run on the calling thread) on large inputs and
+    beside concurrent splits."""
 
     def test_split_tiles_the_range_across_threads(self):
         n, seen = 64, []
@@ -1055,8 +1097,7 @@ class TestSplitOps:
         np.testing.assert_array_equal(_bits(xt.grad), _bits(g * dlocal))
 
     @pytest.mark.parametrize("window", [(1, 2, 2), (2, 2, 2), (3, 1, 2)])
-    def test_split_maxpool3d_exactly_matches_routed_loop_reference(self, monkeypatch, window):
-        monkeypatch.setattr(T, "POOL_MIN_BYTES", 0)  # one range per channel
+    def test_split_maxpool3d_exactly_matches_routed_loop_reference(self, window):
         gen = np.random.default_rng(112)
         xd = gen.integers(0, 3, size=(5, 6, 6, 5)).astype(np.float32)  # many ties
         xd[0, 0, 0, 0] = xd[3, 1, 2, 2] = np.nan
@@ -1071,17 +1112,17 @@ class TestSplitOps:
         np.testing.assert_array_equal(_bits(x.grad), _bits(want_gx))
 
     def test_concurrent_callers_get_bit_equal_results(self, monkeypatch):
-        """More calling threads than cores, each splitting its own gelu,
-        maxpool3d and, untaped with per-thread scratch, layer_norm,
-        attention and conv3d over the shared pool while the interpreter
-        switches threads as often as it can."""
+        """More calling threads than cores, each running its own gelu and
+        maxpool3d and splitting, untaped with per-thread scratch, its own
+        layer_norm, attention and conv3d over the shared pool while the
+        interpreter switches threads as often as it can."""
         xg = _special_values((64, 1024), 113, np.float32)  # 256 KiB
         xm = rnd((1, 8, 8, 192, 192), 114, np.float32)  # 9 MiB
         xl, gamma, beta = (rnd(s, 115 + i, np.float32) for i, s in enumerate([(4096, 96), 96, 96]))
         qkv = rnd((256, 16, 96), 118, np.float32)
         masks = [np.where(rnd((1, 16, 16), 119) > 0, np.float32(0), np.float32(-np.inf)), None]
         xc, wc = rnd((1, 4, 24, 16, 16), 120, np.float32), rnd((8, 4, 3, 3, 3), 121, np.float32)
-        monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", 2 * 2 * 16 * 16 * 4)  # two windows
+        monkeypatch.setattr(T, "CACHE_BYTES", 2 * 2 * 16 * 16 * 4)  # two windows
         monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * 108 * 256 * 4)  # two frames
 
         def ops():
@@ -1121,7 +1162,7 @@ class TestSplitOps:
         assert T._grad_enabled
 
     def test_untaped_gelu_peak_is_its_output(self):
-        x = Tensor(rnd(1 << 22, 115, np.float32))  # 16 MiB, split
+        x = Tensor(rnd(1 << 22, 115, np.float32))  # 16 MiB
         tracemalloc.start()
         try:
             with T.no_grad():
@@ -1131,12 +1172,10 @@ class TestSplitOps:
             tracemalloc.stop()
         assert peak < 1.3 * y.data.nbytes, f"peak {peak / y.data.nbytes:.3f}x the output"
 
-    def test_untaped_maxpool3d_builds_no_route(self, monkeypatch):
-        """No call builds a route, taped or not: on a 16 MiB input a taped
-        forward peaks within 64 KiB of an untaped one, with the same bits.
-        Both run as one range: the pool's futures would add tens of KB of
-        noise to the traced peaks."""
-        monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 40)
+    def test_untaped_maxpool3d_builds_no_route(self):
+        """No forward builds a route, taped or not: on a 16 MiB input a
+        taped forward peaks within 64 KiB of an untaped one, with the same
+        bits."""
         xd = rnd((1, 8, 8, 256, 256), 116, np.float32)
         xd[0, 0, 0, :2, :2] = [[np.nan, -0.0], [0.0, np.inf]]
 
@@ -1156,10 +1195,9 @@ class TestSplitOps:
         assert taped_peak <= peak + (64 << 10), f"taped {taped_peak} against {peak}"
         np.testing.assert_array_equal(_bits(y.data), _bits(y_taped.data))
 
-    def test_untaped_maxpool3d_peak_is_output_and_one_channel(self, monkeypatch):
+    def test_untaped_maxpool3d_peak_is_output_and_one_channel(self):
         """The call allocates its output and no work array: the peak is the
-        output alone, within 64 KiB. One range, as above."""
-        monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 40)
+        output alone, within 64 KiB."""
         x = Tensor(rnd((1, 8, 8, 256, 256), 117, np.float32))
         tracemalloc.start()
         try:
@@ -1170,22 +1208,6 @@ class TestSplitOps:
             tracemalloc.stop()
         bound = y.data.nbytes + (64 << 10)
         assert peak < bound, f"peak {peak / 2 ** 20:.3f} MiB, bound {bound / 2 ** 20:.3f} MiB"
-
-    @pytest.mark.parametrize("window", [(1, 2, 2), (2, 2, 2)])
-    def test_maxpool3d_inline_and_split_bit_equal(self, monkeypatch, window):
-        """Batched and taped, with ties and NaNs: one range per channel
-        gives one inline call's output and routed gradient bit for bit."""
-        gen = np.random.default_rng(118)
-        xd = gen.integers(0, 3, size=(3, 5, 4, 6, 6)).astype(np.float32)
-        xd[0, 0, 0, 0, 0] = xd[2, 4, 1, 2, 3] = np.nan
-        g = gen.normal(size=(3, 5, *(n // w for n, w in zip(xd.shape[2:], window))))
-        g = g.astype(np.float32)
-        one, split = _inline_and_split(
-            monkeypatch, lambda: _step(lambda x: T.maxpool3d(x, window), (xd,), g))
-        _assert_bits_equal(split, one)
-        for i in range(3):
-            want_y, want_gx = maxpool3d_routed_reference(xd[i], window, g[i])
-            _assert_bits_equal([split[0][i], split[1][i]], [want_y, want_gx])
 
     def test_import_starts_no_thread(self):
         code = ("import threading, vidmood.tensor as T; "
@@ -1315,9 +1337,9 @@ print(imported, faults())
     def test_weight_gradient_does_not_depend_on_earlier_splits(self, op):
         """In a fresh interpreter with BLAS at two threads, a taped linear
         (or matmul) whose x.T @ g OpenBLAS would thread gives the same
-        gradients before and after an unrelated large split: BLAS is
-        pinned before the op's first GEMM, not at the first split that
-        reaches the pool."""
+        gradients before and after an unrelated split that reaches the
+        pool: BLAS is pinned before the op's first GEMM, not at the first
+        split that reaches the pool."""
         code = f"""
 import json, numpy as np, vidmood.tensor as T
 from vidmood.tensor import Tensor
@@ -1331,7 +1353,7 @@ def grads():
     return [wt.grad.view(np.uint32).tolist(), xt.grad.view(np.uint32).tolist()]
 
 first = grads()
-T.gelu(Tensor(np.ones(T.POOL_MIN_BYTES // 4, np.float32)))
+T._split(2, T.POOL_MIN_BYTES, lambda r0, r1: None)
 print(json.dumps(first == grads()))
 """
         env = dict(os.environ, PYTHONPATH=str(Path(T.__file__).parents[1]),
@@ -1445,7 +1467,7 @@ class TestSplitFusedOps:
         masks = [np.where(gen.random((1, n, n)) > 0.4, np.float32(0), np.float32(-np.inf))
                  for _ in range(2)] + [None]
         g = rnd((b, n, heads * 4), 131, np.float32)
-        monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", 3 * heads * n * n * 4)
+        monkeypatch.setattr(T, "CACHE_BYTES", 3 * heads * n * n * 4)
 
         def op(a, c):
             return T.attention(a, heads, mask=masks, bias=c)
@@ -1559,10 +1581,10 @@ class TestSplitFusedOps:
             run = lambda x, ga, be: T.layer_norm(x, ga, be, 1e-5)  # noqa: E731
             scratch = threads * (T._BLOCK // 256) * 256 * 4 + 4000 * 4  # blocks and std
         else:
-            monkeypatch.setattr(T, "ATTN_CHUNK_BYTES", 4 * 4 * 64 * 64 * 4)  # 4 windows
+            monkeypatch.setattr(T, "CACHE_BYTES", 4 * 4 * 64 * 64 * 4)  # 4 windows
             args = (rnd((64, 64, 3 * 64), 144, np.float32),)
             run = lambda qkv: T.attention(qkv, 4)  # noqa: E731
-            scratch = threads * T.ATTN_CHUNK_BYTES
+            scratch = threads * T.CACHE_BYTES
         ts = [Tensor(a) for a in args]
         tracemalloc.start()
         try:
