@@ -23,6 +23,11 @@ pair the change did not win.
 
 If the two sides' ``perfbench/`` trees differ, the file and standard error
 say so: such pairs compare two benchmarks, not two programs.
+
+Before the pairs, the change's ``scripts/bitcheck.py`` runs once against
+each side's ``src/``, one side after the other. The file keeps both
+outputs and whether they are the same (both exited 0 and printed the same
+lines); standard error says so when they are not.
 """
 
 from __future__ import annotations
@@ -98,6 +103,14 @@ def perfbench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"exit_code": proc.returncode, "correct": result.get("correct"),
             "attempted": result.get("attempted"), "failed_ops": result.get("failed"),
             "metrics": metrics, "stderr_tail": proc.stderr.splitlines()[-5:]}
+
+
+def bitcheck_run(script: Path, src: Path) -> dict:
+    """One run of the bitcheck ``script`` against the sources at ``src``."""
+    proc = subprocess.run([sys.executable, str(script)], cwd=src.parent, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return {"exit_code": proc.returncode, "lines": proc.stdout.splitlines(),
+            "stderr_tail": proc.stderr.splitlines()[-5:]}
 
 
 def run_pairs(workloads, pairs: int, seed0: int, run_fn) -> list[dict]:
@@ -247,6 +260,13 @@ def main(argv=None) -> int:
         if not same:
             print("warning: the two sides' perfbench/ trees differ; these pairs compare "
                   "two benchmarks, not two programs", file=sys.stderr)
+        bits = {s: bitcheck_run(roots["change"] / "scripts" / "bitcheck.py", roots[s] / "src")
+                for s in SIDES}
+        bits["same"] = (bits["parent"]["exit_code"] == bits["change"]["exit_code"] == 0
+                        and bits["parent"]["lines"] == bits["change"]["lines"])
+        if not bits["same"]:
+            print("warning: scripts/bitcheck.py gives different output on the two sides' src/",
+                  file=sys.stderr)
         runs = run_pairs(args.workloads, args.pairs, args.seed0,
                          lambda side, w, seed: perfbench_run(roots[side], w, seed, seconds))
     finally:
@@ -254,6 +274,7 @@ def main(argv=None) -> int:
 
     report = {"label": args.label, "commits": commits,
               "perfbench": {"sha256": perfbench, "same": same},
+              "bitcheck": bits,
               "command": {"workloads": args.workloads, "pairs": args.pairs,
                           "seed0": args.seed0, "seconds": seconds, "trace": 0},
               "seeds": [args.seed0 + i for i in range(args.pairs)],

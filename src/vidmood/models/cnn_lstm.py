@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import tensor as T
-from ..nn import Linear, Module, ModuleList, Parameter, trunc_normal
+from ..nn import Linear, Module, ModuleList, Parameter, _check_positive, trunc_normal
 from ..tensor import ShapeError, Tensor
 
 __all__ = ["CnnLstmConfig", "CnnLstmModel", "ConvBlock", "LstmCell", "attention_pool"]
@@ -34,6 +34,7 @@ class CnnLstmConfig:
     def __post_init__(self):
         if not self.channels:
             raise ShapeError("need at least one conv block")
+        _check_positive(self, "input_shape", "channels", "proj_dim", "hidden")
         t0, h0, w0, c = self.input_shape
         shrink = 2 ** len(self.channels)
         if h0 // shrink < 1 or w0 // shrink < 1:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..nn import (Linear, LayerNorm, Mlp, Module, ModuleList, MultiHeadAttention,
-                  Parameter, trunc_normal)
+                  Parameter, _check_positive, trunc_normal)
 from ..tensor import ShapeError, Tensor
 
 __all__ = [
@@ -54,12 +54,12 @@ class SwinConfig:
     def __post_init__(self):
         if len(self.depths) != len(self.heads) or not self.depths:
             raise ShapeError(f"depths {self.depths} and heads {self.heads} must pair up")
+        _check_positive(self, "input_shape", "image_patch", "frame_patch", "embed_dim", "heads",
+                        "mlp_ratio", "window")
         for i, h in enumerate(self.heads):
             dim = self.embed_dim * (2 ** i)
             if dim % h != 0:
                 raise ShapeError(f"stage {i} dim {dim} not divisible by {h} heads")
-        if any(w < 1 for w in self.window):
-            raise ShapeError(f"window extents must be positive: {self.window}")
         if self.classes < 2:
             raise ValueError(f"need >= 2 classes, got {self.classes}")
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import tensor as T
-from ..nn import Linear, Module, ModuleList, Parameter, TransformerBlock, trunc_normal
+from ..nn import (Linear, Module, ModuleList, Parameter, TransformerBlock, _check_positive,
+                  trunc_normal)
 from ..tensor import ShapeError, Tensor
 
 __all__ = ["ViViTConfig", "ViViTModel", "token_counts", "tubelet_tokens"]
@@ -34,6 +35,8 @@ class ViViTConfig:
     classes: int = 2
 
     def __post_init__(self):
+        _check_positive(self, "input_shape", "image_patch", "frame_patch", "embed_dim", "heads",
+                        "mlp_dim")
         if self.embed_dim % self.heads != 0:
             raise ShapeError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         t0, h0, w0, c = self.input_shape

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 
 __all__ = [
     "Parameter",
@@ -25,6 +25,15 @@ __all__ = [
     "Mlp",
     "MultiHeadAttention",
 ]
+
+
+def _check_positive(cfg, *names: str) -> None:
+    """Raise ``ShapeError`` naming the first of ``cfg``'s fields ``names``
+    (each an extent or a tuple of extents) that holds one below 1."""
+    for name in names:
+        value = getattr(cfg, name)
+        if min(value if isinstance(value, tuple) else (value,)) < 1:
+            raise ShapeError(f"{name} must be positive, got {value}")
 
 
 class Parameter(Tensor):

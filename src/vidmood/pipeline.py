@@ -219,6 +219,9 @@ class PipelineConfig:
     clip_len: int = 30
 
     def __post_init__(self):
+        for name in ("side", "length", "clip_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.length % self.clip_len != 0:
             raise ValueError(f"length {self.length} not divisible by clip_len {self.clip_len}")
 

@@ -2,20 +2,20 @@
 
 Every primitive the video models need lives here: elementwise math,
 broadcasting binary ops, batched matmul, stabilized (maskable) softmax,
-3D convolution (an im2col GEMM run over chunks of whole output frames,
-so its column is bounded by ``CONV_CHUNK_BYTES``, not by the clip, taped
-or not: the tape keeps the padded input and backward builds each chunk's
-column again), max-pooling (one ``np.maximum`` per window offset, taped
-or not: backward rebuilds each window's route from the input and the
-output), layout ops (reshape / transpose / roll / pad / slicing /
-concat), the fused transformer ops ``linear``, ``layer_norm``,
-``attention`` (packed-qkv multi-head attention with an additive mask and
-bias, run in cache-sized chunks) and ``mlp`` (fc1, GELU and fc2 over
-blocks of rows; the tape keeps fc1's output and Phi of it), and
-``conv_pool``, a conv3d whose output is max-pooled piece by piece, so no
-full-size conv output exists (the tape keeps the padded input and a uint8
-route per pooled element), each one tape node with a hand-written
-backward pass.
+max-pooling (one ``np.maximum`` per window offset, taped or not: backward
+rebuilds each window's route from the input and the output), layout ops
+(reshape / transpose / roll / pad / slicing / concat), the fused
+transformer ops ``linear``, ``layer_norm``, ``attention`` (packed-qkv
+multi-head attention with an additive mask and bias, run in cache-sized
+chunks) and ``mlp`` (fc1, GELU and fc2 over blocks of rows; the tape
+keeps fc1's output and Phi of it), and ``conv_pool``, a 3D convolution
+(an im2col GEMM run over chunks of whole output frames, so its column is
+bounded by ``CONV_CHUNK_BYTES``, not by the clip) whose output is
+max-pooled piece by piece, so no full-size conv output exists (the tape
+keeps the padded input and a uint8 route per pooled element; backward
+builds each chunk's column again), each one tape node with a hand-written
+backward pass. ``conv3d`` is ``conv_pool``'s convolution with a
+one-element window.
 
 One thread pool (``_split``), one thread per core the process may use, is
 the process's only parallel runtime: before this module's first GEMM it
@@ -1049,25 +1049,13 @@ def _taps(kshape, stride, out_dims):
 CONV_CHUNK_BYTES = 64 << 20
 
 
-def _im2col(xp: np.ndarray, kshape, stride, out_dims, col: np.ndarray) -> None:
-    """Fill ``col`` [B, C, kt, kh, kw, T', H', W'] from padded x [B, C, T, H, W].
-
-    Read as [B, C*kt*kh*kw, T'*H'*W'], its rows follow the kernel's own
-    (C, kt, kh, kw) order, so ``kernel.reshape(O, -1) @ col`` is the
-    correlation. One strided copy per kernel tap fills it, each running
-    along contiguous W.
-    """
-    for (i, j, k), (st, sh, sw) in _taps(kshape, stride, out_dims):
-        col[:, :, i, j, k] = xp[:, :, st, sh, sw]
-
-
 class _Conv:
-    """One convolution's geometry and the machinery that ``conv3d`` and
-    ``conv_pool`` share: the padded input, the chunks of whole output
-    frames whose column fits ``CONV_CHUNK_BYTES``, the pieces the forward
-    GEMMs run in (bands of rows a multiple of ``pool_rows`` high, where
-    frames are cut), set by the shapes and dtype alone, per-thread column
-    and GEMM-output scratch and the chunk-by-chunk backward. A 4-D [C, T, H, W] input runs as a batch of one."""
+    """One convolution's geometry and machinery, for ``_conv_pool``: the
+    padded input, the chunks of whole output frames whose column fits
+    ``CONV_CHUNK_BYTES``, the pieces the forward GEMMs run in (bands of
+    rows a multiple of ``pool_rows`` high, where frames are cut), set by
+    the shapes and dtype alone, per-thread column scratch and the
+    chunk-by-chunk backward. A 4-D [C, T, H, W] input runs as a batch of one."""
 
     def __init__(self, op: str, x: Tensor, kernel: Tensor, stride, padding, pool_rows=1):
         self.stride, self.padding = _triple(stride), _triple(padding)
@@ -1127,15 +1115,14 @@ class _Conv:
     def columns(self, buf, n, positions):  # the head of buf as a column [n, rows, positions]
         return buf[:n * self.rows * positions].reshape(n, self.rows, positions)
 
-    def positions(self, piece):  # the output positions [q0, q1) of a piece, frame by frame
-        t0, t1, h0, h1 = piece
-        w = self.out_dims[2]
-        return t0 * self.frame + h0 * w, (t1 - 1) * self.frame + h1 * w
-
     def im2col(self, col, a, piece, t_base=None):
         """Fill ``col`` [len(a), rows, P'] with ``piece``'s columns from
         padded batch rows ``a``: ``col`` holds the piece alone, or with
-        ``t_base`` whole output frames from ``t_base`` on; returns ``col``."""
+        ``t_base`` whole output frames from ``t_base`` on; returns ``col``.
+
+        Its rows follow the kernel's own (C, kt, kh, kw) order, so ``wmat @
+        col`` is the correlation. One strided copy per kernel tap fills it,
+        each running along contiguous W."""
         t0, t1, h0, h1 = piece
         h, w = self.out_dims[1:]
         if t_base is None:
@@ -1143,36 +1130,16 @@ class _Conv:
         else:
             col8 = col.reshape(len(a), self.c, *self.kshape, -1, h,
                                w)[..., t0 - t_base:t1 - t_base, h0:h1, :]
-        sh, kh = self.stride[1], self.kshape[1]
-        _im2col(self.window(a, t0, t1)[:, :, :, sh * h0:sh * (h1 - 1) + kh], self.kshape,
-                self.stride, (t1 - t0, h1 - h0, w), col8)
+        sy, ky = self.stride[1], self.kshape[1]
+        xa = self.window(a, t0, t1)[:, :, :, sy * h0:sy * (h1 - 1) + ky]
+        for (i, j, k), (st, sh, sw) in _taps(self.kshape, self.stride, (t1 - t0, h1 - h0, w)):
+            col8[:, :, i, j, k] = xa[:, :, st, sh, sw]
         return col
 
-    def forward(self, bias: Tensor | None, done, extra=tuple) -> None:
-        """Every piece's GEMM plus bias into ``y`` [B, O, q1 - q0] (its
-        ``positions``), then ``done(piece, y, *more)``. Pieces are split
-        across cores by ``_split``: each thread builds its pieces' columns
-        and GEMM outputs in reused buffers, and gets its own ``more =
-        extra()``."""
-        def run(p0, p1, scratch):
-            buf, ybuf, *more = scratch
-            for piece in self.pieces[p0:p1]:
-                q0, q1 = self.positions(piece)
-                y = ybuf[:self.b * self.o * (q1 - q0)].reshape(self.b, self.o, -1)
-                col = self.im2col(self.columns(buf, self.b, q1 - q0), self.xp, piece)
-                np.matmul(self.wmat, col, out=y)
-                if bias is not None:
-                    y += bias.data[:, None]
-                done(piece, y, *more)
-
-        _split(len(self.pieces), self.colbytes, run, scratch=lambda: (
-            self.scratch(self.b, self.widest), np.empty(self.b * self.o * self.widest, self.dtype),
-            *extra()))
-
-    def backward(self, chunk_grad, gdtype, x: Tensor, kernel: Tensor) -> None:
+    def backward(self, chunk_grad, x: Tensor, kernel: Tensor) -> None:
         """Accumulate the kernel's and x's gradients, chunk by chunk, from
-        ``chunk_grad(t0, t1)``: the ``gdtype`` output gradient [B, O, (t1 -
-        t0) * frame] of output frames [t0, t1).
+        ``chunk_grad(t0, t1)``: the output gradient [B, O, (t1 - t0) *
+        frame] of output frames [t0, t1).
 
         With at least as many batch rows as threads, each thread takes
         whole rows and runs a row's im2col, both GEMMs and col2im while its
@@ -1182,13 +1149,13 @@ class _Conv:
         element is summed in the same order, so the bits are the same."""
         b, o, c, rows, frame, per = self.b, self.o, self.c, self.rows, self.frame, self.per
         xp, wmat, kshape, stride = self.xp, self.wmat, self.kshape, self.stride
-        gw, gdt = None, np.result_type(wmat, gdtype)
-        gxp = np.zeros(xp.shape, dtype=gdt) if _wants_grad(x) else None
-        part = np.empty((b, o, rows), dtype=np.result_type(gdtype, xp))
+        gw = None
+        gxp = np.zeros(xp.shape, dtype=self.dtype) if _wants_grad(x) else None
+        part = np.empty((b, o, rows), dtype=self.dtype)
         rowwise = b >= _width(self.colbytes)
         if not rowwise:  # one chunk's column and its gradient, every batch row
             whole = self.scratch(b, per * frame)
-            gwhole = None if gxp is None else self.scratch(b, per * frame, gdt)
+            gwhole = None if gxp is None else self.scratch(b, per * frame, self.dtype)
         for t0, t1 in self.chunks:
             gc, sub = chunk_grad(t0, t1), (t1 - t0, *self.out_dims[1:])
             frames = (t0, t1, 0, self.out_dims[1])
@@ -1209,7 +1176,7 @@ class _Conv:
 
                 _split(b, b * rows * gc.shape[2] * xp.itemsize, batch_rows, scratch=lambda: (
                     self.scratch(1, per * frame),
-                    None if gxp is None else self.scratch(1, per * frame, gdt)))
+                    None if gxp is None else self.scratch(1, per * frame, self.dtype)))
             else:
                 # fewer batch rows than threads: the forward's pieces build
                 # the chunk's column across cores, then the GEMMs split rows
@@ -1245,14 +1212,13 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     ``kernel``: [C_out, C_in, kt, kh, kw]; output extent per axis is
     floor((in + 2*pad - k) / stride) + 1.
 
-    The im2col column and its GEMM run over chunks of whole output frames
-    whose column fits ``CONV_CHUNK_BYTES`` (at least one frame). A float32
-    chunk is cut into pieces that start on a multiple of ``_GEMM_ROWS``
-    output positions and hold at least ``_GEMM_MIN_MACS`` multiply-adds,
-    where it holds two: whole frames, or bands of output rows where one
-    frame's column passes ``CACHE_BYTES``. Pieces are split across cores by
-    ``_split``, each thread building its pieces' columns and GEMM outputs
-    in reused buffers, taped or not, and copied into the output.
+    This is ``conv_pool``'s convolution with a one-element window: the
+    pooling is a copy, no route is kept, and backward sends the output
+    gradient straight to the convolution's. The im2col column and its GEMM
+    run over chunks of whole output frames whose column fits
+    ``CONV_CHUNK_BYTES`` (at least one frame), in pieces (``_Conv``) that
+    ``_split`` spreads across cores, each thread building its pieces'
+    columns and GEMM outputs in reused buffers, taped or not.
 
     The tape keeps the padded input, not the column: the weight and input
     gradients run per chunk and build its column again (``_Conv.backward``).
@@ -1260,25 +1226,12 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     output positions are a multiple of the BLAS kernel width (16 for
     OpenBLAS 0.3.31's sgemm), as every model's frames are.
     """
-    conv = _Conv("conv3d", x, kernel, stride, padding)
-    b, o, frame = conv.b, conv.o, conv.frame
-    out = np.empty((b, o, *conv.out_dims), dtype=conv.dtype)
-    out3 = out.reshape(b, o, -1)  # [B, O, P]
-    conv.forward(bias, lambda piece, y: np.copyto(out3[:, :, slice(*conv.positions(piece))], y))
-
-    def grad_fn(g):
-        g3 = g.reshape(b, o, -1)  # [B, O, P]
-        conv.backward(lambda t0, t1: g3[:, :, t0 * frame:t1 * frame], g3.dtype, x, kernel)
-        if bias is not None:
-            bias._accumulate(g3.sum(axis=(0, 2)))
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _make(out if conv.batched else out[0], parents, grad_fn)
+    return _conv_pool("conv3d", x, kernel, bias, stride, padding, (1, 1, 1))
 
 
 def _col2im_add(gxp: np.ndarray, gcol: np.ndarray, kshape, stride, out_dims) -> None:
     """col2im: add gcol = W2d.T @ g, the [B, C*kt*kh*kw, T'*H'*W'] column
-    gradient in ``_im2col``'s row order, into the padded input gradient.
+    gradient in ``_Conv.im2col``'s row order, into the padded input gradient.
 
     Each kernel tap's rows go back through the same strided slices that
     filled them; the remainder tail that no forward window touched is left
@@ -1361,15 +1314,22 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
     (as ``conv3d`` does) and ``maxpool3d``'s route (``_route``), one byte
     per pooled element for windows of up to 256 offsets. Backward builds
     each chunk's conv-output gradient from the route, as ``maxpool3d``'s
-    backward does, and runs ``conv3d``'s chunk backward;
+    backward does, and runs the convolution's chunk backward;
     the bias gradient sums whole channels' conv-output gradients, rebuilt
     a few channels at a time, in ``conv3d``'s order. So the output and
-    every gradient are those of the two ops bit for bit.
+    every gradient are those of the two ops bit for bit. ``conv3d`` is
+    this op's convolution with a one-element window.
     """
     window = _triple(window)
     if window[0] != 1:
         raise ShapeError(f"conv_pool pools within frames, but window {window} spans frames")
-    conv = _Conv("conv_pool", x, kernel, 1, padding, pool_rows=window[1])
+    return _conv_pool("conv_pool", x, kernel, bias, 1, padding, window)
+
+
+def _conv_pool(op: str, x: Tensor, kernel: Tensor, bias: Tensor | None, stride, padding,
+               window) -> Tensor:
+    """``conv_pool`` at any ``stride``; a window of one offset keeps no route."""
+    conv = _Conv(op, x, kernel, stride, padding, pool_rows=window[1])
     b, o, frame, dims = conv.b, conv.o, conv.frame, conv.out_dims
     if any(p > n for p, n in zip(window, dims)):
         raise ShapeError(f"pool window {window} exceeds conv output {dims}")
@@ -1380,27 +1340,36 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
     def views(pshape):  # one strided view of conv output per window offset, pooled to pshape
         return [(..., *sl) for _, sl in _taps(window, window, pshape)]
 
-    route = np.empty(pooled.shape, np.min_scalar_type(len(views(pdims)) - 1)) \
-        if _taped(parents) else None
+    route = np.empty(pooled.shape, np.min_scalar_type(math.prod(window) - 1)) \
+        if math.prod(window) > 1 and _taped(parents) else None
 
-    def pool(piece, y, hit):
-        t0, t1, h0, h1 = piece  # h0 is a multiple of the window's height
-        rows = slice(h0 // window[1], h0 // window[1] + (h1 - h0) // window[1])
-        y5, p = y.reshape(b, o, t1 - t0, h1 - h0, dims[2]), pooled[:, :, t0:t1, rows]
-        pv = views(p.shape[2:])
-        _window_max(y5, p, pv)
-        if route is not None:
-            _route(y5, p, pv, route[:, :, t0:t1, rows], hit[:p.size].reshape(p.shape))
+    def run(p0, p1, scratch):
+        buf, ybuf, hit = scratch
+        for piece in conv.pieces[p0:p1]:
+            t0, t1, h0, h1 = piece  # h0 is a multiple of the window's height
+            y = ybuf[:b * o * (t1 - t0) * (h1 - h0) * dims[2]].reshape(b, o, -1)
+            np.matmul(conv.wmat, conv.im2col(conv.columns(buf, b, y.shape[2]), conv.xp, piece),
+                      out=y)
+            if bias is not None:
+                y += bias.data[:, None]
+            rows = slice(h0 // window[1], h0 // window[1] + (h1 - h0) // window[1])
+            y5, p = y.reshape(b, o, t1 - t0, h1 - h0, dims[2]), pooled[:, :, t0:t1, rows]
+            pv = views(p.shape[2:])
+            _window_max(y5, p, pv)
+            if route is not None:
+                _route(y5, p, pv, route[:, :, t0:t1, rows], hit[:p.size].reshape(p.shape))
 
-    conv.forward(bias, pool, extra=lambda: (
-        None if route is None else np.empty(b * o * conv.widest // (window[1] * window[2]), bool),))
+    # each thread builds its pieces' columns and GEMM outputs in reused buffers
+    _split(len(conv.pieces), conv.colbytes, run, scratch=lambda: (
+        conv.scratch(b, conv.widest), np.empty(b * o * conv.widest, conv.dtype),
+        None if route is None else np.empty(b * o * conv.widest // (window[1] * window[2]), bool)))
 
     def grad_fn(g):
         gb = g if conv.batched else g[None]
         hw = [n * p for n, p in zip(pdims[1:], window[1:])]  # the rows and columns pooled
         channel = b * dims[0] * frame  # one channel's conv output, every batch row
-        buf = np.empty(max(b * o * conv.per * frame, 0 if bias is None else channel),
-                       dtype=conv.dtype)
+        buf = None if route is None else np.empty(
+            max(b * o * conv.per * frame, 0 if bias is None else channel), dtype=conv.dtype)
 
         def unpool(o0, o1, t0, t1):
             """The conv-output gradient of channels [o0, o1) and frames
@@ -1413,17 +1382,17 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
                 np.multiply(gs, rs == k, out=d[view])
             return d.reshape(b, o1 - o0, -1)
 
-        if len(conv.chunks) == 1:  # the one chunk's gradient is the whole conv-output gradient
-            whole = unpool(0, o, 0, dims[0])
-            conv.backward(lambda t0, t1: whole, buf.dtype, x, kernel)
+        if route is None or len(conv.chunks) == 1:  # the whole conv-output gradient at once
+            whole = gb.reshape(b, o, -1) if route is None else unpool(0, o, 0, dims[0])
+            conv.backward(lambda t0, t1: whole[:, :, t0 * frame:t1 * frame], x, kernel)
             if bias is not None:
                 bias._accumulate(whole.sum(axis=(0, 2)))
             return
-        conv.backward(lambda t0, t1: unpool(0, o, t0, t1), buf.dtype, x, kernel)
+        conv.backward(lambda t0, t1: unpool(0, o, t0, t1), x, kernel)
         if bias is not None:
-            # conv3d's g.sum(axis=(0, 2)) sums each (row, channel)'s whole
+            # whole.sum(axis=(0, 2)) above sums each (row, channel)'s whole
             # gradient alone, then adds the batch rows in order
-            gbias, group = np.zeros(o, dtype=buf.dtype), len(buf) // channel
+            gbias, group = np.zeros(o, dtype=conv.dtype), len(buf) // channel
             for o0 in range(0, o, group):
                 for row in unpool(o0, min(o, o0 + group), 0, dims[0]).sum(axis=2):
                     gbias[o0:o0 + group] += row

@@ -74,9 +74,18 @@ def test_metric_without_direction_gets_no_win_count(bp):
     assert s["clips_per_s"]["parent"]["median"] == 1.5
 
 
-def test_report_file_keeps_every_run(bp, tmp_path, monkeypatch):
-    """main() with the benchmark replaced by the fake: the file holds both
-    commits, the seeds and order, the environment, every run and the summary."""
+def fake_bitcheck(lines):
+    """A bitcheck runner that prints ``lines[side]``, the side read from
+    the exported ``src/``'s parent directory."""
+    def run(script, src):
+        assert script.parts[-3:] == ("change", "scripts", "bitcheck.py")
+        return {"exit_code": 0, "lines": lines[src.parent.name], "stderr_tail": []}
+    return run
+
+
+def _main_on_fake_repo(bp, tmp_path, monkeypatch, bitcheck, pairs=5):
+    """main() on a one-commit repository with an edited perfbench/, the
+    benchmark and the bitcheck replaced by fakes; returns the report."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text("# bench\n")
@@ -92,10 +101,21 @@ def test_report_file_keeps_every_run(bp, tmp_path, monkeypatch):
     monkeypatch.setattr(bp, "ROOT", repo)
     monkeypatch.setattr(bp, "perfbench_run",
                         lambda root, w, seed, seconds: fake_run(root.name, w, seed))
-    assert bp.main(["--parent", "HEAD", "--pairs", "5", "--workloads", "prep-paper",
+    monkeypatch.setattr(bp, "bitcheck_run", bitcheck)
+    assert bp.main(["--parent", "HEAD", "--pairs", str(pairs), "--workloads", "prep-paper",
                     "--seed0", str(SEED0), "--label", "t", "--out-dir", str(tmp_path)]) == 0
+    return json.loads((tmp_path / "BENCH_t.json").read_text())
 
-    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+
+def test_report_file_keeps_every_run(bp, tmp_path, monkeypatch, capsys):
+    """The file holds both commits, the seeds and order, the environment,
+    both bitcheck outputs, every run and the summary."""
+    lines = ["tensor     prims 00ff", "cnn_lstm   c07   ee11"]
+    report = _main_on_fake_repo(bp, tmp_path, monkeypatch,
+                                fake_bitcheck({"parent": lines, "change": lines}))
+    assert report["bitcheck"]["same"] is True
+    assert report["bitcheck"]["parent"]["lines"] == report["bitcheck"]["change"]["lines"] == lines
+    assert "bitcheck" not in capsys.readouterr().err
     assert report["seeds"] == [11, 12, 13, 14, 15]
     assert report["commits"]["change"]["dirty"] is True
     assert len(report["commits"]["parent"]["commit"]) == 40
@@ -120,3 +140,16 @@ def test_tree_digest_ignores_scratch_and_sees_edits(bp, tmp_path):
     assert bp.tree_digest(a) == bp.tree_digest(b)
     (b / "vmbench" / "x.py").write_text("x = 2\n")
     assert bp.tree_digest(a) != bp.tree_digest(b)
+
+
+def test_bitcheck_difference_is_flagged(bp, tmp_path, monkeypatch, capsys):
+    """Bitcheck outputs that differ in one digest are both kept, ``same`` is
+    false and standard error says so."""
+    parent = ["tensor     prims 00ff", "cnn_lstm   c07   ee11"]
+    change = ["tensor     prims 00ff", "cnn_lstm   c07   ee12"]
+    report = _main_on_fake_repo(bp, tmp_path, monkeypatch,
+                                fake_bitcheck({"parent": parent, "change": change}), pairs=1)
+    bits = report["bitcheck"]
+    assert (bits["same"], bits["parent"]["lines"], bits["change"]["lines"]) == (
+        False, parent, change)
+    assert "bitcheck.py gives different output" in capsys.readouterr().err

@@ -301,6 +301,35 @@ def test_non_object_config_section_exits_two_naming_it(tmp_path, capsys, command
     assert f"'{section}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("data", "clip_len", 0),
+    ("data", "side", 0),
+    ("cnn_lstm", "hidden", 0),
+    ("vivit", "heads", 0),
+    ("vivit", "image_patch", 0),
+    ("swin3d_t", "heads", [0, 2, 2, 2]),
+])
+def test_zero_extent_exits_two_naming_it(tmp_path, capsys, section, key, value):
+    """An extent a config divides by or sizes arrays with is checked when
+    the config is built: zero is a config error naming the field, not a
+    ZeroDivisionError."""
+    good = _write_config(tmp_path)
+    corpus = _synth(tmp_path)
+    config = json.loads(good.read_text())
+    if section == "data":
+        config["data"][key] = value
+        args = ["preprocess", "--manifest", str(corpus / "manifest.json")]
+    else:
+        config["model"] = {"name": section, key: value}
+        args = ["loso", "--manifest", str(_preprocess(tmp_path, good, corpus) / "manifest.json")]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(args + ["--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key} must be positive" in err and "Traceback" not in err
+
+
 def test_model_overrides_turn_lists_into_tuples_only():
     vivit = _model_overrides({"model": {"name": "vivit", "heads": 2, "input_shape": [8, 16, 16, 3]}})
     assert vivit == {"heads": 2, "input_shape": (8, 16, 16, 3)}

@@ -637,6 +637,7 @@ class TestConvChunks:
     @pytest.mark.parametrize("shape, stride, pad", [
         ((2, 3, 5, 8, 8), (1, 1, 1), (1, 1, 1)),  # 5 frames as 2 + 2 + a ragged 1
         ((2, 2, 9, 8, 8), (2, 1, 1), (1, 1, 1)),  # stride 2 along T: 5 frames
+        ((2, 3, 5, 16, 16), (1, 2, 2), (1, 1, 1)),  # stride 2 along H and W: 5 frames of 8 x 8
         ((3, 7, 8, 8), (1, 1, 1), (0, 1, 1)),     # unbatched 4-D input: 5 frames
     ])
     def test_conv3d_chunks_bit_equal_single_chunk(self, monkeypatch, shape, stride, pad):
@@ -777,7 +778,10 @@ class TestConvPool:
         5 frames of 8 x 8 in chunks of two, every conv split, with ties,
         signed zeros and a NaN; a (1, 3, 3) window leaves 2 rows and 2
         columns unpooled.
-        The bias gradient is rebuilt three channels at a time."""
+        Both sides run the same conv GEMMs (conv3d is conv_pool's
+        convolution with a one-element window), so this checks the
+        piece-wise pooling and the route against maxpool3d of the whole
+        conv output. The bias gradient is rebuilt three channels at a time."""
         b = 1 if rows == "one" else T._runtime()[1] + 1
         gen = np.random.default_rng(171)
         xd = (gen.integers(-2, 3, size=(b, 3, 5, 8, 8)) / 4).astype(np.float32)
