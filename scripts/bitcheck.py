@@ -16,8 +16,12 @@ A first line, ``prep``, digests the clip stacks that
 ``preprocess_video(video, cfg)`` returns for four seeded raw videos at a
 32-px side: one trimmed to the standard length, one padded to it, and
 two non-square ones (centre crops of a wide and of a tall frame).
+A second line, ``resize``, digests ``localize_and_resize(video,
+CenterSquareLocalizer(), side)`` on seeded raw videos of shapes ``prep``
+does not reach: a 16x16 upscale to 224, a 720x1280 frame centre-cropped
+to 224, a 4096x64 strip to 32 and a 1x5 frame to 32.
 
-A second line, ``prims``, digests the outputs and the input, kernel and
+A third line, ``prims``, digests the outputs and the input, kernel and
 bias gradients of ``gelu``, ``maxpool3d``, ``conv3d`` (stride (1, 2, 2),
 padding 1) and ``conv_pool`` in float32 and float64, at batch 1 and 2, on
 inputs of more than ``tensor.POOL_MIN_BYTES`` holding ties, signed zeros,
@@ -36,8 +40,8 @@ against each checkout's sources and diff the outputs:
     PYTHONPATH=src python scripts/bitcheck.py > change.txt
     diff parent.txt change.txt
 
-The ``prims`` line calls only the ops' public signatures, so it runs
-against any checkout that has them.
+The ``resize`` and ``prims`` lines call only public names and
+signatures, so they run against any checkout that has them.
 """
 
 import hashlib
@@ -46,7 +50,8 @@ import numpy as np
 
 import vidmood.tensor as T
 from vidmood.models import MODEL_NAMES, build_model, default_config
-from vidmood.pipeline import PipelineConfig, RawVideo, preprocess_video
+from vidmood.pipeline import (CenterSquareLocalizer, PipelineConfig, RawVideo,
+                              localize_and_resize, preprocess_video)
 from vidmood.training import loss_fn, predict_probs
 
 # the c07 model configs (tests/test_acceptance.py _REDUCED)
@@ -61,6 +66,8 @@ SEED = 7
 # preprocessing: config and raw (frames, height, width) of each video
 PREP_CFG = PipelineConfig(side=32, length=40, clip_len=10)
 PREP_VIDEOS = ((50, 48, 48), (27, 40, 40), (40, 36, 60), (33, 70, 44))
+# resizing: raw (frames, height, width) of each video and its output side
+RESIZE_VIDEOS = ((3, 16, 16, 224), (2, 720, 1280, 224), (2, 4096, 64, 32), (3, 1, 5, 32))
 # primitives: frames per [2, T, 256, 256] sample, so one sample passes 8 MiB
 PRIM_FRAMES = {np.float32: 17, np.float64: 9}
 
@@ -113,6 +120,17 @@ def prep_digest() -> str:
     return h.hexdigest()
 
 
+def resize_digest() -> str:
+    """Centre-cropped, resized frames of seeded raw videos of other shapes."""
+    rng = np.random.default_rng([SEED, 5])
+    h = hashlib.sha256()
+    for i, (*shape, side) in enumerate(RESIZE_VIDEOS):
+        video = RawVideo(frames=rng.integers(0, 256, (*shape, 3), dtype=np.uint8),
+                         source_id=f"r{i}")
+        h.update(localize_and_resize(video, CenterSquareLocalizer(), side).tobytes())
+    return h.hexdigest()
+
+
 def _prim_input(rng, shape, dtype) -> np.ndarray:
     """Quarter steps in [-1, 1] (ties, exact sums, +-0); channel 0 also
     holds infinities and NaNs, so channel 1's kernel gradients stay finite."""
@@ -154,6 +172,7 @@ def prims_digest() -> str:
 
 def main() -> None:
     print(f"{'pipeline':10s} prep  {prep_digest()}", flush=True)
+    print(f"{'pipeline':10s} resize {resize_digest()}", flush=True)
     print(f"{'tensor':10s} prims {prims_digest()}", flush=True)
     for name in MODEL_NAMES:
         digest = c07_digest(name)

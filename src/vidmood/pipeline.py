@@ -8,7 +8,6 @@ until the final /255 normalization so reruns are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -16,8 +15,6 @@ __all__ = [
     "RawVideo",
     "Clip",
     "PipelineConfig",
-    "LocalizationError",
-    "FaceLocalizer",
     "CenterSquareLocalizer",
     "localize_and_resize",
     "standardize_length",
@@ -58,29 +55,14 @@ class Clip:
     clip_index: int
 
 
-class LocalizationError(ValueError):
-    """A crop rectangle was degenerate or out of frame; carries the frame index."""
-
-    def __init__(self, frame_index: int, message: str):
-        super().__init__(f"frame {frame_index}: {message}")
-        self.frame_index = frame_index
-
-
-class FaceLocalizer(Protocol):
-    def rectangles(self, frames: np.ndarray) -> Sequence[tuple[int, int, int, int]]:
-        """One (x, y, w, h) crop per frame, fully inside the frame."""
-        ...
-
-
 class CenterSquareLocalizer:
     """Centered square of side min(H, W) in every frame: ``preprocess_video``'s crop."""
 
-    def rectangles(self, frames: np.ndarray):
-        t, h, w = frames.shape[:3]
+    def rectangle(self, frames: np.ndarray) -> tuple[int, int, int, int]:
+        """The one (x, y, w, h) crop of ``frames`` [T, H, W, C]."""
+        h, w = frames.shape[1:3]
         side = min(h, w)
-        x = (w - side) // 2
-        y = (h - side) // 2
-        return [(x, y, side, side)] * t
+        return (w - side) // 2, (h - side) // 2, side, side
 
 
 # -- resampling ----------------------------------------------------------------
@@ -102,28 +84,29 @@ def _resize_frames_u8(frames: np.ndarray, side: int) -> np.ndarray:
     """Bilinear resize of uint8 [T, H, W, C] to [T, side, side, C].
 
     Half-pixel centers, so a side->side resize is the identity; sample
-    coordinates are clamped to the frame (edge replication). The sampling
-    grid is built once and each frame is resampled on its own into the
-    uint8 output, so the float64 working set is a few output frames,
-    whatever the video's length. Each corner is gathered from the input
-    and only then widened to float64.
+    coordinates are clamped to the frame (edge replication). Separable:
+    each frame is interpolated along W on just the source rows some output
+    row reads (y0 or y1), then those rows along H. Every output sample gets
+    the lerps of the direct 2-D form, top = lerp(f[y0, x0], f[y0, x1], wx),
+    bot = lerp(f[y1, x0], f[y1, x1], wx), lerp(top, bot, wy), in float64
+    and in that order, so the bytes do not depend on the split. The float64
+    working set is a few output frames, whatever the video's length.
     """
     t, h, w, c = frames.shape
     ys = np.clip((np.arange(side) + 0.5) * (h / side) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(side) + 0.5) * (w / side) - 0.5, 0.0, w - 1.0)
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    y0 = np.floor(yy).astype(np.intp)
-    x0 = np.floor(xx).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    rows, pick = np.unique(np.concatenate([y0, np.minimum(y0 + 1, h - 1)]), return_inverse=True)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (yy - y0)[:, :, None]
-    wx = (xx - x0)[:, :, None]
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[:, None]
 
     out = np.empty((t, side, side, c), dtype=np.uint8)
     for frame, dst in zip(frames, out):
-        top = _lerp_into(frame[y0, x0].astype(np.float64), frame[y0, x1].astype(np.float64), wx)
-        bot = _lerp_into(frame[y1, x0].astype(np.float64), frame[y1, x1].astype(np.float64), wx)
-        v = _lerp_into(top, bot, wy)
+        src = frame[rows]
+        lerped = _lerp_into(src[:, x0].astype(np.float64), src[:, x1].astype(np.float64), wx)
+        v = _lerp_into(lerped[pick[:side]], lerped[pick[side:]], wy)
         dst[...] = np.clip(np.rint(v, out=v), 0, 255, out=v)
     return out
 
@@ -131,25 +114,11 @@ def _resize_frames_u8(frames: np.ndarray, side: int) -> np.ndarray:
 # -- pipeline stages -------------------------------------------------------------
 
 
-def localize_and_resize(video: RawVideo, localizer: FaceLocalizer, side: int) -> np.ndarray:
-    """Crop each frame to its face rectangle, then resize to side x side."""
-    frames = video.frames
-    t, h, w, _ = frames.shape
-    rects = list(localizer.rectangles(frames))
-    if len(rects) != t:
-        raise LocalizationError(min(len(rects), t), f"{len(rects)} rectangles for {t} frames")
-    for i, (x, y, rw, rh) in enumerate(rects):
-        if rw <= 0 or rh <= 0:
-            raise LocalizationError(i, f"degenerate rectangle {(x, y, rw, rh)}")
-        if x < 0 or y < 0 or x + rw > w or y + rh > h:
-            raise LocalizationError(i, f"rectangle {(x, y, rw, rh)} exceeds frame {(h, w)}")
-    if len(set(rects)) == 1:
-        x, y, rw, rh = rects[0]
-        return _resize_frames_u8(frames[:, y:y + rh, x:x + rw], side)
-    out = np.empty((t, side, side, 3), dtype=np.uint8)
-    for i, (x, y, rw, rh) in enumerate(rects):
-        out[i] = _resize_frames_u8(frames[i:i + 1, y:y + rh, x:x + rw], side)[0]
-    return out
+def localize_and_resize(video: RawVideo, localizer: CenterSquareLocalizer,
+                        side: int) -> np.ndarray:
+    """Crop every frame to the localizer's rectangle, then resize to side x side."""
+    x, y, w, h = localizer.rectangle(video.frames)
+    return _resize_frames_u8(video.frames[:, y:y + h, x:x + w], side)
 
 
 def standardize_length(frames: np.ndarray, length: int) -> np.ndarray:

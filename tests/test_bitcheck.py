@@ -1,6 +1,6 @@
 """``scripts/bitcheck.py``'s reused-memory check: each model's c07 digest,
-and the preprocessing and primitives digests, computed twice in one
-process are the same.
+and the preprocessing, resize and primitives digests, computed twice in
+one process are the same.
 The second pass runs on freed, non-zero memory, so an op that reads an
 ``np.empty`` buffer before writing it fails here. The digests themselves
 are not pinned: they depend on the BLAS kernels of the machine."""
@@ -31,6 +31,11 @@ def test_c07_digest_is_the_same_on_reused_memory(name):
 def test_prep_digest_is_the_same_on_reused_memory():
     prep_digest = _bitcheck().prep_digest
     assert prep_digest() == prep_digest()
+
+
+def test_resize_digest_is_the_same_on_reused_memory():
+    resize_digest = _bitcheck().resize_digest
+    assert resize_digest() == resize_digest()
 
 
 def test_prims_digest_is_the_same_on_reused_memory():

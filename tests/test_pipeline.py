@@ -16,16 +16,6 @@ def u8video(t, h, w, seed=0):
     return P.RawVideo(frames=frames, source_id=f"vid{seed}")
 
 
-class FixedLocalizer:
-    """The rectangles it was given, whatever the frames."""
-
-    def __init__(self, rects):
-        self.rects = rects
-
-    def rectangles(self, frames):
-        return self.rects
-
-
 class TestLocalizeResize:
     def test_square_frame_is_identity(self):
         v = u8video(3, 16, 16, seed=1)
@@ -44,28 +34,11 @@ class TestLocalizeResize:
         out = P.localize_and_resize(v, P.CenterSquareLocalizer(), 8)
         np.testing.assert_array_equal(out[0], v.frames[0][:, 3:11])
 
-    def test_rectangles_applied_per_frame(self):
-        v = u8video(2, 8, 6, seed=3)
-        loc = FixedLocalizer([(0, 0, 3, 3), (2, 1, 4, 4)])
-        out = P.localize_and_resize(v, loc, 4)
-        expect0 = P._resize_frames_u8(v.frames[0:1, 0:3, 0:3], 4)[0]
-        expect1 = P._resize_frames_u8(v.frames[1:2, 1:5, 2:6], 4)[0]
-        np.testing.assert_array_equal(out[0], expect0)
-        np.testing.assert_array_equal(out[1], expect1)
-
-    def test_degenerate_rectangle_names_frame(self):
-        v = u8video(2, 8, 8, seed=4)
-        loc = FixedLocalizer([(0, 0, 4, 4), (0, 0, 0, 4)])
-        with pytest.raises(P.LocalizationError, match="frame 1"):
-            P.localize_and_resize(v, loc, 4)
-
-    def test_out_of_bounds_rectangle_rejected(self):
-        v = u8video(1, 8, 8, seed=5)
-        loc = FixedLocalizer([(5, 5, 4, 4)])
-        with pytest.raises(P.LocalizationError, match="exceeds"):
-            P.localize_and_resize(v, loc, 4)
-
-    @pytest.mark.parametrize("h, w, side", [(5, 7, 12), (3, 11, 16), (23, 17, 6), (40, 9, 8)])
+    @pytest.mark.parametrize("h, w, side", [(5, 7, 12), (3, 11, 16), (23, 17, 6), (40, 9, 8),
+                                            (1, 5, 8),        # a single source row
+                                            (37, 41, 7),
+                                            (64, 64, 224),    # upscale to the paper's side
+                                            (4096, 64, 32)])  # a tall strip
     def test_resize_matches_loop_reference(self, h, w, side):
         frames = u8video(2, h, w, seed=h * w).frames
         np.testing.assert_array_equal(P._resize_frames_u8(frames, side),
@@ -81,6 +54,18 @@ class TestLocalizeResize:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20, f"resize peak {peak / 2 ** 20:.1f} MiB for a 3 MiB input"
 
+    def test_resize_interpolates_only_the_rows_it_reads(self):
+        """32 output rows read 64 of the 4096 source rows; interpolating all
+        4096 along W first would peak at about 6.5 MiB."""
+        frames = u8video(1, 4096, 64, seed=9).frames
+        tracemalloc.start()
+        try:
+            P._resize_frames_u8(frames, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, f"resize peak {peak / 2 ** 20:.1f} MiB for 32 output rows"
+
     def test_resize_working_set_is_per_frame(self):
         frames = u8video(160, 96, 96, seed=8).frames
         tracemalloc.start()
@@ -91,12 +76,6 @@ class TestLocalizeResize:
             tracemalloc.stop()
         per_sample = peak / out.size
         assert per_sample < 4, f"resize peak {per_sample:.1f} bytes per output sample"
-
-    def test_rectangle_count_mismatch(self):
-        v = u8video(3, 8, 8, seed=6)
-        loc = FixedLocalizer([(0, 0, 4, 4)])
-        with pytest.raises(P.LocalizationError):
-            P.localize_and_resize(v, loc, 4)
 
 
 class TestStandardizeLength:
