@@ -27,7 +27,12 @@ say so: such pairs compare two benchmarks, not two programs.
 Before the pairs, the change's ``scripts/bitcheck.py`` runs once against
 each side's ``src/``, one side after the other. The file keeps both
 outputs and whether they are the same (both exited 0 and printed the same
-lines); standard error says so when they are not.
+lines); standard error says so when they are not. It then runs once more
+against the change's ``src/`` in a child pinned to one CPU (its own
+affinity, set with ``os.sched_setaffinity`` between fork and exec; this
+process keeps its own), so the engine runs on one thread, and the file
+records whether that output is the change's two-CPU output
+(``bitcheck.same_one_cpu``).
 """
 
 from __future__ import annotations
@@ -105,10 +110,18 @@ def perfbench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": metrics, "stderr_tail": proc.stderr.splitlines()[-5:]}
 
 
-def bitcheck_run(script: Path, src: Path) -> dict:
-    """One run of the bitcheck ``script`` against the sources at ``src``."""
+def _pin_to_one_cpu() -> None:
+    """Runs in the child between fork and exec: the child, and only it, may
+    use the first CPU this process may use."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def bitcheck_run(script: Path, src: Path, one_cpu: bool = False) -> dict:
+    """One run of the bitcheck ``script`` against the sources at ``src``;
+    with ``one_cpu``, in a child pinned to one CPU."""
     proc = subprocess.run([sys.executable, str(script)], cwd=src.parent, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=_pin_to_one_cpu if one_cpu else None)
     return {"exit_code": proc.returncode, "lines": proc.stdout.splitlines(),
             "stderr_tail": proc.stderr.splitlines()[-5:]}
 
@@ -267,6 +280,13 @@ def main(argv=None) -> int:
         if not bits["same"]:
             print("warning: scripts/bitcheck.py gives different output on the two sides' src/",
                   file=sys.stderr)
+        bits["change_one_cpu"] = bitcheck_run(roots["change"] / "scripts" / "bitcheck.py",
+                                              roots["change"] / "src", one_cpu=True)
+        bits["same_one_cpu"] = (bits["change_one_cpu"]["exit_code"] == 0
+                                and bits["change_one_cpu"]["lines"] == bits["change"]["lines"])
+        if not bits["same_one_cpu"]:
+            print("warning: scripts/bitcheck.py gives different output on the change's src/ "
+                  "pinned to one CPU", file=sys.stderr)
         runs = run_pairs(args.workloads, args.pairs, args.seed0,
                          lambda side, w, seed: perfbench_run(roots[side], w, seed, seconds))
     finally:

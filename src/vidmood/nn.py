@@ -169,7 +169,9 @@ class Mlp(Module):
 
 
 class MultiHeadAttention(Module):
-    """Multi-head self-attention over [B, N, dim] token sequences."""
+    """Multi-head self-attention over [B, N, dim] token sequences: the qkv
+    projection, attention and the output projection, run as one fused
+    ``tensor.mha``."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
@@ -183,7 +185,8 @@ class MultiHeadAttention(Module):
         """``mask`` and ``bias`` are those of ``tensor.attention``: additive
         0 / -inf masks, one per batch row modulo their count, and a
         [heads, N, N] logit bias."""
-        return self.proj(T.attention(self.qkv(x), self.heads, mask=mask, bias=bias))
+        return T.mha(x, self.qkv.weight, self.qkv.bias, self.proj.weight, self.proj.bias,
+                     self.heads, mask=mask, bias=bias)
 
 
 class TransformerBlock(Module):

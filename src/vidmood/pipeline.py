@@ -97,7 +97,11 @@ def _resize_frames_u8(frames: np.ndarray, side: int) -> np.ndarray:
     xs = np.clip((np.arange(side) + 0.5) * (w / side) - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.intp)
     x0 = np.floor(xs).astype(np.intp)
-    rows, pick = np.unique(np.concatenate([y0, np.minimum(y0 + 1, h - 1)]), return_inverse=True)
+    y1 = np.minimum(y0 + 1, h - 1)
+    read = np.zeros(h, dtype=bool)  # the source rows some output row reads
+    read[y0] = read[y1] = True
+    rows, slot = np.flatnonzero(read), np.cumsum(read) - 1  # slot: a read row's place in rows
+    top, bot = slot[y0], slot[y1]
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[:, None]
@@ -106,7 +110,7 @@ def _resize_frames_u8(frames: np.ndarray, side: int) -> np.ndarray:
     for frame, dst in zip(frames, out):
         src = frame[rows]
         lerped = _lerp_into(src[:, x0].astype(np.float64), src[:, x1].astype(np.float64), wx)
-        v = _lerp_into(lerped[pick[:side]], lerped[pick[side:]], wy)
+        v = _lerp_into(lerped[top], lerped[bot], wy)
         dst[...] = np.clip(np.rint(v, out=v), 0, 255, out=v)
     return out
 

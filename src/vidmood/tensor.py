@@ -7,15 +7,18 @@ rebuilds each window's route from the input and the output), layout ops
 (reshape / transpose / roll / pad / slicing / concat), the fused
 transformer ops ``linear``, ``layer_norm``, ``attention`` (packed-qkv
 multi-head attention with an additive mask and bias, run in cache-sized
-chunks) and ``mlp`` (fc1, GELU and fc2 over blocks of rows; the tape
+chunks), ``mha`` (the qkv projection, ``attention`` and the output
+projection over chunks of whole batch rows, so untaped no full-size qkv
+exists) and ``mlp`` (fc1, GELU and fc2 over blocks of rows; the tape
 keeps fc1's output and Phi of it), and ``conv_pool``, a 3D convolution
 (an im2col GEMM run over chunks of whole output frames, so its column is
-bounded by ``CONV_CHUNK_BYTES``, not by the clip) whose output is
-max-pooled piece by piece, so no full-size conv output exists (the tape
-keeps the padded input and a uint8 route per pooled element; backward
-builds each chunk's column again), each one tape node with a hand-written
-backward pass. ``conv3d`` is ``conv_pool``'s convolution with a
-one-element window.
+bounded by ``CONV_CHUNK_BYTES``, not by the clip; the column is copied
+from the input itself, with zeros where a tap reads the padding, so no
+padded copy exists) whose output is max-pooled piece by piece, so no
+full-size conv output exists (the tape keeps the input and a uint8 route
+per pooled element; backward builds each chunk's column again), each one
+tape node with a hand-written backward pass. ``conv3d`` is
+``conv_pool``'s convolution with a one-element window.
 
 One thread pool (``_split``), one thread per core the process may use, is
 the process's only parallel runtime: before this module's first GEMM it
@@ -23,8 +26,9 @@ pins numpy's and scipy's OpenBLAS to one thread, so BLAS never runs a
 thread pool beside it (where no OpenBLAS setter is found, it stays one
 thread wide and BLAS keeps its own threads). Work of ``POOL_MIN_BYTES``
 and more is split into ranges on that pool: the forward passes of
-``linear``, ``layer_norm``, ``attention``, ``conv3d``, ``conv_pool`` and
-``mlp``, and the backward of ``conv3d`` and ``conv_pool``. Each output
+``linear``, ``layer_norm``, ``attention``, ``mha``, ``conv3d``,
+``conv_pool`` and ``mlp``, and the backward of ``conv3d`` and
+``conv_pool``. Each output
 element is computed as in one whole call, so results are the same bit for
 bit. One budget, ``CACHE_BYTES``, bounds what one thread works on at a
 time: an attention chunk's logits, an ``mlp`` block's hidden rows and a
@@ -39,7 +43,8 @@ found, the allocator is left as it is.
 
 Forward values are numpy arrays; each op records its inputs and a
 gradient closure, so calling ``backward()`` on a scalar replays the
-recorded graph in reverse topological order.
+recorded graph in reverse topological order, releasing each node's
+closure and inputs once its gradient has run.
 
 Convention: float32 for training, float64 for verification (finite
 differences are meaningless in single precision).
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -73,6 +79,7 @@ __all__ = [
     "linear",
     "layer_norm",
     "attention",
+    "mha",
     "conv3d",
     "maxpool3d",
     "conv_pool",
@@ -178,9 +185,16 @@ class Tensor:
 
         Visits nodes in reverse topological order; every reachable
         tensor with ``requires_grad`` ends with a populated ``grad``.
+        The graph is released as it runs: once a node's gradient has
+        gone to its inputs, the node drops its gradient closure (and the
+        arrays it saved) and its inputs, so memory falls as backward
+        proceeds. A second ``backward`` through a released node raises
+        ``RuntimeError``; build the graph again instead.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
+        if self._grad_fn is _released:
+            _released(None)
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -199,14 +213,24 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._grad_fn is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._grad_fn is None:
+                continue
+            if node.grad is not None:
                 node._grad_fn(node.grad)
                 if not node.requires_grad:
                     node.grad = None  # free interior buffers
+            node._grad_fn, node._parents = _released, ()
 
     def __getitem__(self, key):
         return take(self, key)
+
+
+def _released(g):
+    """The gradient closure of a node whose graph ``backward`` released."""
+    raise RuntimeError("backward through a graph that an earlier backward() released; "
+                       "run the forward again to build a new graph")
 
 
 def tensor(data, dtype=None, requires_grad=False) -> Tensor:
@@ -655,6 +679,18 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # chunk: chunked, it is summed chunk by chunk).
 
 
+def _linear_rows(x2: np.ndarray, w: np.ndarray, bias: np.ndarray | None, y: np.ndarray,
+                 nbytes: int) -> None:
+    """y = x2 @ w + bias over row ranges of whole ``_gemm_units``, split
+    across cores (``_split_rows``) as work of ``nbytes``."""
+    def rows(r0, r1):
+        np.matmul(x2[r0:r1], w, out=y[r0:r1])
+        if bias is not None:
+            y[r0:r1] += bias
+
+    _split_rows(len(x2), w.size, y.dtype, nbytes, rows)
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight + bias over the last axis: x [..., in], weight [in, out].
 
@@ -668,13 +704,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     w = weight.data
     x2 = x.data.reshape(-1, w.shape[0])
     y = np.empty((x2.shape[0], w.shape[1]), dtype=np.result_type(x2, w))
-
-    def rows(r0, r1):
-        np.matmul(x2[r0:r1], w, out=y[r0:r1])
-        if bias is not None:
-            y[r0:r1] += bias.data
-
-    _split_rows(len(x2), w.size, y.dtype, x2.nbytes + y.nbytes, rows)
+    _linear_rows(x2, w, None if bias is None else bias.data, y, x2.nbytes + y.nbytes)
 
     def grad_fn(g):
         g2 = g.reshape(len(x2), w.shape[1])
@@ -848,6 +878,86 @@ def _softmax_rows_(lg: np.ndarray) -> None:
     lg /= s
 
 
+def _attend(qkv: np.ndarray, heads: int, mask, bias: Tensor | None, out: np.ndarray,
+            probs: np.ndarray | None, row0: int, nbytes: int) -> None:
+    """``attention``'s forward on the packed projection ``qkv`` [b, N, 3D]
+    of the op's batch rows row0 to row0 + b, which pick the masks: the
+    merged heads into ``out`` [b, N, D] and, when given, the probabilities
+    into ``probs`` [b, heads, N, N]. Rows run in chunks whose logits fit
+    ``CACHE_BYTES``, the softmax in place, split across cores by ``_split``
+    as work of ``nbytes``. Each batch row's numbers depend on that row
+    alone."""
+    b, n, d3 = qkv.shape
+    dh = d3 // (3 * heads)
+    dt = out.dtype
+    q, k, v = (qkv.reshape(b, n, 3, heads, dh)[:, :, i].transpose(0, 2, 1, 3)
+               for i in range(3))
+    kt = k.transpose(0, 1, 3, 2)
+    scale = dt.type(1.0 / math.sqrt(dh))
+    per = next(_row_chunks(b, heads * n * n * dt.itemsize))[1]  # rows per chunk
+    out_h = out.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def attend(r0, r1, scratch):
+        for c0 in range(r0, r1, per):
+            c1 = min(r1, c0 + per)
+            lg = probs[c0:c1] if scratch is None else scratch[:c1 - c0]
+            np.matmul(q[c0:c1], kt[c0:c1], out=lg)
+            lg *= scale
+            if bias is not None:
+                lg += bias.data
+            if mask is not None:
+                for r in range(c0, c1):
+                    m = mask[(row0 + r) % len(mask)]
+                    if m is not None:
+                        lg[r - c0] += m
+            _softmax_rows_(lg)
+            np.matmul(lg, v[c0:c1], out=out_h[c0:c1])
+
+    # untaped, each thread reuses one chunk-sized buffer for the logits;
+    # taped, they go straight into the kept probabilities
+    _split(b, nbytes, attend,
+           scratch=lambda: None if probs is not None else np.empty((per, heads, n, n), dtype=dt))
+
+
+def _attend_grad(qkv: np.ndarray, probs: np.ndarray, g: np.ndarray, heads: int,
+                 bias: Tensor | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``attention``'s backward: the gradients of the packed projection
+    ``qkv`` [B, N, 3D] and of the bias (None without one), given the kept
+    probabilities and ``g``, the merged heads' gradient [B, N, D]. It runs
+    the chain's arithmetic over the forward's chunks of the whole batch, so
+    the bias gradient sums chunk by chunk."""
+    b, n, d3 = qkv.shape
+    dh = d3 // (3 * heads)
+    dt = probs.dtype
+    q, k, v = (qkv.reshape(b, n, 3, heads, dh)[:, :, i].transpose(0, 2, 1, 3)
+               for i in range(3))
+    scale = dt.type(1.0 / math.sqrt(dh))
+    g_out = g.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+    gqkv = np.empty((b, n, 3, heads, dh), dtype=dt)
+    gq, gk, gv = (gqkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
+    gbias = None if bias is None else np.zeros(bias.shape, dtype=dt)
+    for r0, r1 in _row_chunks(b, heads * n * n * dt.itemsize):
+        p, go = probs[r0:r1], g_out[r0:r1]
+        np.matmul(p.transpose(0, 1, 3, 2), go, out=gv[r0:r1])
+        dz = go @ v[r0:r1].transpose(0, 1, 3, 2)  # d probs
+        dz -= (dz * p).sum(axis=-1, keepdims=True)
+        dz *= p  # d logits; zero wherever the mask excluded a pair
+        if gbias is not None:
+            gbias += _unbroadcast(dz, bias.shape)
+        dz *= scale
+        np.matmul(dz, k[r0:r1], out=gq[r0:r1])
+        # q^T dz, transposed, as the chain computed it: dz^T q sums in another order
+        gk[r0:r1] = (q[r0:r1].transpose(0, 1, 3, 2) @ dz).transpose(0, 1, 3, 2)
+    return gqkv.reshape(b, n, d3), gbias
+
+
+def _check_attention(op: str, b: int, d3: int, heads: int, mask) -> None:
+    if d3 % (3 * heads):
+        raise ShapeError(f"{op}: a packed width of {d3} is not 3 * {heads} * d_head")
+    if mask is not None and b % len(mask):
+        raise ShapeError(f"{op}: {b} batch rows are not a multiple of {len(mask)} masks")
+
+
 def attention(qkv: Tensor, heads: int, mask: Sequence[np.ndarray | None] | None = None,
               bias: Tensor | None = None) -> Tensor:
     """Multi-head self-attention on a packed projection.
@@ -865,70 +975,109 @@ def attention(qkv: Tensor, heads: int, mask: Sequence[np.ndarray | None] | None 
 
     Rows run in chunks whose logits fit ``CACHE_BYTES``, the softmax
     in place; the tape keeps only the probabilities. The forward's batch
-    rows are split across cores by ``_split``.
+    rows are split across cores by ``_split``. ``mha`` runs the same
+    forward (``_attend``) and backward (``_attend_grad``).
     """
-    if qkv.ndim != 3 or qkv.shape[-1] % (3 * heads):
+    if qkv.ndim != 3:
         raise ShapeError(f"attention: qkv {qkv.shape} is not [B, N, 3 * {heads} * d_head]")
     b, n, d3 = qkv.shape
-    dh = d3 // (3 * heads)
-    if mask is not None and b % len(mask):
-        raise ShapeError(f"attention: {b} batch rows are not a multiple of {len(mask)} masks")
+    _check_attention("attention", b, d3, heads, mask)
     dt = qkv.dtype if bias is None else np.result_type(qkv.data, bias.data)
-    q, k, v = (qkv.data.reshape(b, n, 3, heads, dh)[:, :, i].transpose(0, 2, 1, 3)
-               for i in range(3))
-    kt = k.transpose(0, 1, 3, 2)
-    scale = dt.type(1.0 / math.sqrt(dh))
-    row_bytes = heads * n * n * dt.itemsize
-    chunks = list(_row_chunks(b, row_bytes))
-    per = chunks[0][1]  # rows per chunk
     parents = (qkv,) if bias is None else (qkv, bias)
     probs = np.empty((b, heads, n, n), dtype=dt) if _taped(parents) else None
-    out = np.empty((b, n, heads, dh), dtype=dt)
-    out_h = out.transpose(0, 2, 1, 3)
-
-    def attend(r0, r1, scratch):
-        for c0 in range(r0, r1, per):
-            c1 = min(r1, c0 + per)
-            lg = probs[c0:c1] if scratch is None else scratch[:c1 - c0]
-            np.matmul(q[c0:c1], kt[c0:c1], out=lg)
-            lg *= scale
-            if bias is not None:
-                lg += bias.data
-            if mask is not None:
-                for r in range(c0, c1):
-                    m = mask[r % len(mask)]
-                    if m is not None:
-                        lg[r - c0] += m
-            _softmax_rows_(lg)
-            np.matmul(lg, v[c0:c1], out=out_h[c0:c1])
-
-    # untaped, each thread reuses one chunk-sized buffer for the logits;
-    # taped, they go straight into the kept probabilities
-    _split(b, b * row_bytes, attend,
-           scratch=lambda: None if probs is not None else np.empty((per, heads, n, n), dtype=dt))
+    out = np.empty((b, n, d3 // 3), dtype=dt)
+    _attend(qkv.data, heads, mask, bias, out, probs, 0, b * heads * n * n * dt.itemsize)
 
     def grad_fn(g):
-        g_out = g.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
-        gqkv = np.empty((b, n, 3, heads, dh), dtype=dt)
-        gq, gk, gv = (gqkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
-        gbias = None if bias is None else np.zeros(bias.shape, dtype=dt)
-        for r0, r1 in chunks:
-            p, go = probs[r0:r1], g_out[r0:r1]
-            np.matmul(p.transpose(0, 1, 3, 2), go, out=gv[r0:r1])
-            dz = go @ v[r0:r1].transpose(0, 1, 3, 2)  # d probs
-            dz -= (dz * p).sum(axis=-1, keepdims=True)
-            dz *= p  # d logits; zero wherever the mask excluded a pair
-            if gbias is not None:
-                gbias += _unbroadcast(dz, bias.shape)
-            dz *= scale
-            np.matmul(dz, k[r0:r1], out=gq[r0:r1])
-            # q^T dz, transposed, as the chain computed it: dz^T q sums in another order
-            gk[r0:r1] = (q[r0:r1].transpose(0, 1, 3, 2) @ dz).transpose(0, 1, 3, 2)
-        qkv._accumulate(gqkv.reshape(qkv.shape))
+        gqkv, gbias = _attend_grad(qkv.data, probs, g, heads, bias)
+        qkv._accumulate(gqkv)
         if bias is not None:
             bias._accumulate(gbias)
 
-    return _make(out.reshape(b, n, heads * dh), parents, grad_fn)
+    return _make(out, parents, grad_fn)
+
+
+def _fresh_grad(like: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """What ``_accumulate`` leaves in the gradient of a node shaped and
+    typed like ``like`` that receives ``g`` alone: zeros plus ``g``."""
+    out = np.zeros_like(like)
+    out += g
+    return out
+
+
+def mha(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_out: Tensor, b_out: Tensor, heads: int,
+        mask: Sequence[np.ndarray | None] | None = None, bias: Tensor | None = None) -> Tensor:
+    """``linear(attention(linear(x, w_qkv, b_qkv), heads, mask, bias),
+    w_out, b_out)`` as one op: x [B, N, D], w_qkv [D, 3D], w_out [D, D];
+    ``mask`` and ``bias`` are ``attention``'s.
+
+    The three phases run over chunks of whole batch rows: each chunk is
+    the fewest whole ``_gemm_units`` of the qkv GEMM (and whole batch
+    rows) whose qkv reaches ``POOL_MIN_BYTES``, and the last takes the
+    rest; float64, or fewer rows, run as one chunk. Each phase of a chunk
+    is split across cores as the op it replaces is, so both GEMMs give the
+    whole GEMMs' bits and the attention gives each batch row's. Untaped,
+    the qkv projection and the merged heads exist for one chunk at a time.
+
+    Taped, the op keeps what the three ops keep (the qkv projection, the
+    probabilities and the merged heads), and its backward runs their
+    backward arithmetic in their order, so every gradient is the chain's
+    bit for bit.
+    """
+    dim = w_out.shape[0] if w_out.ndim == 2 else None
+    if (x.ndim != 3 or x.shape[-1] != dim or w_out.shape != (dim, dim)
+            or w_qkv.shape != (dim, 3 * dim) or b_qkv.shape != (3 * dim,)
+            or b_out.shape != (dim,)):
+        raise ShapeError(f"mha: input {x.shape} does not match qkv {w_qkv.shape} + "
+                         f"{b_qkv.shape}, output {w_out.shape} + {b_out.shape}")
+    b, n, _ = x.shape
+    _check_attention("mha", b, 3 * dim, heads, mask)
+    x2, rows = x.data.reshape(-1, dim), b * n
+    qt = np.result_type(x2, w_qkv.data)
+    dt = qt if bias is None else np.result_type(qt, bias.data)
+    yt = np.result_type(dt, w_out.data)
+    parents = (x, w_qkv, b_qkv, w_out, b_out) + (() if bias is None else (bias,))
+    taped = _taped(parents)
+
+    unit, units = _gemm_units(rows, w_qkv.size, qt)
+    step = math.lcm(unit, n) if units > 1 else rows  # rows: whole GEMM units, whole batch rows
+    per = step * max(1, -(-POOL_MIN_BYTES // (step * 3 * dim * qt.itemsize))) // n  # batch rows
+    cuts = [i * per for i in range(max(1, b // per))] + [b]
+    widest = n * max(c1 - c0 for c0, c1 in zip(cuts, cuts[1:]))
+    qkv, heads_out = (np.empty((rows if taped else widest, k * dim), dtype=t)
+                      for k, t in ((3, qt), (1, dt)))
+    probs = np.empty((b, heads, n, n), dtype=dt) if taped else None
+    # each phase splits across cores as the whole op it replaces would
+    nbytes = (x2.nbytes + rows * 3 * dim * qt.itemsize, b * heads * n * n * dt.itemsize,
+              rows * dim * (dt.itemsize + yt.itemsize))
+    y = None  # made after the first chunk's attention, so never beside its logits
+    for c0, c1 in zip(cuts, cuts[1:]):
+        r0, r1 = c0 * n, c1 * n
+        qc, hc = (a[r0:r1] if taped else a[:r1 - r0] for a in (qkv, heads_out))
+        _linear_rows(x2[r0:r1], w_qkv.data, b_qkv.data, qc, nbytes[0])
+        _attend(qc.reshape(c1 - c0, n, 3 * dim), heads, mask, bias, hc.reshape(c1 - c0, n, dim),
+                None if probs is None else probs[c0:c1], c0, nbytes[1])
+        y = np.empty((rows, dim), dtype=yt) if y is None else y
+        _linear_rows(hc, w_out.data, b_out.data, y[r0:r1], nbytes[2])
+
+    def grad_fn(g):
+        g2 = g.reshape(rows, dim)
+        w_out._accumulate(heads_out.T @ g2)
+        b_out._accumulate(g2.sum(axis=0))
+        gh = _fresh_grad(heads_out, g2 @ w_out.data.T)
+        gqkv, gbias = _attend_grad(qkv.reshape(b, n, 3 * dim), probs, gh.reshape(b, n, dim),
+                                   heads, bias)
+        del gh
+        if bias is not None:
+            bias._accumulate(gbias)
+        gq = _fresh_grad(qkv, gqkv.reshape(rows, 3 * dim))
+        del gqkv
+        w_qkv._accumulate(x2.T @ gq)
+        b_qkv._accumulate(gq.sum(axis=0))
+        if _wants_grad(x):
+            x._accumulate((gq @ w_qkv.data.T).reshape(x.shape))
+
+    return _make(y.reshape(b, n, dim), parents, grad_fn)
 
 
 # -- layout ------------------------------------------------------------------
@@ -1049,13 +1198,40 @@ def _taps(kshape, stride, out_dims):
 CONV_CHUNK_BYTES = 64 << 20
 
 
+@functools.lru_cache(maxsize=None)
+def _axis_taps(n: int, k: int, s: int, p: int, a0: int, a1: int) -> tuple:
+    """One axis of a convolution: input extent ``n``, kernel extent ``k``,
+    stride ``s``, padding ``p``. Output position o reads input s * o + q - p
+    at kernel offset q, and is zero where that falls outside [0, n).
+
+    For the output positions [a0, a1), one entry per offset q: (dst, src,
+    before, after). ``dst`` slices, relative to a0, the positions whose
+    input is inside; ``src`` is the strided input slice they read; ``before``
+    and ``after`` slice the positions left and right of ``dst``, or are None
+    when there are none. With no position inside, ``dst`` and ``src`` are
+    None and ``before`` covers them all."""
+    taps = []
+    for q in range(k):
+        lo = min(a1, max(a0, -((q - p) // s)))  # the first o with s * o + q - p >= 0
+        hi = max(lo, min(a1, (n - 1 + p - q) // s + 1))  # one past the last inside
+        if lo == hi:
+            taps.append((None, None, slice(0, a1 - a0), None))
+            continue
+        src = slice(s * lo + q - p, s * (hi - 1) + q - p + 1, s)
+        taps.append((slice(lo - a0, hi - a0), src, slice(0, lo - a0) if lo > a0 else None,
+                     slice(hi - a0, a1 - a0) if hi < a1 else None))
+    return tuple(taps)
+
+
 class _Conv:
     """One convolution's geometry and machinery, for ``_conv_pool``: the
-    padded input, the chunks of whole output frames whose column fits
-    ``CONV_CHUNK_BYTES``, the pieces the forward GEMMs run in (bands of
-    rows a multiple of ``pool_rows`` high, where frames are cut), set by
-    the shapes and dtype alone, per-thread column scratch and the
-    chunk-by-chunk backward. A 4-D [C, T, H, W] input runs as a batch of one."""
+    chunks of whole output frames whose column fits ``CONV_CHUNK_BYTES``,
+    the pieces the forward GEMMs run in (bands of rows a multiple of
+    ``pool_rows`` high, where frames are cut), set by the shapes and dtype
+    alone, per-thread scratch and the chunk-by-chunk backward. No padded
+    copy of the input exists: a column's rows are copied from the input
+    where a kernel tap lands inside it and zeroed where it lands in the
+    padding. A 4-D [C, T, H, W] input runs as a batch of one."""
 
     def __init__(self, op: str, x: Tensor, kernel: Tensor, stride, padding, pool_rows=1):
         self.stride, self.padding = _triple(stride), _triple(padding)
@@ -1064,23 +1240,22 @@ class _Conv:
             raise ShapeError(f"{op} input must be 4-D or 5-D, got {x.shape}")
         if x.shape[-4] != kernel.shape[1]:
             raise ShapeError(f"{op} channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-        xb = x.data if self.batched else x.data[None]
-        self.xp = xp = np.pad(xb, ((0, 0), (0, 0)) + tuple((p, p) for p in self.padding))
+        self.x = xb = x.data if self.batched else x.data[None]
         self.kshape = kshape = kernel.shape[2:]
-        if any(n < k for n, k in zip(xp.shape[2:], kshape)):
-            raise ShapeError(f"kernel {kshape} larger than padded input {xp.shape[2:]}")
+        padded = tuple(n + 2 * p for n, p in zip(xb.shape[2:], self.padding))
+        if any(n < k for n, k in zip(padded, kshape)):
+            raise ShapeError(f"kernel {kshape} larger than padded input {padded}")
         self.out_dims = out_dims = tuple((n - k) // s + 1 for n, k, s in
-                                         zip(xp.shape[2:], kshape, self.stride))
+                                         zip(padded, kshape, self.stride))
         (b, self.c), o = xb.shape[:2], kernel.shape[0]
         self.b, self.o = b, o
         self.wmat = kernel.data.reshape(o, -1)
         self.rows = rows = self.wmat.shape[1]  # column rows, C * kt * kh * kw
         self.frame = frame = math.prod(out_dims[1:])  # output positions per frame
-        self.dtype = np.result_type(self.wmat, xp)
-        self.chunks = list(_row_chunks(out_dims[0], b * rows * frame * xp.itemsize,
+        self.dtype = np.result_type(self.wmat, xb)
+        self.chunks = list(_row_chunks(out_dims[0], b * rows * frame * xb.itemsize,
                                        CONV_CHUNK_BYTES))
         self.per = self.chunks[0][1]  # output frames per chunk
-
         # one GEMM per piece (t0, t1, h0, h1), output rows [h0, h1) of frames
         # [t0, t1): whole frames, or where one frame's column passes
         # CACHE_BYTES (no c07 frame does), bands of a multiple of pool_rows
@@ -1088,13 +1263,13 @@ class _Conv:
         # on a multiple of _GEMM_ROWS output positions and doing at least
         # _GEMM_MIN_MACS multiply-adds (the last frame or band takes the
         # rest); other dtypes run one piece per chunk
-        self.colbytes = b * rows * out_dims[0] * frame * xp.itemsize
+        self.colbytes = b * rows * out_dims[0] * frame * xb.itemsize
         cut = self.dtype == np.float32
         (h, w), macs = out_dims[1:], o * rows  # multiply-adds per output position
         align = _GEMM_ROWS // math.gcd(frame, _GEMM_ROWS)  # frames
         unit = align * max(1, -(-_GEMM_MIN_MACS // (align * frame * macs)))
         ralign = math.lcm(pool_rows, _GEMM_ROWS // math.gcd(w, _GEMM_ROWS))  # rows
-        band = ralign * max(1, CACHE_BYTES // (ralign * b * rows * w * xp.itemsize),
+        band = ralign * max(1, CACHE_BYTES // (ralign * b * rows * w * xb.itemsize),
                             -(-_GEMM_MIN_MACS // (ralign * w * macs)))
         self.pieces = []
         for t0, t1 in self.chunks:
@@ -1106,23 +1281,29 @@ class _Conv:
                                 for i in range(n)]
         self.widest = max((t1 - t0) * (h1 - h0) for t0, t1, h0, h1 in self.pieces) * w  # positions
 
-    def window(self, a, t0, t1):  # the padded frames that output frames [t0, t1) read
-        return a[:, :, self.stride[0] * t0:self.stride[0] * (t1 - 1) + self.kshape[0]]
-
-    def scratch(self, n, positions, dtype=None):  # room for a column of n batch rows
-        return np.empty(n * self.rows * positions, dtype=dtype or self.xp.dtype)
+    def scratch(self, size, dtype=None):  # every buffer the op writes before it reads
+        return np.empty(size, dtype=dtype or self.x.dtype)
 
     def columns(self, buf, n, positions):  # the head of buf as a column [n, rows, positions]
         return buf[:n * self.rows * positions].reshape(n, self.rows, positions)
 
+    def _axes(self, piece):  # ``_axis_taps`` along T, H and W for a piece's positions
+        t0, t1, h0, h1 = piece
+        return [_axis_taps(n, k, s, p, a0, a1) for n, k, s, p, a0, a1 in zip(
+            self.x.shape[2:], self.kshape, self.stride, self.padding, (t0, h0, 0),
+            (t1, h1, self.out_dims[2]))]
+
     def im2col(self, col, a, piece, t_base=None):
         """Fill ``col`` [len(a), rows, P'] with ``piece``'s columns from
-        padded batch rows ``a``: ``col`` holds the piece alone, or with
-        ``t_base`` whole output frames from ``t_base`` on; returns ``col``.
+        batch rows ``a`` of the input: ``col`` holds the piece alone, or
+        with ``t_base`` whole output frames from ``t_base`` on; returns
+        ``col``.
 
         Its rows follow the kernel's own (C, kt, kh, kw) order, so ``wmat @
-        col`` is the correlation. One strided copy per kernel tap fills it,
-        each running along contiguous W."""
+        col`` is the correlation. Per kernel tap, one strided copy running
+        along contiguous W fills the positions that read the input, and the
+        rest of the tap's rows, which read the zero padding, are set to
+        zero."""
         t0, t1, h0, h1 = piece
         h, w = self.out_dims[1:]
         if t_base is None:
@@ -1130,11 +1311,39 @@ class _Conv:
         else:
             col8 = col.reshape(len(a), self.c, *self.kshape, -1, h,
                                w)[..., t0 - t_base:t1 - t_base, h0:h1, :]
-        sy, ky = self.stride[1], self.kshape[1]
-        xa = self.window(a, t0, t1)[:, :, :, sy * h0:sy * (h1 - 1) + ky]
-        for (i, j, k), (st, sh, sw) in _taps(self.kshape, self.stride, (t1 - t0, h1 - h0, w)):
-            col8[:, :, i, j, k] = xa[:, :, st, sh, sw]
+        taps_t, taps_h, taps_w = self._axes(piece)
+        for i, (dt, st, bt, at) in enumerate(taps_t):
+            for j, (dh, sh, bh, ah) in enumerate(taps_h):
+                for k, (dw, sw, bw, aw) in enumerate(taps_w):
+                    tap = col8[:, :, i, j, k]
+                    if st is None or sh is None or sw is None:
+                        tap[...] = 0
+                        continue
+                    for z in (bt, at):
+                        if z is not None:
+                            tap[:, :, z] = 0
+                    for z in (bh, ah):
+                        if z is not None:
+                            tap[:, :, dt, z] = 0
+                    for z in (bw, aw):
+                        if z is not None:
+                            tap[:, :, dt, dh, z] = 0
+                    tap[:, :, dt, dh, dw] = a[:, :, st, sh, sw]
         return col
+
+    def col2im_add(self, gx, gcol, t0, t1):
+        """col2im: add ``gcol`` = W2d.T @ g, the [B, C*kt*kh*kw, (t1 - t0)
+        * frame] column gradient of output frames [t0, t1) in ``im2col``'s
+        row order, into the input gradient ``gx``. Each kernel tap adds the
+        positions that read the input back through the slices that copied
+        them; what it read from the padding goes nowhere."""
+        gcol8 = gcol.reshape(*gx.shape[:2], *self.kshape, t1 - t0, *self.out_dims[1:])
+        taps_t, taps_h, taps_w = self._axes((t0, t1, 0, self.out_dims[1]))
+        for i, (dt, st, _, _) in enumerate(taps_t):
+            for j, (dh, sh, _, _) in enumerate(taps_h):
+                for k, (dw, sw, _, _) in enumerate(taps_w):
+                    if st is not None and sh is not None and sw is not None:
+                        gx[:, :, st, sh, sw] += gcol8[:, :, i, j, k, dt, dh, dw]
 
     def backward(self, chunk_grad, x: Tensor, kernel: Tensor) -> None:
         """Accumulate the kernel's and x's gradients, chunk by chunk, from
@@ -1148,16 +1357,16 @@ class _Conv:
         column rows and col2im splits over input channels. Either way every
         element is summed in the same order, so the bits are the same."""
         b, o, c, rows, frame, per = self.b, self.o, self.c, self.rows, self.frame, self.per
-        xp, wmat, kshape, stride = self.xp, self.wmat, self.kshape, self.stride
+        xb, wmat = self.x, self.wmat
         gw = None
-        gxp = np.zeros(xp.shape, dtype=self.dtype) if _wants_grad(x) else None
-        part = np.empty((b, o, rows), dtype=self.dtype)
+        gx = np.zeros(xb.shape, dtype=self.dtype) if _wants_grad(x) else None
+        part = self.scratch((b, o, rows), self.dtype)
         rowwise = b >= _width(self.colbytes)
         if not rowwise:  # one chunk's column and its gradient, every batch row
-            whole = self.scratch(b, per * frame)
-            gwhole = None if gxp is None else self.scratch(b, per * frame, self.dtype)
+            whole = self.scratch(b * rows * per * frame)
+            gwhole = None if gx is None else self.scratch(b * rows * per * frame, self.dtype)
         for t0, t1 in self.chunks:
-            gc, sub = chunk_grad(t0, t1), (t1 - t0, *self.out_dims[1:])
+            gc = chunk_grad(t0, t1)
             frames = (t0, t1, 0, self.out_dims[1])
             if rowwise:
                 # each thread takes whole batch rows: it builds a row's column
@@ -1165,26 +1374,25 @@ class _Conv:
                 # it is in cache; rows are disjoint, so bits are unchanged
                 def batch_rows(b0, b1, bufs):
                     for bi in range(b0, b1):
-                        cc = self.im2col(self.columns(bufs[0], 1, gc.shape[2]), xp[bi:bi + 1],
+                        cc = self.im2col(self.columns(bufs[0], 1, gc.shape[2]), xb[bi:bi + 1],
                                          frames)
                         np.matmul(gc[bi], cc[0].T, out=part[bi])
-                        if gxp is not None:
+                        if gx is not None:
                             gcol = self.columns(bufs[1], 1, gc.shape[2])
                             np.matmul(wmat.T, gc[bi], out=gcol[0])
-                            _col2im_add(self.window(gxp[bi:bi + 1], t0, t1), gcol, kshape,
-                                        stride, sub)
+                            self.col2im_add(gx[bi:bi + 1], gcol, t0, t1)
 
-                _split(b, b * rows * gc.shape[2] * xp.itemsize, batch_rows, scratch=lambda: (
-                    self.scratch(1, per * frame),
-                    None if gxp is None else self.scratch(1, per * frame, self.dtype)))
+                _split(b, b * rows * gc.shape[2] * xb.itemsize, batch_rows, scratch=lambda: (
+                    self.scratch(rows * per * frame),
+                    None if gx is None else self.scratch(rows * per * frame, self.dtype)))
             else:
                 # fewer batch rows than threads: the forward's pieces build
                 # the chunk's column across cores, then the GEMMs split rows
                 mine = [p for p in self.pieces if t0 <= p[0] < t1]
                 cc = self.columns(whole, b, gc.shape[2])
                 _split(len(mine), cc.nbytes, lambda p0, p1: [
-                    self.im2col(cc, xp, p, t0) for p in mine[p0:p1]])
-                gcol = None if gxp is None else self.columns(gwhole, b, gc.shape[2])
+                    self.im2col(cc, xb, p, t0) for p in mine[p0:p1]])
+                gcol = None if gx is None else self.columns(gwhole, b, gc.shape[2])
 
                 def column_rows(r0, r1):  # both GEMMs sum over O or P, never over rows
                     np.matmul(gc, cc[:, r0:r1].transpose(0, 2, 1), out=part[:, :, r0:r1])
@@ -1193,15 +1401,13 @@ class _Conv:
 
                 _split_rows(rows, o * gc.shape[2], part.dtype, cc.nbytes, column_rows)
                 if gcol is not None:  # input channels own disjoint column rows
-                    gxc, k = self.window(gxp, t0, t1), rows // c
-                    _split(c, gcol.nbytes, lambda c0, c1: _col2im_add(
-                        gxc[:, c0:c1], gcol[:, c0 * k:c1 * k], kshape, stride, sub))
+                    k = rows // c
+                    _split(c, gcol.nbytes, lambda c0, c1: self.col2im_add(
+                        gx[:, c0:c1], gcol[:, c0 * k:c1 * k], t0, t1))
             psum = part.sum(axis=0)
             gw = psum if gw is None else np.add(gw, psum, out=gw)
         kernel._accumulate(gw.reshape(kernel.shape))
-        if gxp is not None:
-            crop = tuple(slice(p, n - p) for p, n in zip(self.padding, xp.shape[2:]))
-            gx = gxp[(..., *crop)]
+        if gx is not None:
             x._accumulate(gx if self.batched else gx[0])
 
 
@@ -1220,27 +1426,14 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride=1, padd
     ``_split`` spreads across cores, each thread building its pieces'
     columns and GEMM outputs in reused buffers, taped or not.
 
-    The tape keeps the padded input, not the column: the weight and input
-    gradients run per chunk and build its column again (``_Conv.backward``).
+    The tape keeps the input, not the column nor a padded copy: the weight
+    and input gradients run per chunk and build its column again
+    (``_Conv.backward``).
     The chunk GEMMs give the one-chunk output bit for bit when a frame's
     output positions are a multiple of the BLAS kernel width (16 for
     OpenBLAS 0.3.31's sgemm), as every model's frames are.
     """
     return _conv_pool("conv3d", x, kernel, bias, stride, padding, (1, 1, 1))
-
-
-def _col2im_add(gxp: np.ndarray, gcol: np.ndarray, kshape, stride, out_dims) -> None:
-    """col2im: add gcol = W2d.T @ g, the [B, C*kt*kh*kw, T'*H'*W'] column
-    gradient in ``_Conv.im2col``'s row order, into the padded input gradient.
-
-    Each kernel tap's rows go back through the same strided slices that
-    filled them; the remainder tail that no forward window touched is left
-    as it is.
-    """
-    b, c = gxp.shape[:2]
-    gcol = gcol.reshape(b, c, *kshape, *out_dims)
-    for (i, j, k), (st, sh, sw) in _taps(kshape, stride, out_dims):
-        gxp[:, :, st, sh, sw] += gcol[:, :, i, j, k]
 
 
 # -- 3D max-pooling ------------------------------------------------------------
@@ -1310,8 +1503,8 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
     Each forward piece's GEMM plus bias (whole frames, or bands of rows a
     multiple of the window's height) goes into per-thread scratch and is
     pooled from there into the output, one ``np.maximum`` per window offset:
-    no full-size conv output exists. Taped, the op keeps the padded input
-    (as ``conv3d`` does) and ``maxpool3d``'s route (``_route``), one byte
+    no full-size conv output exists. Taped, the op keeps the input (as
+    ``conv3d`` does) and ``maxpool3d``'s route (``_route``), one byte
     per pooled element for windows of up to 256 offsets. Backward builds
     each chunk's conv-output gradient from the route, as ``maxpool3d``'s
     backward does, and runs the convolution's chunk backward;
@@ -1348,7 +1541,7 @@ def _conv_pool(op: str, x: Tensor, kernel: Tensor, bias: Tensor | None, stride, 
         for piece in conv.pieces[p0:p1]:
             t0, t1, h0, h1 = piece  # h0 is a multiple of the window's height
             y = ybuf[:b * o * (t1 - t0) * (h1 - h0) * dims[2]].reshape(b, o, -1)
-            np.matmul(conv.wmat, conv.im2col(conv.columns(buf, b, y.shape[2]), conv.xp, piece),
+            np.matmul(conv.wmat, conv.im2col(conv.columns(buf, b, y.shape[2]), conv.x, piece),
                       out=y)
             if bias is not None:
                 y += bias.data[:, None]
@@ -1361,15 +1554,16 @@ def _conv_pool(op: str, x: Tensor, kernel: Tensor, bias: Tensor | None, stride, 
 
     # each thread builds its pieces' columns and GEMM outputs in reused buffers
     _split(len(conv.pieces), conv.colbytes, run, scratch=lambda: (
-        conv.scratch(b, conv.widest), np.empty(b * o * conv.widest, conv.dtype),
-        None if route is None else np.empty(b * o * conv.widest // (window[1] * window[2]), bool)))
+        conv.scratch(b * conv.rows * conv.widest), conv.scratch(b * o * conv.widest, conv.dtype),
+        None if route is None else conv.scratch(b * o * conv.widest // (window[1] * window[2]),
+                                                bool)))
 
     def grad_fn(g):
         gb = g if conv.batched else g[None]
         hw = [n * p for n, p in zip(pdims[1:], window[1:])]  # the rows and columns pooled
         channel = b * dims[0] * frame  # one channel's conv output, every batch row
-        buf = None if route is None else np.empty(
-            max(b * o * conv.per * frame, 0 if bias is None else channel), dtype=conv.dtype)
+        buf = None if route is None else conv.scratch(
+            max(b * o * conv.per * frame, 0 if bias is None else channel), conv.dtype)
 
         def unpool(o0, o1, t0, t1):
             """The conv-output gradient of channels [o0, o1) and frames

@@ -120,6 +120,74 @@ def conv_pool_routed_reference(x, w, b, pad, window, g):
     return out, gx, gw, gb
 
 
+def _padded_columns(x, kshape, stride, pad):
+    """The zero-padded copy of [B, C, T, H, W] ``x`` and its im2col column
+    [B, C, kt, kh, kw, T', H', W'], one strided copy of the padded input per
+    kernel tap."""
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in pad))
+    out = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kshape, stride))
+    col = np.empty(x.shape[:2] + tuple(kshape) + out, dtype=x.dtype)
+    for tap in np.ndindex(*kshape):
+        sl = tuple(slice(o, o + s * (n - 1) + 1, s) for o, s, n in zip(tap, stride, out))
+        col[(slice(None), slice(None)) + tap] = xp[(Ellipsis,) + sl]
+    return xp, col, out
+
+
+def conv3d_padded_reference(x, w, b, stride, pad, g=None):
+    """conv3d of [B, C, T, H, W] ``x`` through a zero-padded copy of it: the
+    im2col column in the kernel's (C, kt, kh, kw) row order, one GEMM per
+    batch row, then + bias. With ``g``, the output gradient, also returns
+    the input, kernel and bias gradients: per batch row the kernel
+    gradient g @ col^T, summed over the rows in order, and the column
+    gradient w^T @ g added tap by tap into a zero padded input gradient,
+    which is then cropped. Returns (y, gx, gw, gb), the gradients None
+    without ``g``."""
+    bsz, c = x.shape[:2]
+    o, kshape = w.shape[0], w.shape[2:]
+    xp, col, out = _padded_columns(x, kshape, stride, pad)
+    wmat, col = w.reshape(o, -1), col.reshape(bsz, -1, math.prod(out))
+    y = np.stack([wmat @ col[i] for i in range(bsz)])
+    if b is not None:
+        y += b[:, None]
+    y = y.reshape(bsz, o, *out)
+    if g is None:
+        return y, None, None, None
+    g2 = g.reshape(bsz, o, -1)
+    gw = np.stack([g2[i] @ col[i].T for i in range(bsz)]).sum(axis=0).reshape(w.shape)
+    gxp = np.zeros(xp.shape, dtype=x.dtype)
+    for i in range(bsz):
+        gcol = (wmat.T @ g2[i]).reshape(c, *kshape, *out)
+        for tap in np.ndindex(*kshape):
+            sl = tuple(slice(q, q + s * (n - 1) + 1, s) for q, s, n in zip(tap, stride, out))
+            gxp[(i, slice(None)) + sl] += gcol[(slice(None),) + tap]
+    gx = gxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(pad, x.shape[2:]))]
+    return y, gx, gw, g2.sum(axis=(0, 2))
+
+
+def conv_pool_padded_reference(x, w, b, pad, window, g):
+    """``conv3d_padded_reference`` (stride 1), then a max-pool with stride =
+    window, and the gradients for ``g`` on the pooled output: a window's
+    value is ``np.maximum`` over its offsets in row-major order, and its
+    gradient goes to the first offset equal to that maximum, or to its
+    first NaN. Returns (pooled, gx, gw, gb)."""
+    y = conv3d_padded_reference(x, w, b, (1, 1, 1), pad)[0]
+    pdims = tuple(n // p for n, p in zip(y.shape[2:], window))
+    views = [(Ellipsis,) + tuple(slice(q, q + p * (n - 1) + 1, p)
+                                 for q, p, n in zip(tap, window, pdims))
+             for tap in np.ndindex(*window)]
+    pooled = y[views[0]].copy()
+    for view in views[1:]:
+        pooled = np.maximum(y[view], pooled)
+    first = np.stack([y[v] == pooled for v in views]).argmax(axis=0)
+    first_nan = np.stack([np.isnan(y[v]) for v in views]).argmax(axis=0)
+    route = np.where(np.isnan(pooled), first_nan, first)
+    gy = np.zeros_like(y)
+    for k, view in enumerate(views):
+        gy[view] = np.multiply(g, route == k)
+    _, gx, gw, gb = conv3d_padded_reference(x, w, b, (1, 1, 1), pad, gy)
+    return pooled, gx, gw, gb
+
+
 def attention_loop_reference(q, k, v, mask=None, bias=None):
     """Per-query softmax attention on [B, H, N, dh], explicit loops."""
     b, h, n, dh = q.shape
@@ -162,6 +230,14 @@ def packed_attention_loop_reference(qkv, heads, mask=None, bias=None):
         for h in range(heads):
             merged[bi, :, h * dh:(h + 1) * dh] = out[bi, h]
     return merged
+
+
+def mha_loop_reference(x, w_qkv, b_qkv, w_out, b_out, heads, mask=None, bias=None):
+    """``tensor.mha`` from its definition: the qkv projection, attention
+    and the output projection, each by its own loop reference."""
+    merged = packed_attention_loop_reference(linear_loop_reference(x, w_qkv, b_qkv), heads,
+                                             mask=mask, bias=bias)
+    return linear_loop_reference(merged, w_out, b_out)
 
 
 def linear_loop_reference(x, w, b=None):

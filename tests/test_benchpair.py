@@ -3,6 +3,7 @@ fake run function (no benchmark runs here)."""
 
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -76,10 +77,16 @@ def test_metric_without_direction_gets_no_win_count(bp):
 
 def fake_bitcheck(lines):
     """A bitcheck runner that prints ``lines[side]``, the side read from
-    the exported ``src/``'s parent directory."""
-    def run(script, src):
+    the exported ``src/``'s parent directory, or ``lines["one_cpu"]`` (by
+    default the change's lines) when pinned to one CPU."""
+    def run(script, src, one_cpu=False):
         assert script.parts[-3:] == ("change", "scripts", "bitcheck.py")
-        return {"exit_code": 0, "lines": lines[src.parent.name], "stderr_tail": []}
+        side = src.parent.name
+        if one_cpu:
+            assert side == "change"
+            return {"exit_code": 0, "lines": lines.get("one_cpu", lines["change"]),
+                    "stderr_tail": []}
+        return {"exit_code": 0, "lines": lines[side], "stderr_tail": []}
     return run
 
 
@@ -114,7 +121,9 @@ def test_report_file_keeps_every_run(bp, tmp_path, monkeypatch, capsys):
     report = _main_on_fake_repo(bp, tmp_path, monkeypatch,
                                 fake_bitcheck({"parent": lines, "change": lines}))
     assert report["bitcheck"]["same"] is True
+    assert report["bitcheck"]["same_one_cpu"] is True
     assert report["bitcheck"]["parent"]["lines"] == report["bitcheck"]["change"]["lines"] == lines
+    assert report["bitcheck"]["change_one_cpu"]["lines"] == lines
     assert "bitcheck" not in capsys.readouterr().err
     assert report["seeds"] == [11, 12, 13, 14, 15]
     assert report["commits"]["change"]["dirty"] is True
@@ -153,3 +162,29 @@ def test_bitcheck_difference_is_flagged(bp, tmp_path, monkeypatch, capsys):
     assert (bits["same"], bits["parent"]["lines"], bits["change"]["lines"]) == (
         False, parent, change)
     assert "bitcheck.py gives different output" in capsys.readouterr().err
+
+
+def test_one_cpu_difference_is_flagged(bp, tmp_path, monkeypatch, capsys):
+    """A change whose bitcheck output moves when pinned to one CPU: both
+    sides agree, ``same_one_cpu`` is false and standard error says so."""
+    lines = ["tensor     prims 00ff", "cnn_lstm   c07   ee11"]
+    report = _main_on_fake_repo(bp, tmp_path, monkeypatch, fake_bitcheck(
+        {"parent": lines, "change": lines, "one_cpu": lines[:1] + ["cnn_lstm   c07   ee12"]}),
+        pairs=1)
+    bits = report["bitcheck"]
+    assert (bits["same"], bits["same_one_cpu"]) == (True, False)
+    assert bits["change_one_cpu"]["lines"][1].endswith("ee12")
+    assert "pinned to one CPU" in capsys.readouterr().err
+
+
+def test_one_cpu_run_pins_the_child_only(bp, tmp_path):
+    """``bitcheck_run(..., one_cpu=True)`` runs its script on one CPU; the
+    calling process keeps the CPUs it had."""
+    before = os.sched_getaffinity(0)
+    src = tmp_path / "side" / "src"
+    src.mkdir(parents=True)
+    script = tmp_path / "cpus.py"
+    script.write_text("import os\nprint(len(os.sched_getaffinity(0)))\n")
+    assert bp.bitcheck_run(script, src, one_cpu=True)["lines"] == ["1"]
+    assert bp.bitcheck_run(script, src)["lines"] == [str(len(before))]
+    assert os.sched_getaffinity(0) == before

@@ -5,6 +5,7 @@ reimplementations; gradients against central finite differences in
 float64.
 """
 
+import contextlib
 import ctypes
 import json
 import os
@@ -23,10 +24,11 @@ from vidmood import tensor as T
 from vidmood.gradcheck import gradcheck
 from vidmood.tensor import NumericError, ShapeError, Tensor
 
-from reference import (conv3d_grads_reference, conv3d_reference, conv_pool_routed_reference,
+from reference import (conv3d_grads_reference, conv3d_padded_reference, conv3d_reference,
+                       conv_pool_padded_reference, conv_pool_routed_reference,
                        gelu_composite_reference, layer_norm_loop_reference,
-                       linear_loop_reference, maxpool3d_routed_reference, mlp_loop_reference,
-                       packed_attention_loop_reference)
+                       linear_loop_reference, maxpool3d_routed_reference, mha_loop_reference,
+                       mlp_loop_reference, packed_attention_loop_reference)
 
 
 UNARY_OPS = {"relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh, "exp": T.exp, "neg": T.neg}
@@ -229,6 +231,24 @@ class TestAutodiff:
         for _ in range(2):
             T.sum_(T.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, 4 * x.data)  # two passes of 2x
+        x.zero_grad()
+        T.sum_(T.mul(x, x)).backward()
+        np.testing.assert_allclose(x.grad, 2 * x.data)
+
+    def test_second_backward_on_a_released_graph_raises(self):
+        """``backward`` releases the graph it ran: a second call, or a new
+        graph built on one of its nodes, raises instead of giving no
+        gradient; the leaves stay usable."""
+        x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        y = T.mul(x, x)
+        loss = T.sum_(y)
+        loss.backward()
+        np.testing.assert_allclose(x.grad, 2 * x.data)
+        assert (y._parents, loss._parents) == ((), ())
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            T.sum_(T.mul(y, 2.0)).backward()
         x.zero_grad()
         T.sum_(T.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, 2 * x.data)
@@ -633,6 +653,106 @@ class TestFusedOps:
             T.attention(Tensor(rnd((3, 5, 12), 5)), 2, mask=_attention_masks(5))
 
 
+def _mha_params(dim, seed, dtype=np.float64):
+    """w_qkv, b_qkv, w_out, b_out for tokens of width ``dim``."""
+    return (rnd((dim, 3 * dim), seed, dtype) * 0.3, rnd(3 * dim, seed + 1, dtype),
+            rnd((dim, dim), seed + 2, dtype) * 0.3, rnd(dim, seed + 3, dtype))
+
+
+def _mha_chain(x, w_qkv, b_qkv, w_out, b_out, heads, mask=None, bias=None):
+    """The three ops ``mha`` fuses: their nodes, last first."""
+    qkv = T.linear(x, w_qkv, b_qkv)
+    merged = T.attention(qkv, heads, mask=mask, bias=bias)
+    return [T.linear(merged, w_out, b_out), merged, qkv]
+
+
+class TestMha:
+    def test_matches_loop_reference(self):
+        x, bias = rnd((4, 5, 6), 200), rnd((3, 5, 5), 201)
+        params = _mha_params(6, 202)
+        masks = _attention_masks(5)
+        got = T.mha(Tensor(x), *(Tensor(p) for p in params), 3, mask=masks,
+                    bias=Tensor(bias)).data
+        want = mha_loop_reference(x, *params, 3, mask=masks, bias=bias)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_grads_with_mask_and_bias(self):
+        x = Tensor(rnd((4, 5, 6), 203), requires_grad=True)
+        names = ("w_qkv", "b_qkv", "w_out", "b_out")
+        params = {k: Tensor(p, requires_grad=True) for k, p in zip(names, _mha_params(6, 204))}
+        bias = Tensor(rnd((3, 5, 5), 208), requires_grad=True)
+        masks = _attention_masks(5)
+        wt = rnd((4, 5, 6), 209)
+        check(lambda: T.sum_(T.mul(T.mha(x, *params.values(), 3, mask=masks, bias=bias), wt)),
+              {"x": x, **params, "bias": bias})
+        check(lambda: T.sum_(T.mul(T.mha(x, *params.values(), 3), wt)), {"x": x, **params})
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_chunks_bit_equal_the_three_ops(self, monkeypatch, taped):
+        """40 windows of 22 tokens, 32 wide: the qkv GEMM's unit is 352 rows
+        (16 windows), so with every chunk's qkv over POOL_MIN_BYTES the op
+        runs windows [0, 16) and [16, 40); five masks, so the second chunk
+        starts inside a mask cycle. Output and every gradient equal the
+        three ops' bit for bit."""
+        b, n, dim, heads = 40, 22, 32, 4
+        monkeypatch.setattr(T, "POOL_MIN_BYTES", 1)
+        gen = np.random.default_rng(210)
+        masks = [np.where(gen.random((n, n)) > 0.3, np.float32(0), np.float32(-np.inf))[None]
+                 for _ in range(3)]
+        masks = [masks[0], None, masks[1], masks[2], None]
+        xd, bd = rnd((b, n, dim), 211, np.float32), rnd((heads, n, n), 212, np.float32)
+        pd = _mha_params(dim, 213, np.float32)
+        g = rnd((b, n, dim), 217, np.float32)
+        g[:, ::4] = -0.0
+        rows0 = []
+        attend = T._attend
+        monkeypatch.setattr(T, "_attend", lambda *a: (rows0.append(a[6]), attend(*a)))
+
+        def run(op):
+            """op's output and, taped, every input's gradient: each node's
+            closure runs on its gradient, the output's on ``g`` itself."""
+            ts = [Tensor(a, requires_grad=taped) for a in (xd, *pd, bd)]
+            with T.no_grad() if not taped else contextlib.nullcontext():
+                nodes = op(*ts[:5], heads, mask=masks, bias=ts[5])
+            if not taped:
+                return [nodes[0].data]
+            for node in nodes:
+                node._grad_fn(g if node is nodes[0] else node.grad)
+            return [nodes[0].data] + [t.grad for t in ts]
+
+        fused = run(lambda *a, **k: [T.mha(*a, **k)])
+        assert rows0 == [0, 16]
+        _assert_bits_equal(fused, run(_mha_chain))
+
+    def test_untaped_paper_size_never_holds_the_qkv(self):
+        """Swin's first stage at paper scale: 128 windows of 8 x 7 x 7
+        tokens, 96 wide. The traced peak stays under the 55 MiB [B*N, 3D]
+        qkv projection (the three ops held it beside the merged heads and
+        the output: 92 MiB)."""
+        b, n, dim = 128, 392, 96
+        x = Tensor(rnd((b, n, dim), 218, np.float32))
+        params = [Tensor(p) for p in _mha_params(dim, 219, np.float32)]
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                y = T.mha(x, *params, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        qkv_bytes = b * n * 3 * dim * 4
+        assert peak < qkv_bytes, f"peak {peak / 2 ** 20:.1f} MiB, qkv {qkv_bytes / 2 ** 20:.1f} MiB"
+        assert y.shape == (b, n, dim)
+
+    def test_shape_errors(self):
+        params = [Tensor(p) for p in _mha_params(6, 220)]
+        with pytest.raises(ShapeError):
+            T.mha(Tensor(rnd((2, 3, 5), 221)), *params, 3)  # width 5, weights for 6
+        with pytest.raises(ShapeError):
+            T.mha(Tensor(rnd((2, 3, 6), 222)), *params, 4)  # 6 is not 4 heads wide
+        with pytest.raises(ShapeError):  # 3 batch rows, 2 masks
+            T.mha(Tensor(rnd((3, 5, 6), 223)), *params, 3, mask=_attention_masks(5))
+
+
 class TestConvChunks:
     @pytest.mark.parametrize("shape, stride, pad", [
         ((2, 3, 5, 8, 8), (1, 1, 1), (1, 1, 1)),  # 5 frames as 2 + 2 + a ragged 1
@@ -678,7 +798,8 @@ class TestConvChunks:
 
     def test_untaped_conv3d_peak_is_one_chunk_not_the_column(self, monkeypatch):
         """A 16-frame column (7 MB) in chunks of two frames: the traced peak
-        is the output, the padded input and one chunk's column."""
+        is the output and one chunk's column, with no padded copy of the
+        input."""
         x = Tensor(rnd((1, 4, 16, 32, 32), 101, np.float32))
         w = Tensor(rnd((8, 4, 3, 3, 3), 102, np.float32))
         frame_bytes = 4 * 27 * 32 * 32 * 4
@@ -690,15 +811,15 @@ class TestConvChunks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        padded_bytes = 4 * 18 * 34 * 34 * 4
-        bound = y.data.nbytes + padded_bytes + 2 * frame_bytes + (1 << 18)
+        bound = y.data.nbytes + 2 * frame_bytes + (1 << 18)
         assert peak < bound, \
             f"peak {peak / 2 ** 20:.2f} MiB, whole column {16 * frame_bytes / 2 ** 20:.2f} MiB"
 
-    def test_taped_conv3d_keeps_the_padded_input_not_the_column(self):
+    def test_taped_conv3d_keeps_no_padded_copy_and_no_column(self):
         """A taped c07 block-0 forward ([8, 3, 16, 32, 32] to 8 channels):
-        what it leaves allocated is the output and the padded input its
-        gradient closure holds, not the 40 MiB [8, 81, 16384] column."""
+        what it leaves allocated is the output alone. Its gradient closure
+        holds the input itself, not a 1.3 MiB padded copy of it nor the 40
+        MiB [8, 81, 16384] column."""
         x = Tensor(rnd((8, 3, 16, 32, 32), 103, np.float32), requires_grad=True)
         w = Tensor(rnd((8, 3, 3, 3, 3), 104, np.float32), requires_grad=True)
         tracemalloc.start()
@@ -709,13 +830,15 @@ class TestConvChunks:
             tracemalloc.stop()
         padded_bytes = 8 * 3 * 18 * 34 * 34 * 4
         assert y._grad_fn is not None
-        assert held < y.data.nbytes + padded_bytes + (1 << 18), \
-            f"held {held / 2 ** 20:.2f} MiB, column {8 * 81 * 16384 * 4 / 2 ** 20:.2f} MiB"
+        assert held < y.data.nbytes + padded_bytes // 8, \
+            f"held {held / 2 ** 20:.2f} MiB, output {y.data.nbytes / 2 ** 20:.2f} MiB"
 
     def test_multi_chunk_taped_backward_peak_is_one_chunk(self, monkeypatch):
         """A 16-frame column (7 MB) in chunks of two frames, forward and
-        backward under trace: the peak is the padded input, its gradient,
-        the output and one chunk's column and column gradient."""
+        backward under trace: the peak is the input's gradient (twice, while
+        it is accumulated into ``x.grad``), the output and one chunk's
+        column and column gradient; no padded copy of the input or of its
+        gradient."""
         monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * 4 * 27 * 32 * 32 * 4)
         x = Tensor(rnd((1, 4, 16, 32, 32), 105, np.float32), requires_grad=True)
         w = Tensor(rnd((8, 4, 3, 3, 3), 106, np.float32), requires_grad=True)
@@ -727,11 +850,76 @@ class TestConvChunks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        padded_bytes = 4 * 18 * 34 * 34 * 4
         chunk_bytes = 2 * 4 * 27 * 32 * 32 * 4
-        bound = 2 * padded_bytes + y.data.nbytes + 2 * chunk_bytes + (1 << 18)
+        bound = 2 * x.data.nbytes + y.data.nbytes + 2 * chunk_bytes + (1 << 18)
         assert peak < bound, \
             f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
+
+
+def _nan_scratch(monkeypatch):
+    """Every buffer ``_Conv`` hands out comes filled with NaN (True for
+    bool), so a value read before it is written shows."""
+    scratch = T._Conv.scratch
+
+    def filled(self, size, dtype=None):
+        buf = scratch(self, size, dtype)
+        buf.fill(True if buf.dtype == bool else np.nan)
+        return buf
+
+    monkeypatch.setattr(T._Conv, "scratch", filled)
+
+
+def _c07_specials(shape, seed):
+    """float32 input of ``shape`` with -0 in a tenth of its entries and, in
+    batch row 0's channel 0, a NaN inside and +inf and -inf on the borders
+    (whose windows read the padding)."""
+    x = rnd(shape, seed, np.float32)
+    x[np.random.default_rng(seed).random(shape) < 0.1] = -0.0
+    x[0, 0, 1, 2, 3] = np.nan
+    x[0, 0, 0, 0, 0] = np.inf
+    x[0, 0, -1, -1, -1] = -np.inf
+    return x
+
+
+class TestConvKeepsNoPaddedCopy:
+    """conv3d and conv_pool on scratch that starts as NaN equal, bit for bit,
+    a reference that convolves a zero-padded copy of the input
+    (``tests/reference.py``), on inputs holding +-inf, NaN and -0: every
+    column entry that reads the padding is written as zero, and the
+    input gradient gets exactly the taps that read the input."""
+
+    @pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2)])
+    @pytest.mark.parametrize("pad", [(0, 0, 0), (1, 1, 1)])
+    def test_conv3d_matches_padded_copy(self, monkeypatch, stride, pad):
+        _nan_scratch(monkeypatch)
+        xd = _c07_specials((8, 3, 16, 32, 32), 190)
+        wd, bd = rnd((8, 3, 3, 3, 3), 191, np.float32), rnd(8, 192, np.float32)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        y = T.conv3d(x, w, b, stride=stride, padding=pad)
+        g = rnd(y.shape, 193, np.float32)
+        g[:, :, ::3] = -0.0
+        with np.errstate(invalid="ignore"):
+            y._grad_fn(g)
+            want = conv3d_padded_reference(xd, wd, bd, stride, pad, g)
+        _assert_bits_equal([y.data, x.grad, w.grad, b.grad], want)
+
+    @pytest.mark.parametrize("xshape, cout", [
+        ((8, 3, 16, 32, 32), 8),    # c07 block 0
+        ((8, 8, 16, 16, 16), 16),   # c07 block 1
+        ((1, 8, 16, 32, 32), 16),   # one batch row: column-split backward
+    ])
+    def test_conv_pool_matches_padded_copy(self, monkeypatch, xshape, cout):
+        _nan_scratch(monkeypatch)
+        xd = _c07_specials(xshape, 194)
+        wd, bd = rnd((cout, xshape[1], 3, 3, 3), 195, np.float32), rnd(cout, 196, np.float32)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        y = T.conv_pool(x, w, b, 1, (1, 2, 2))
+        g = rnd(y.shape, 197, np.float32)
+        g[:, :, ::3] = -0.0
+        with np.errstate(invalid="ignore"):
+            y._grad_fn(g)
+            want = conv_pool_padded_reference(xd, wd, bd, (1, 1, 1), (1, 2, 2), g)
+        _assert_bits_equal([y.data, x.grad, w.grad, b.grad], want)
 
 
 class TestConvPool:
@@ -905,9 +1093,9 @@ class TestConvPool:
 
     def test_untaped_paper_block_never_holds_the_conv_output(self):
         """cnn_lstm's block 0 on one 30 x 224 x 224 clip: the traced peak is
-        the pooled output, the padded input and each thread's column and
-        GEMM output for one band of rows, well under the 184 MiB conv
-        output."""
+        the pooled output and each thread's column and GEMM output for one
+        band of rows, well under the 184 MiB conv output, with no 18 MiB
+        padded copy of the input."""
         x = Tensor(rnd((1, 3, 30, 224, 224), 179, np.float32))
         w, b = Tensor(rnd((32, 3, 3, 3, 3), 180, np.float32)), Tensor(np.zeros(32, np.float32))
         tracemalloc.start()
@@ -918,17 +1106,17 @@ class TestConvPool:
         finally:
             tracemalloc.stop()
         conv_bytes = 32 * 30 * 224 * 224 * 4
-        padded_bytes = 3 * 32 * 226 * 226 * 4
         band = T._Conv("conv_pool", x, w, 1, 1, pool_rows=2).widest  # output positions
         assert band * 81 * 4 <= T.CACHE_BYTES
-        bound = y.data.nbytes + padded_bytes + T._runtime()[1] * (81 + 32) * band * 4 + (1 << 20)
+        bound = y.data.nbytes + T._runtime()[1] * (81 + 32) * band * 4 + (1 << 20)
         assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
         assert peak < conv_bytes / 2, f"peak {peak / 2 ** 20:.1f} MiB"
 
-    def test_taped_conv_pool_keeps_the_padded_input_and_a_route(self):
+    def test_taped_conv_pool_keeps_no_padded_copy_only_a_route(self):
         """A taped c07 block-0 forward ([8, 3, 16, 32, 32] to 8 channels)
-        leaves allocated the pooled output, the padded input and one uint8
-        route entry per pooled element, not the 4 MiB conv output."""
+        leaves allocated the pooled output and one uint8 route entry per
+        pooled element: no 1.3 MiB padded copy of the input (the closure
+        holds the input itself) and not the 4 MiB conv output."""
         x = Tensor(rnd((8, 3, 16, 32, 32), 181, np.float32), requires_grad=True)
         w = Tensor(rnd((8, 3, 3, 3, 3), 182, np.float32), requires_grad=True)
         tracemalloc.start()
@@ -939,7 +1127,7 @@ class TestConvPool:
             tracemalloc.stop()
         padded_bytes = 8 * 3 * 18 * 34 * 34 * 4
         assert y._grad_fn is not None
-        assert held < y.data.nbytes + padded_bytes + y.data.size + (1 << 16), \
+        assert held < y.data.nbytes + y.data.size + padded_bytes // 8, \
             f"held {held / 2 ** 20:.2f} MiB"
 
 
