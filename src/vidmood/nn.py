@@ -182,7 +182,7 @@ class MultiHeadAttention(Module):
 
     def forward(self, x: Tensor, mask: Sequence[np.ndarray | None] | None = None,
                 bias: Tensor | None = None) -> Tensor:
-        """``mask`` and ``bias`` are those of ``tensor.attention``: additive
+        """``mask`` and ``bias`` are those of ``tensor.mha``: additive
         0 / -inf masks, one per batch row modulo their count, and a
         [heads, N, N] logit bias."""
         return T.mha(x, self.qkv.weight, self.qkv.bias, self.proj.weight, self.proj.bias,

@@ -5,10 +5,10 @@ broadcasting binary ops, batched matmul, stabilized (maskable) softmax,
 max-pooling (one ``np.maximum`` per window offset, taped or not: backward
 rebuilds each window's route from the input and the output), layout ops
 (reshape / transpose / roll / pad / slicing / concat), the fused
-transformer ops ``linear``, ``layer_norm``, ``attention`` (packed-qkv
-multi-head attention with an additive mask and bias, run in cache-sized
-chunks), ``mha`` (the qkv projection, ``attention`` and the output
-projection over chunks of whole batch rows, so untaped no full-size qkv
+transformer ops ``linear``, ``layer_norm``, ``mha`` (multi-head
+self-attention with an additive mask and bias, its logits in cache-sized
+chunks, between the qkv and the output projection, all run over chunks
+of whole batch rows, so untaped no full-size qkv
 exists) and ``mlp`` (fc1, GELU and fc2 over blocks of rows; the tape
 keeps fc1's output and Phi of it), and ``conv_pool``, a 3D convolution
 (an im2col GEMM run over chunks of whole output frames, so its column is
@@ -26,9 +26,8 @@ pins numpy's and scipy's OpenBLAS to one thread, so BLAS never runs a
 thread pool beside it (where no OpenBLAS setter is found, it stays one
 thread wide and BLAS keeps its own threads). Work of ``POOL_MIN_BYTES``
 and more is split into ranges on that pool: the forward passes of
-``linear``, ``layer_norm``, ``attention``, ``mha``, ``conv3d``,
-``conv_pool`` and ``mlp``, and the backward of ``conv3d`` and
-``conv_pool``. Each output
+``linear``, ``layer_norm``, ``mha``, ``conv3d``, ``conv_pool`` and
+``mlp``, and the backward of ``conv3d`` and ``conv_pool``. Each output
 element is computed as in one whole call, so results are the same bit for
 bit. One budget, ``CACHE_BYTES``, bounds what one thread works on at a
 time: an attention chunk's logits, an ``mlp`` block's hidden rows and a
@@ -78,7 +77,6 @@ __all__ = [
     "log_softmax",
     "linear",
     "layer_norm",
-    "attention",
     "mha",
     "conv3d",
     "maxpool3d",
@@ -638,6 +636,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- softmax -----------------------------------------------------------------
 
 
+def _softmax_rows_(lg: np.ndarray, axis: int = -1) -> None:
+    """Softmax along ``axis``, in place: each row's max (0 where it is not
+    finite) subtracted, exponentiated and divided by its sum (1 where that
+    is 0), so a row whose entries are all -inf becomes zeros."""
+    m = lg.max(axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0
+    lg -= m
+    np.exp(lg, out=lg)
+    s = lg.sum(axis=axis, keepdims=True)
+    s[s == 0] = 1
+    lg /= s
+
+
 def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     """Numerically stabilized softmax along ``axis``.
 
@@ -647,14 +658,9 @@ def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
     """
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    d = x.data
-    if mask is not None:
-        d = np.where(mask, d, -np.inf)
-    m = np.max(d, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(d - m)
-    s = e.sum(axis=axis, keepdims=True)
-    y = e / np.where(s == 0, 1.0, s)
+    # the copy keeps the input's memory layout, which sets each row's summation order
+    y = np.where(mask, x.data, -np.inf) if mask is not None else x.data.copy(order="K")
+    _softmax_rows_(y, axis)
 
     def grad_fn(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -675,8 +681,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 #
 # One tape node each. Forward and backward passes repeat the arithmetic of
 # the op chains they replace, so values and gradients are bit-identical to
-# those chains (attention's bias gradient only while the batch fits one
-# chunk: chunked, it is summed chunk by chunk).
+# those chains (``mha``'s bias gradient only while the batch fits one
+# attention chunk: chunked, it is summed chunk by chunk).
 
 
 def _linear_rows(x2: np.ndarray, w: np.ndarray, bias: np.ndarray | None, y: np.ndarray,
@@ -866,21 +872,9 @@ def _row_chunks(rows: int, row_bytes: int, budget: int | None = None):
         yield r0, min(rows, r0 + step)
 
 
-def _softmax_rows_(lg: np.ndarray) -> None:
-    """In-place ``softmax`` over the last axis, with the same op order; a
-    row whose entries are all -inf becomes zeros."""
-    m = lg.max(axis=-1, keepdims=True)
-    m[~np.isfinite(m)] = 0
-    lg -= m
-    np.exp(lg, out=lg)
-    s = lg.sum(axis=-1, keepdims=True)
-    s[s == 0] = 1
-    lg /= s
-
-
 def _attend(qkv: np.ndarray, heads: int, mask, bias: Tensor | None, out: np.ndarray,
             probs: np.ndarray | None, row0: int, nbytes: int) -> None:
-    """``attention``'s forward on the packed projection ``qkv`` [b, N, 3D]
+    """``mha``'s attention forward on the packed projection ``qkv`` [b, N, 3D]
     of the op's batch rows row0 to row0 + b, which pick the masks: the
     merged heads into ``out`` [b, N, D] and, when given, the probabilities
     into ``probs`` [b, heads, N, N]. Rows run in chunks whose logits fit
@@ -921,7 +915,7 @@ def _attend(qkv: np.ndarray, heads: int, mask, bias: Tensor | None, out: np.ndar
 
 def _attend_grad(qkv: np.ndarray, probs: np.ndarray, g: np.ndarray, heads: int,
                  bias: Tensor | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """``attention``'s backward: the gradients of the packed projection
+    """``mha``'s attention backward: the gradients of the packed projection
     ``qkv`` [B, N, 3D] and of the bias (None without one), given the kept
     probabilities and ``g``, the merged heads' gradient [B, N, D]. It runs
     the chain's arithmetic over the forward's chunks of the whole batch, so
@@ -951,52 +945,6 @@ def _attend_grad(qkv: np.ndarray, probs: np.ndarray, g: np.ndarray, heads: int,
     return gqkv.reshape(b, n, d3), gbias
 
 
-def _check_attention(op: str, b: int, d3: int, heads: int, mask) -> None:
-    if d3 % (3 * heads):
-        raise ShapeError(f"{op}: a packed width of {d3} is not 3 * {heads} * d_head")
-    if mask is not None and b % len(mask):
-        raise ShapeError(f"{op}: {b} batch rows are not a multiple of {len(mask)} masks")
-
-
-def attention(qkv: Tensor, heads: int, mask: Sequence[np.ndarray | None] | None = None,
-              bias: Tensor | None = None) -> Tensor:
-    """Multi-head self-attention on a packed projection.
-
-    ``qkv`` [B, N, 3*D] holds q, k and v side by side, each D = heads *
-    d_head wide. Per head, softmax(q k^T / sqrt(d_head) + bias + mask) v;
-    the heads come back merged as [B, N, D].
-
-    ``mask`` is a sequence of M additive masks (an [M, 1, N, N] array, or
-    a list that shares arrays between rows): each entry is 0 (attend) or
-    -inf (excluded) per pair, broadcastable to [heads, N, N], or None when
-    nothing is excluded. Batch row r uses ``mask[r % M]``, so B must be a
-    multiple of M. Excluded pairs get exactly zero weight, and a row with
-    every key excluded gives zeros. ``bias`` broadcasts to [heads, N, N].
-
-    Rows run in chunks whose logits fit ``CACHE_BYTES``, the softmax
-    in place; the tape keeps only the probabilities. The forward's batch
-    rows are split across cores by ``_split``. ``mha`` runs the same
-    forward (``_attend``) and backward (``_attend_grad``).
-    """
-    if qkv.ndim != 3:
-        raise ShapeError(f"attention: qkv {qkv.shape} is not [B, N, 3 * {heads} * d_head]")
-    b, n, d3 = qkv.shape
-    _check_attention("attention", b, d3, heads, mask)
-    dt = qkv.dtype if bias is None else np.result_type(qkv.data, bias.data)
-    parents = (qkv,) if bias is None else (qkv, bias)
-    probs = np.empty((b, heads, n, n), dtype=dt) if _taped(parents) else None
-    out = np.empty((b, n, d3 // 3), dtype=dt)
-    _attend(qkv.data, heads, mask, bias, out, probs, 0, b * heads * n * n * dt.itemsize)
-
-    def grad_fn(g):
-        gqkv, gbias = _attend_grad(qkv.data, probs, g, heads, bias)
-        qkv._accumulate(gqkv)
-        if bias is not None:
-            bias._accumulate(gbias)
-
-    return _make(out, parents, grad_fn)
-
-
 def _fresh_grad(like: np.ndarray, g: np.ndarray) -> np.ndarray:
     """What ``_accumulate`` leaves in the gradient of a node shaped and
     typed like ``like`` that receives ``g`` alone: zeros plus ``g``."""
@@ -1007,22 +955,36 @@ def _fresh_grad(like: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def mha(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_out: Tensor, b_out: Tensor, heads: int,
         mask: Sequence[np.ndarray | None] | None = None, bias: Tensor | None = None) -> Tensor:
-    """``linear(attention(linear(x, w_qkv, b_qkv), heads, mask, bias),
-    w_out, b_out)`` as one op: x [B, N, D], w_qkv [D, 3D], w_out [D, D];
-    ``mask`` and ``bias`` are ``attention``'s.
+    """Multi-head self-attention with its input and output projections, as
+    one op: x [B, N, D], w_qkv [D, 3D], w_out [D, D]. The qkv projection
+    ``x @ w_qkv + b_qkv`` holds q, k and v side by side, each D = heads *
+    d_head wide; per head, softmax(q k^T / sqrt(d_head) + bias + mask) v;
+    the merged heads [B, N, D] go through ``@ w_out + b_out``.
+
+    ``mask`` is a sequence of M additive masks (an [M, 1, N, N] array, or
+    a list that shares arrays between rows): each entry is 0 (attend) or
+    -inf (excluded) per pair, broadcastable to [heads, N, N], or None when
+    nothing is excluded. Batch row r uses ``mask[r % M]``, so B must be a
+    multiple of M. Excluded pairs get exactly zero weight, and a query with
+    every key excluded gets zero merged heads, so its output is ``b_out``.
+    ``bias`` broadcasts to [heads, N, N].
 
     The three phases run over chunks of whole batch rows: each chunk is
     the fewest whole ``_gemm_units`` of the qkv GEMM (and whole batch
     rows) whose qkv reaches ``POOL_MIN_BYTES``, and the last takes the
     rest; float64, or fewer rows, run as one chunk. Each phase of a chunk
-    is split across cores as the op it replaces is, so both GEMMs give the
-    whole GEMMs' bits and the attention gives each batch row's. Untaped,
-    the qkv projection and the merged heads exist for one chunk at a time.
+    is split across cores as the whole phase would be, so both GEMMs give
+    the whole GEMMs' bits and the attention gives each batch row's: the
+    chunks do not change the output. The attention runs a chunk's rows in
+    turn in groups whose logits fit ``CACHE_BYTES``, the softmax in place.
+    Untaped, the qkv projection and the merged heads exist for one chunk
+    at a time.
 
-    Taped, the op keeps what the three ops keep (the qkv projection, the
-    probabilities and the merged heads), and its backward runs their
-    backward arithmetic in their order, so every gradient is the chain's
-    bit for bit.
+    Taped, the op keeps the qkv projection, the probabilities and the
+    merged heads, and its backward runs the output projection's, the
+    attention's (``_attend_grad``) and the qkv projection's backward in
+    that order, over the whole batch, so the chunks do not change the
+    gradients either.
     """
     dim = w_out.shape[0] if w_out.ndim == 2 else None
     if (x.ndim != 3 or x.shape[-1] != dim or w_out.shape != (dim, dim)
@@ -1031,7 +993,10 @@ def mha(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_out: Tensor, b_out: Tensor, h
         raise ShapeError(f"mha: input {x.shape} does not match qkv {w_qkv.shape} + "
                          f"{b_qkv.shape}, output {w_out.shape} + {b_out.shape}")
     b, n, _ = x.shape
-    _check_attention("mha", b, 3 * dim, heads, mask)
+    if dim % heads:
+        raise ShapeError(f"mha: a width of {dim} is not {heads} * d_head")
+    if mask is not None and b % len(mask):
+        raise ShapeError(f"mha: {b} batch rows are not a multiple of {len(mask)} masks")
     x2, rows = x.data.reshape(-1, dim), b * n
     qt = np.result_type(x2, w_qkv.data)
     dt = qt if bias is None else np.result_type(qt, bias.data)

@@ -209,7 +209,7 @@ def attention_loop_reference(q, k, v, mask=None, bias=None):
 
 
 def packed_attention_loop_reference(qkv, heads, mask=None, bias=None):
-    """``tensor.attention`` from its definition: split the packed [B, N, 3D]
+    """``tensor.mha``'s attention from its definition: split the packed [B, N, 3D]
     projection into per-head q, k, v, run the per-query loop with pairs
     whose additive mask entry is -inf excluded, and merge the heads."""
     b, n, d3 = qkv.shape

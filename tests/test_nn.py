@@ -10,7 +10,8 @@ from vidmood.gradcheck import gradcheck
 from vidmood.models import build_model, default_config
 from vidmood.tensor import ShapeError, Tensor
 
-from reference import attention_loop_reference, trunc_normal_reference
+from reference import (attention_loop_reference, cast_params, mha_loop_reference,
+                       trunc_normal_reference)
 from test_acceptance import _REDUCED
 
 
@@ -18,49 +19,52 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def pack(q, k, v):
-    """[B, H, N, dh] q, k, v -> the packed [B, N, 3 * H * dh] projection."""
-    b, h, n, dh = q.shape
-    return np.concatenate([a.transpose(0, 2, 1, 3).reshape(b, n, h * dh) for a in (q, k, v)],
-                          axis=-1)
-
-
-def unpack(out, heads):
-    """Merged [B, N, H * dh] attention output -> [B, H, N, dh]."""
-    b, n, d = out.shape
-    return out.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
+def mha_weights(layer):
+    """An ``nn.MultiHeadAttention``'s weights, in ``mha_loop_reference``'s order."""
+    return layer.qkv.weight.data, layer.qkv.bias.data, layer.proj.weight.data, layer.proj.bias.data
 
 
 class TestAttention:
+    """A float64 ``nn.MultiHeadAttention``, one fused ``tensor.mha``,
+    against the per-query loop: plain, under per-head masks, with a bias."""
+
     def test_matches_per_query_loop(self):
-        gen = rng(1)
-        q, k, v = (gen.normal(size=(2, 3, 5, 4)) for _ in range(3))
-        got = unpack(T.attention(Tensor(pack(q, k, v)), 3).data, 3)
-        np.testing.assert_allclose(got, attention_loop_reference(q, k, v), rtol=1e-6, atol=1e-8)
+        layer = cast_params(nn.MultiHeadAttention(12, 3, rng(1)))
+        x = rng(24).normal(size=(2, 5, 12))
+        np.testing.assert_allclose(layer(Tensor(x)).data,
+                                   mha_loop_reference(x, *mha_weights(layer), 3),
+                                   rtol=1e-6, atol=1e-8)
 
     def test_masked_matches_loop_and_zeroes_pairs(self):
         gen = rng(2)
-        q, k, v = (gen.normal(size=(2, 2, 6, 4)) for _ in range(3))
+        layer = cast_params(nn.MultiHeadAttention(8, 2, gen))
+        x = gen.normal(size=(2, 6, 8))
         mask = gen.random((2, 2, 6, 6)) > 0.3
         mask[:, :, :, 0] = True  # keep every row attendable
         additive = np.where(mask, 0.0, -np.inf)  # one [H, N, N] mask per batch row
-        got = unpack(T.attention(Tensor(pack(q, k, v)), 2, mask=additive).data, 2)
-        np.testing.assert_allclose(got, attention_loop_reference(q, k, v, mask=mask),
+        np.testing.assert_allclose(layer(Tensor(x), mask=additive).data,
+                                   mha_loop_reference(x, *mha_weights(layer), 2, mask=additive),
                                    rtol=1e-6, atol=1e-8)
 
     def test_bias_matches_loop(self):
         gen = rng(3)
-        q, k, v = (gen.normal(size=(1, 2, 5, 4)) for _ in range(3))
-        bias = gen.normal(size=(2, 5, 5))
-        got = unpack(T.attention(Tensor(pack(q, k, v)), 2, bias=Tensor(bias)).data, 2)
-        np.testing.assert_allclose(got, attention_loop_reference(q, k, v, bias=bias),
+        layer = cast_params(nn.MultiHeadAttention(8, 2, gen))
+        x, bias = gen.normal(size=(1, 5, 8)), gen.normal(size=(2, 5, 5))
+        np.testing.assert_allclose(layer(Tensor(x), bias=Tensor(bias)).data,
+                                   mha_loop_reference(x, *mha_weights(layer), 2, bias=bias),
                                    rtol=1e-6, atol=1e-8)
 
     def test_gradcheck(self):
         gen = rng(4)
-        qkv = Tensor(pack(*(gen.normal(size=(1, 2, 4, 3)) for _ in range(3))), requires_grad=True)
-        wt = gen.normal(size=(1, 4, 6))
-        res = gradcheck(lambda: T.sum_(T.mul(T.attention(qkv, 2), wt)), {"qkv": qkv})
+        layer = cast_params(nn.MultiHeadAttention(6, 2, gen))
+        x = Tensor(gen.normal(size=(2, 4, 6)), requires_grad=True)
+        bias = Tensor(gen.normal(size=(2, 4, 4)), requires_grad=True)
+        allowed = gen.random((1, 4, 4)) > 0.4
+        allowed[:, :, 0] = True
+        masks = [np.where(allowed, 0.0, -np.inf), None]
+        wt = gen.normal(size=(2, 4, 6))
+        res = gradcheck(lambda: T.sum_(T.mul(layer(x, mask=masks, bias=bias), wt)),
+                        {"x": x, **dict(layer.named_parameters()), "bias": bias})
         assert res.passed, str(res)
 
 

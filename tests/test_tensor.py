@@ -5,6 +5,7 @@ reimplementations; gradients against central finite differences in
 float64.
 """
 
+import ast
 import contextlib
 import ctypes
 import json
@@ -27,8 +28,9 @@ from vidmood.tensor import NumericError, ShapeError, Tensor
 from reference import (conv3d_grads_reference, conv3d_padded_reference, conv3d_reference,
                        conv_pool_padded_reference, conv_pool_routed_reference,
                        gelu_composite_reference, layer_norm_loop_reference,
-                       linear_loop_reference, maxpool3d_routed_reference, mha_loop_reference,
-                       mlp_loop_reference, packed_attention_loop_reference)
+                       linear_loop_reference, matmul_reference, maxpool3d_reference,
+                       maxpool3d_routed_reference, mha_loop_reference, mlp_loop_reference,
+                       softmax_reference)
 
 
 UNARY_OPS = {"relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh, "exp": T.exp, "neg": T.neg}
@@ -37,58 +39,6 @@ BINARY_OPS = {"add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div}
 
 def rnd(shape, seed=0, dtype=np.float64):
     return np.random.default_rng(seed).normal(size=shape).astype(dtype)
-
-
-# -- forward oracles ---------------------------------------------------------
-
-
-def matmul_reference(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m), dtype=a.dtype)
-    for i in range(n):
-        for j in range(m):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
-
-
-def softmax_reference(x, axis=-1):
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def conv3d_reference(x, w, b, stride, pad):
-    st, sh, sw = stride
-    xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]), (pad[2], pad[2])))
-    o_ch, _, kt, kh, kw = w.shape
-    ot = (xp.shape[1] - kt) // st + 1
-    oh = (xp.shape[2] - kh) // sh + 1
-    ow = (xp.shape[3] - kw) // sw + 1
-    out = np.zeros((o_ch, ot, oh, ow), dtype=x.dtype)
-    for o in range(o_ch):
-        for it in range(ot):
-            for ih in range(oh):
-                for iw in range(ow):
-                    patch = xp[:, it * st:it * st + kt, ih * sh:ih * sh + kh, iw * sw:iw * sw + kw]
-                    out[o, it, ih, iw] = np.sum(patch * w[o]) + (b[o] if b is not None else 0.0)
-    return out
-
-
-def maxpool3d_reference(x, window):
-    pt, ph, pw = window
-    c, t, h, w = x.shape
-    ot, oh, ow = t // pt, h // ph, w // pw
-    out = np.zeros((c, ot, oh, ow), dtype=x.dtype)
-    for ci in range(c):
-        for it in range(ot):
-            for ih in range(oh):
-                for iw in range(ow):
-                    out[ci, it, ih, iw] = x[ci, it * pt:(it + 1) * pt,
-                                            ih * ph:(ih + 1) * ph,
-                                            iw * pw:(iw + 1) * pw].max()
-    return out
 
 
 class TestForward:
@@ -107,6 +57,10 @@ class TestForward:
         got = T.softmax(Tensor(x), axis=-1).data
         np.testing.assert_allclose(got, softmax_reference(x), rtol=1e-12)
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=1e-12)
+        xt = rnd((33, 20), 8).T  # a transposed view: its layout sets each sum's order
+        for axis in (0, 1):
+            np.testing.assert_array_equal(T.softmax(Tensor(xt), axis=axis).data,
+                                          softmax_reference(xt, axis=axis))
 
     def test_softmax_large_magnitudes_stable(self):
         x = np.array([[1000.0, 1000.5, 999.0], [-1000.0, -1000.0, -1000.0]])
@@ -530,15 +484,6 @@ class TestGradients:
         check(lambda: T.sum_(T.mul(T.layer_norm(x, gamma, beta, 1e-5), wt)),
               {"x": x, "gamma": gamma, "beta": beta})
 
-    def test_attention_grads_with_mask_and_bias(self):
-        qkv = Tensor(rnd((4, 5, 12), 68), requires_grad=True)  # 2 heads of width 2
-        bias = Tensor(rnd((2, 5, 5), 69), requires_grad=True)
-        masks = _attention_masks(5)
-        wt = rnd((4, 5, 4), 70)
-        check(lambda: T.sum_(T.mul(T.attention(qkv, 2, mask=masks, bias=bias), wt)),
-              {"qkv": qkv, "bias": bias})
-        check(lambda: T.sum_(T.mul(T.attention(qkv, 2), wt)), {"qkv": qkv})
-
 
 def _attention_masks(n, seed=71):
     """Two masks for alternating batch rows: a random one with query 0's
@@ -566,13 +511,6 @@ class TestFusedOps:
         np.testing.assert_allclose(got, layer_norm_loop_reference(x, gamma, beta, 1e-5),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_attention_matches_loop_reference(self):
-        qkv, bias = rnd((4, 5, 18), 86), rnd((3, 5, 5), 87)
-        masks = _attention_masks(5)
-        got = T.attention(Tensor(qkv), 3, mask=masks, bias=Tensor(bias)).data
-        want = packed_attention_loop_reference(qkv, 3, mask=masks, bias=bias)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
     def test_fused_forward_bit_equals_composite_ops(self):
         """float32 values match the op chains the fused ops replace, bit for bit."""
         x = rnd((2, 7, 12), 88, np.float32)
@@ -590,55 +528,48 @@ class TestFusedOps:
         np.testing.assert_array_equal(
             T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5).data, composite.data)
 
-        qkv = T.linear(Tensor(x), Tensor(w), Tensor(b))
-        bias = Tensor(rnd((3, 7, 7), 93, np.float32))
-        allowed = np.random.default_rng(94).random((2, 1, 7, 7)) > 0.3
-        split = T.transpose(T.reshape(qkv, (2, 7, 3, 3, 2)), (2, 0, 3, 1, 4))
-        q, k, v = split[0], split[1], split[2]
-        logits = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(2.0))
-        probs = T.softmax(T.add(logits, bias), axis=-1, mask=allowed)
-        composite = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (2, 7, 6))
-        got = T.attention(qkv, 3, mask=np.where(allowed, np.float32(0), np.float32(-np.inf)),
-                          bias=bias)
+        params = [Tensor(p) for p in _mha_params(12, 93, np.float32)]
+        bias = Tensor(rnd((3, 7, 7), 97, np.float32))
+        allowed = np.random.default_rng(98).random((2, 1, 7, 7)) > 0.3
+        composite = _mha_primitives(Tensor(x), *params, 3, allowed, bias)
+        got = T.mha(Tensor(x), *params, 3,
+                    mask=np.where(allowed, np.float32(0), np.float32(-np.inf)), bias=bias)
         np.testing.assert_array_equal(got.data, composite.data)
 
     @pytest.mark.parametrize("taped", [True, False])
     def test_attention_chunks_bit_equal_single_chunk(self, monkeypatch, taped):
-        """Eight batch rows in chunks of three (3 + 3 + a ragged 2) against
-        one chunk: same output and qkv gradient bit for bit. Query 0 of the
-        masked rows has every key excluded and must come out exactly zero;
-        a masked pair's value must have exactly zero weight."""
-        b, n, heads = 8, 6, 2
-        qkv = rnd((b, n, 3 * heads * 4), 95, np.float32)
-        bias = Tensor(rnd((heads, n, n), 96, np.float32), requires_grad=True)
+        """``mha`` on eight batch rows, its attention in chunks of three
+        (3 + 3 + a ragged 2) against one chunk: same output and gradients
+        bit for bit, the bias's aside (chunked, it sums chunk by chunk).
+        Query 0 of the masked rows has every key excluded, so its merged
+        heads are zeros and its output is exactly ``b_out``; a masked
+        pair's key token must have no effect on the query's output."""
+        b, n, heads, dim = 8, 6, 2, 8
+        xd = rnd((b, n, dim), 95, np.float32)
+        pd = _mha_params(dim, 99, np.float32)
+        bias = rnd((heads, n, n), 96, np.float32)
         masks = [m if m is None else m.astype(np.float32) for m in _attention_masks(n, 97)]
-        g = rnd((b, n, heads * 4), 98, np.float32)
+        g = rnd((b, n, dim), 98, np.float32)
 
         def run(chunk_bytes, values):
             monkeypatch.setattr(T, "CACHE_BYTES", chunk_bytes)
-            x = Tensor(values, requires_grad=taped)
-            if not taped:
-                with T.no_grad():
-                    return T.attention(x, heads, mask=masks, bias=bias).data, None
-            out = T.attention(x, heads, mask=masks, bias=bias)
-            T.sum_(T.mul(out, g)).backward()
-            return out.data, x.grad
+            return _step(lambda x, *p: T.mha(x, *p[:4], heads, mask=masks, bias=p[4]),
+                         (values, *pd, bias), g, taped)
 
         row_bytes = heads * n * n * 4
-        one_out, one_grad = run(b * row_bytes, qkv)
-        out, grad = run(3 * row_bytes, qkv)
+        one = run(b * row_bytes, xd)
+        got = run(3 * row_bytes, xd)
         assert list(T._row_chunks(b, row_bytes)) == [(0, 3), (3, 6), (6, 8)]
-        np.testing.assert_array_equal(out, one_out)
-        if taped:
-            np.testing.assert_array_equal(grad, one_grad)
+        _assert_bits_equal(got[:6], one[:6])  # untaped, the output alone
 
+        out = got[0]
         masked_rows = out[0::2]  # rows using the first mask
-        assert np.all(masked_rows[:, 0] == 0.0)
+        np.testing.assert_array_equal(masked_rows[:, 0], np.broadcast_to(pd[3], (b // 2, dim)))
         allowed = masks[0][0] == 0
         i, j = next((i, j) for i in range(1, n) for j in range(n) if not allowed[i, j])
-        bumped = qkv.copy()
-        bumped[:, j, 2 * heads * 4:] += 100.0  # value of key j in every head and row
-        out2, _ = run(3 * row_bytes, bumped)
+        bumped = xd.copy()
+        bumped[:, j] += 1.0  # token j's query, key and value in every row
+        out2 = run(3 * row_bytes, bumped)[0]
         np.testing.assert_array_equal(out2[0::2, i], out[0::2, i])
         assert np.all(out2[1::2, i] != out[1::2, i])  # unmasked rows do see it
 
@@ -647,10 +578,6 @@ class TestFusedOps:
             T.linear(Tensor(rnd((2, 3), 1)), Tensor(rnd((4, 5), 2)))
         with pytest.raises(ShapeError):
             T.layer_norm(Tensor(rnd((2, 3), 3)), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
-        with pytest.raises(ShapeError):
-            T.attention(Tensor(rnd((2, 3, 10), 4)), 2)
-        with pytest.raises(ShapeError):  # 3 batch rows, 2 masks
-            T.attention(Tensor(rnd((3, 5, 12), 5)), 2, mask=_attention_masks(5))
 
 
 def _mha_params(dim, seed, dtype=np.float64):
@@ -659,11 +586,19 @@ def _mha_params(dim, seed, dtype=np.float64):
             rnd((dim, dim), seed + 2, dtype) * 0.3, rnd(dim, seed + 3, dtype))
 
 
-def _mha_chain(x, w_qkv, b_qkv, w_out, b_out, heads, mask=None, bias=None):
-    """The three ops ``mha`` fuses: their nodes, last first."""
-    qkv = T.linear(x, w_qkv, b_qkv)
-    merged = T.attention(qkv, heads, mask=mask, bias=bias)
-    return [T.linear(merged, w_out, b_out), merged, qkv]
+def _mha_primitives(x, w_qkv, b_qkv, w_out, b_out, heads, allowed, bias):
+    """The chain ``mha`` replaces: linear, attention from primitives
+    (matmul, mul, add, softmax under the boolean mask ``allowed``, reshape
+    and transpose) and linear."""
+    b, n, dim = x.shape
+    dh = dim // heads
+    split = T.transpose(T.reshape(T.linear(x, w_qkv, b_qkv), (b, n, 3, heads, dh)),
+                        (2, 0, 3, 1, 4))
+    q, k, v = split[0], split[1], split[2]
+    logits = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    probs = T.softmax(T.add(logits, bias), axis=-1, mask=allowed)
+    merged = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b, n, dim))
+    return T.linear(merged, w_out, b_out)
 
 
 class TestMha:
@@ -687,15 +622,26 @@ class TestMha:
               {"x": x, **params, "bias": bias})
         check(lambda: T.sum_(T.mul(T.mha(x, *params.values(), 3), wt)), {"x": x, **params})
 
+    def test_grads_bit_equal_the_primitive_chain(self):
+        """float32, under masks and a bias: every gradient is that of the
+        chain ``mha`` replaces, bit for bit."""
+        arrays = (rnd((2, 7, 12), 224, np.float32), *_mha_params(12, 225, np.float32),
+                  rnd((3, 7, 7), 229, np.float32))
+        allowed = np.random.default_rng(230).random((2, 1, 7, 7)) > 0.3
+        mask = np.where(allowed, np.float32(0), np.float32(-np.inf))
+        g = rnd((2, 7, 12), 231, np.float32)
+        fused = _step(lambda x, *p: T.mha(x, *p[:4], 3, mask=mask, bias=p[4]), arrays, g)
+        chain = _step(lambda x, *p: _mha_primitives(x, *p[:4], 3, allowed, p[4]), arrays, g)
+        _assert_bits_equal(fused[1:], chain[1:])
+
     @pytest.mark.parametrize("taped", [True, False])
-    def test_chunks_bit_equal_the_three_ops(self, monkeypatch, taped):
+    def test_chunks_bit_equal_one_chunk(self, monkeypatch, taped):
         """40 windows of 22 tokens, 32 wide: the qkv GEMM's unit is 352 rows
         (16 windows), so with every chunk's qkv over POOL_MIN_BYTES the op
         runs windows [0, 16) and [16, 40); five masks, so the second chunk
-        starts inside a mask cycle. Output and every gradient equal the
-        three ops' bit for bit."""
+        starts inside a mask cycle. Output and every gradient equal those
+        of one chunk on one thread bit for bit."""
         b, n, dim, heads = 40, 22, 32, 4
-        monkeypatch.setattr(T, "POOL_MIN_BYTES", 1)
         gen = np.random.default_rng(210)
         masks = [np.where(gen.random((n, n)) > 0.3, np.float32(0), np.float32(-np.inf))[None]
                  for _ in range(3)]
@@ -708,21 +654,24 @@ class TestMha:
         attend = T._attend
         monkeypatch.setattr(T, "_attend", lambda *a: (rows0.append(a[6]), attend(*a)))
 
-        def run(op):
-            """op's output and, taped, every input's gradient: each node's
-            closure runs on its gradient, the output's on ``g`` itself."""
+        def run(pool_min_bytes):
+            """The output and, taped, every input's gradient, the output's
+            closure run on ``g`` itself."""
+            monkeypatch.setattr(T, "POOL_MIN_BYTES", pool_min_bytes)
+            rows0.clear()
             ts = [Tensor(a, requires_grad=taped) for a in (xd, *pd, bd)]
             with T.no_grad() if not taped else contextlib.nullcontext():
-                nodes = op(*ts[:5], heads, mask=masks, bias=ts[5])
+                y = T.mha(*ts[:5], heads, mask=masks, bias=ts[5])
             if not taped:
-                return [nodes[0].data]
-            for node in nodes:
-                node._grad_fn(g if node is nodes[0] else node.grad)
-            return [nodes[0].data] + [t.grad for t in ts]
+                return [y.data]
+            y._grad_fn(g)
+            return [y.data] + [t.grad for t in ts]
 
-        fused = run(lambda *a, **k: [T.mha(*a, **k)])
+        chunked = run(1)
         assert rows0 == [0, 16]
-        _assert_bits_equal(fused, run(_mha_chain))
+        one = run(1 << 62)
+        assert rows0 == [0]
+        _assert_bits_equal(chunked, one)
 
     def test_untaped_paper_size_never_holds_the_qkv(self):
         """Swin's first stage at paper scale: 128 windows of 8 x 7 x 7
@@ -1306,12 +1255,12 @@ class TestSplitOps:
     def test_concurrent_callers_get_bit_equal_results(self, monkeypatch):
         """More calling threads than cores, each running its own gelu and
         maxpool3d and splitting, untaped with per-thread scratch, its own
-        layer_norm, attention and conv3d over the shared pool while the
+        layer_norm, mha and conv3d over the shared pool while the
         interpreter switches threads as often as it can."""
         xg = _special_values((64, 1024), 113, np.float32)  # 256 KiB
         xm = rnd((1, 8, 8, 192, 192), 114, np.float32)  # 9 MiB
         xl, gamma, beta = (rnd(s, 115 + i, np.float32) for i, s in enumerate([(4096, 96), 96, 96]))
-        qkv = rnd((256, 16, 96), 118, np.float32)
+        xa, pa = rnd((256, 16, 32), 118, np.float32), _mha_params(32, 122, np.float32)
         masks = [np.where(rnd((1, 16, 16), 119) > 0, np.float32(0), np.float32(-np.inf)), None]
         xc, wc = rnd((1, 4, 24, 16, 16), 120, np.float32), rnd((8, 4, 3, 3, 3), 121, np.float32)
         monkeypatch.setattr(T, "CACHE_BYTES", 2 * 2 * 16 * 16 * 4)  # two windows
@@ -1321,7 +1270,7 @@ class TestSplitOps:
             with T.no_grad(), np.errstate(invalid="ignore"):
                 return [T.gelu(Tensor(xg)).data, T.maxpool3d(Tensor(xm), (2, 2, 2)).data,
                         T.layer_norm(Tensor(xl), Tensor(gamma), Tensor(beta), 1e-5).data,
-                        T.attention(Tensor(qkv), 2, mask=masks).data,
+                        T.mha(Tensor(xa), *map(Tensor, pa), 2, mask=masks).data,
                         T.conv3d(Tensor(xc), Tensor(wc), padding=1).data]
 
         monkeypatch.setattr(T, "POOL_MIN_BYTES", 1 << 62)  # the wanted results: one thread
@@ -1608,7 +1557,7 @@ def _assert_bits_equal(got, want):
 
 
 class TestSplitFusedOps:
-    """``linear``, ``layer_norm``, ``attention`` and ``conv3d`` split
+    """``linear``, ``layer_norm``, ``mha`` and ``conv3d`` split
     across the pool give one inline call's values and gradients bit for
     bit, and match their loop oracles."""
 
@@ -1649,25 +1598,26 @@ class TestSplitFusedOps:
 
     @pytest.mark.parametrize("taped", [True, False])
     def test_attention_mask_cycles_cross_ranges(self, monkeypatch, taped):
-        """21 windows under 3 masks, in ranges of two windows, so most
-        ranges start inside a mask cycle; chunks of three windows inside a
-        range."""
-        b, n, heads = 21, 6, 2
-        qkv = rnd((b, n, 3 * heads * 4), 128, np.float32)
+        """``mha`` on 21 windows under 3 masks: its attention runs in ranges
+        of two windows, so most ranges start inside a mask cycle; chunks of
+        three windows inside a range."""
+        b, n, heads, dim = 21, 6, 2, 8
+        xd = rnd((b, n, dim), 128, np.float32)
+        pd = _mha_params(dim, 132, np.float32)
         bias = rnd((heads, n, n), 129, np.float32)
         gen = np.random.default_rng(130)
         masks = [np.where(gen.random((1, n, n)) > 0.4, np.float32(0), np.float32(-np.inf))
                  for _ in range(2)] + [None]
-        g = rnd((b, n, heads * 4), 131, np.float32)
+        g = rnd((b, n, dim), 131, np.float32)
         monkeypatch.setattr(T, "CACHE_BYTES", 3 * heads * n * n * 4)
 
-        def op(a, c):
-            return T.attention(a, heads, mask=masks, bias=c)
+        def op(x, *p):
+            return T.mha(x, *p[:4], heads, mask=masks, bias=p[4])
 
-        one, split = _inline_and_split(monkeypatch, lambda: _step(op, (qkv, bias), g, taped))
+        one, split = _inline_and_split(monkeypatch, lambda: _step(op, (xd, *pd, bias), g, taped))
         _assert_bits_equal(split, one)
-        want = packed_attention_loop_reference(qkv.astype(np.float64), heads, mask=masks,
-                                               bias=bias.astype(np.float64))
+        want = mha_loop_reference(*(a.astype(np.float64) for a in (xd, *pd)), heads, mask=masks,
+                                  bias=bias.astype(np.float64))
         np.testing.assert_allclose(split[0], want, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("taped", [True, False])
@@ -1757,7 +1707,7 @@ class TestSplitFusedOps:
             want = np.where(np.isnan(x), x, np.where(x > 0, x, 0))
             _assert_bits_equal(got, [want, np.zeros_like(x) + g * (x > 0).astype(x.dtype)])
 
-    @pytest.mark.parametrize("name", ["linear", "layer_norm", "attention"])
+    @pytest.mark.parametrize("name", ["linear", "layer_norm", "mha"])
     def test_untaped_split_peak_is_output_and_scratch(self, monkeypatch, name):
         """Split without the tape, the traced peak is the output plus the
         per-thread scratch: no range allocates a large temporary."""
@@ -1774,9 +1724,11 @@ class TestSplitFusedOps:
             scratch = threads * (T._BLOCK // 256) * 256 * 4 + 4000 * 4  # blocks and std
         else:
             monkeypatch.setattr(T, "CACHE_BYTES", 4 * 4 * 64 * 64 * 4)  # 4 windows
-            args = (rnd((64, 64, 3 * 64), 144, np.float32),)
-            run = lambda qkv: T.attention(qkv, 4)  # noqa: E731
-            scratch = threads * T.CACHE_BYTES
+            args = (rnd((64, 64, 64), 144, np.float32), *_mha_params(64, 145, np.float32))
+            run = lambda x, *p: T.mha(x, *p, 4)  # noqa: E731
+            # the qkv GEMM's unit is 96 rows, so chunks of 3 windows and a last one of 4,
+            # whose qkv and merged heads the op holds beside the logits
+            scratch = threads * T.CACHE_BYTES + 4 * 64 * 4 * 64 * 4
         ts = [Tensor(a) for a in args]
         tracemalloc.start()
         try:
@@ -1857,3 +1809,29 @@ class TestProperties:
         got = T.conv3d(Tensor(x), Tensor(w), stride=1, padding=0).data
         np.testing.assert_allclose(got, conv3d_reference(x, w, None, (1, 1, 1), (0, 0, 0)),
                                    rtol=1e-9, atol=1e-11)
+
+
+# -- public surface -------------------------------------------------------------
+
+
+def test_every_public_op_is_used_beyond_its_unit_tests():
+    """Each name in ``__all__`` is used, as ``T.<name>``, ``tensor.<name>``
+    or an import from ``vidmood.tensor``, by another module of the package,
+    ``scripts/``, ``perfbench/`` or the acceptance tests: a public op that
+    only its own unit tests reach is code to delete. Comments and
+    docstrings do not count."""
+    root = Path(__file__).resolve().parents[1]
+    engine = root / "src" / "vidmood" / "tensor.py"
+    files = [p for p in (root / "src").rglob("*.py") if p != engine]
+    files += [*(root / "scripts").rglob("*.py"), *(root / "perfbench").rglob("*.py"),
+              root / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("T", "tensor")):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.module == "vidmood.tensor" or (node.level and node.module == "tensor")):
+                used.update(alias.name for alias in node.names)
+    assert sorted(set(T.__all__) - used) == []

@@ -80,10 +80,15 @@ def test_tubelet_tokens_too_small_raises():
 
 
 def test_single_token_attention_returns_value():
+    """Softmax of one logit is exactly 1, so one token's merged heads are
+    its value; through an identity output projection they come out as
+    the value part of the qkv projection, bit for bit."""
     rng = np.random.default_rng(1)
-    qkv = rng.normal(size=(1, 1, 3 * 2 * 4))  # one token, two heads of width 4
-    out = T.attention(T.tensor(qkv), 2)
-    np.testing.assert_array_equal(out.data, qkv[:, :, 16:])  # softmax of one logit is exactly 1
+    mha = cast_params(MultiHeadAttention(8, 2, rng))  # two heads of width 4
+    mha.proj.weight.data, mha.proj.bias.data = np.eye(8), np.zeros(8)
+    x = T.tensor(rng.normal(size=(1, 1, 8)))
+    qkv = T.linear(x, mha.qkv.weight, mha.qkv.bias).data
+    np.testing.assert_array_equal(mha(x).data, qkv[:, :, 16:])
 
 
 def test_identical_tokens_give_identical_rows():
