@@ -81,10 +81,9 @@ class LstmCell(Module):
         """One timestep: x [B, in], h/c [B, hidden] -> (h', c')."""
         n = self.hidden
         z = T.add(T.add(T.matmul(x, self.w), T.matmul(h, self.u)), self.b)  # [B, 4H]
-        f = T.sigmoid(z[:, :n])
-        i = T.sigmoid(z[:, n:2 * n])
+        s = T.sigmoid(z)  # one op for the three gates; the candidate block goes unused
+        f, i, o = s[:, :n], s[:, n:2 * n], s[:, 3 * n:]
         g = T.tanh(z[:, 2 * n:3 * n])
-        o = T.sigmoid(z[:, 3 * n:])
         c_next = T.add(T.mul(f, c), T.mul(i, g))
         h_next = T.mul(o, T.tanh(c_next))
         return h_next, c_next

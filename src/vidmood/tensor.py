@@ -427,39 +427,31 @@ def _split(n: int, nbytes: int, fn, scratch=None) -> None:
     pool. Work of ``nbytes`` under ``POOL_MIN_BYTES``, or a process where
     no OpenBLAS setter was found, runs as one range on the calling thread.
 
-    With ``scratch``, each thread that takes ranges first gets
-    ``scratch()``, called on the calling thread, and ranges run as ``fn(r0,
-    r1, s)`` with their thread's ``s``. ``fn`` writes into slices of
-    arrays the caller allocated: a worker that allocates large temporaries
-    grows its own malloc arena, and the process's resident memory with it.
-    Ranges are handed out on demand, about eight per thread, so a thread
-    held up elsewhere takes fewer. ``fn`` never calls ``_split``, so no
-    worker waits on the pool. Returns once every range has finished; an
-    exception raised in any range reaches the caller.
+    The work runs as ``k = max(1, min(_width(nbytes), n))`` contiguous
+    ranges, one per thread: range ``i`` is [n*i//k, n*(i+1)//k), range 0
+    runs on the caller and each other range on a pool worker, so the
+    ranges depend on ``n`` and the thread count alone. ``k`` never exceeds
+    ``n``, so no range is empty and no thread builds a scratch it does not
+    use; ``_split_rows`` relies on it, since it maps a range that ends at
+    its last unit to the remainder rows.
+
+    With ``scratch``, each range gets its own ``scratch()``, called on the
+    calling thread, and runs as ``fn(r0, r1, s)``. ``fn`` writes into
+    slices of arrays the caller allocated: a worker that allocates large
+    temporaries grows its own malloc arena, and the process's resident
+    memory with it. ``fn`` never calls ``_split``, so no worker waits on
+    the pool. Returns once every range has finished; an exception raised
+    in any range reaches the caller.
     """
     pool = _runtime()[0]
-    threads = _width(nbytes) if n > 1 else 1
-    args = [(scratch(),) if scratch else () for _ in range(threads)]
-    if threads == 1:
-        fn(0, n, *args[0])
-        return
-    step = -(-n // (8 * threads))
-    starts = iter(range(0, n, step))
-    lock = threading.Lock()
-
-    def drain(extra):
-        while True:
-            with lock:
-                r0 = next(starts, None)
-            if r0 is None:
-                return
-            fn(r0, min(n, r0 + step), *extra)
-
+    k = max(1, min(_width(nbytes), n))
+    args = [(scratch(),) if scratch else () for _ in range(k)]
     # each worker runs in a copy of the caller's context, so the caller's
-    # no_grad and np.errstate hold in its ranges too
-    futures = [pool.submit(contextvars.copy_context().run, drain, a) for a in args[1:]]
+    # no_grad and np.errstate hold in its range too
+    futures = [pool.submit(contextvars.copy_context().run, fn, n * i // k, n * (i + 1) // k,
+                           *args[i]) for i in range(1, k)]
     try:
-        drain(args[0])
+        fn(0, n // k, *args[0])
     finally:
         wait(futures)
     for f in futures:

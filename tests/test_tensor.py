@@ -13,8 +13,8 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -1179,6 +1179,17 @@ def _special_values(shape, seed, dtype):
     return x
 
 
+@pytest.fixture
+def five_threads(monkeypatch):
+    """The runtime five threads wide whatever the cores, on a pool of four
+    workers of its own. The real runtime starts first, so BLAS is pinned
+    as in any run."""
+    T._runtime()
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(T, "_runtime", lambda: (pool, 5))
+        yield
+
+
 class TestSplitOps:
     """``_split`` itself, the runtime it starts, and ``gelu`` and
     ``maxpool3d`` (which run on the calling thread) on large inputs and
@@ -1190,30 +1201,38 @@ class TestSplitOps:
 
         def fn(r0, r1):
             seen.append((r0, r1, threading.get_ident(), np.geterr()["invalid"]))
-            time.sleep(0.002)  # long enough that a pool worker takes some ranges
 
         with np.errstate(invalid="raise"):
             T._split(n, T.POOL_MIN_BYTES, fn)
         assert {e for *_, e in seen} == {"raise"}  # the caller's numpy error state
-        ranges = sorted((r0, r1) for r0, r1, *_ in seen)
-        assert ranges[0][0] == 0 and ranges[-1][1] == n and len(ranges) > 1
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        threads = {t for _, _, t, _ in seen}
-        assert caller in threads
-        if len(os.sched_getaffinity(0)) > 1:
-            assert len(threads) > 1
+        k = min(T._width(T.POOL_MIN_BYTES), n)
+        assert k == (len(os.sched_getaffinity(0)) if T._pool else 1)
+        assert sorted(r[:2] for r in seen) == [(n * i // k, n * (i + 1) // k) for i in range(k)]
+        assert [r[:2] for r in seen if r[2] == caller] == [(0, n // k)]  # the rest on the pool
         seen.clear()
         T._split(n, T.POOL_MIN_BYTES - 1, fn)  # under the threshold: inline, one range
         assert seen == [(0, n, caller, np.geterr()["invalid"])]
+
+    def test_split_runs_no_more_ranges_than_n(self, five_threads):
+        seen = []
+        T._split(3, T.POOL_MIN_BYTES, lambda r0, r1: seen.append((r0, r1)))
+        assert sorted(seen) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_split_rows_covers_each_row_once(self, five_threads):
+        """40 rows in two GEMM units of 16 (the last takes 24) on five
+        threads: two calls, on disjoint rows that cover [0, 40)."""
+        assert T._gemm_units(40, 1 << 20, np.float32) == (16, 2)
+        seen = []
+        T._split_rows(40, 1 << 20, np.float32, T.POOL_MIN_BYTES,
+                      lambda r0, r1: seen.append((r0, r1)))
+        assert sorted(seen) == [(0, 16), (16, 40)]
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs a pool worker")
     def test_worker_exception_reaches_caller(self):
         caller = threading.get_ident()
 
         def fn(r0, r1):
-            if threading.get_ident() == caller:
-                time.sleep(0.01)  # leaves the other ranges to the workers
-            else:
+            if threading.get_ident() != caller:
                 raise ZeroDivisionError(f"range {r0}-{r1}")
 
         with pytest.raises(ZeroDivisionError, match="range"):
@@ -1508,7 +1527,6 @@ print(json.dumps(first == grads()))
 
         def fn(r0, r1):
             seen.append((threading.get_ident(), T._grad_enabled))
-            time.sleep(0.002)  # long enough that a pool worker takes some ranges
 
         with T.no_grad():
             T._split(64, T.POOL_MIN_BYTES, fn)
@@ -1597,10 +1615,11 @@ class TestSplitFusedOps:
                                    rtol=1e-4, atol=1e-4)
 
     @pytest.mark.parametrize("taped", [True, False])
-    def test_attention_mask_cycles_cross_ranges(self, monkeypatch, taped):
-        """``mha`` on 21 windows under 3 masks: its attention runs in ranges
-        of two windows, so most ranges start inside a mask cycle; chunks of
-        three windows inside a range."""
+    def test_attention_mask_cycles_cross_ranges(self, monkeypatch, five_threads, taped):
+        """``mha`` on 21 windows under 3 masks: on five threads its
+        attention runs in ranges starting at windows 0, 4, 8, 12 and 16, so
+        three ranges start inside a mask cycle; chunks of three windows
+        inside a range."""
         b, n, heads, dim = 21, 6, 2, 8
         xd = rnd((b, n, dim), 128, np.float32)
         pd = _mha_params(dim, 132, np.float32)
