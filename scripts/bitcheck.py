@@ -12,6 +12,14 @@ For each model, three lines:
   three lines take about 20-25 s on a 2-core machine and peak at about
   3.7 GiB resident (swin3d_t's step).
 
+One more line per model, ``train``, digests ``train_model``'s
+``weight_digest`` and fold log lines after 2 epochs of batches of 8 on a
+fixed set of 24 training and 8 validation random 16x32x32 clips (3
+classes) at the reduced c07 configs: Adam with the plateau schedule for
+vivit and swin3d_t, AdamW with the cosine schedule for cnn_lstm (each
+model's ``default_train_config``). It covers 6 optimizer steps and the
+schedules, which no other line reaches.
+
 A first line, ``prep``, digests the clip stacks that
 ``preprocess_video(video, cfg)`` returns for four seeded raw videos at a
 32-px side: one trimmed to the standard length, one padded to it, and
@@ -52,7 +60,7 @@ import vidmood.tensor as T
 from vidmood.models import MODEL_NAMES, build_model, default_config
 from vidmood.pipeline import (CenterSquareLocalizer, PipelineConfig, RawVideo,
                               localize_and_resize, preprocess_video)
-from vidmood.training import loss_fn, predict_probs
+from vidmood.training import default_train_config, loss_fn, predict_probs, train_model
 
 # the c07 model configs (tests/test_acceptance.py _REDUCED)
 REDUCED = {
@@ -63,6 +71,8 @@ REDUCED = {
     "cnn_lstm": dict(channels=(8, 16), proj_dim=32, hidden=32),
 }
 SEED = 7
+# training: (training clips, validation clips, epochs) of the train line
+TRAIN_SET = (24, 8, 2)
 # preprocessing: config and raw (frames, height, width) of each video
 PREP_CFG = PipelineConfig(side=32, length=40, clip_len=10)
 PREP_VIDEOS = ((50, 48, 48), (27, 40, 40), (40, 36, 60), (33, 70, 44))
@@ -91,6 +101,22 @@ def c07_digest(name: str) -> str:
     logits = model(T.tensor(clips))
     loss_fn(logits, targets, "sparse_cce").backward()
     return _with_grads(logits.data, model)
+
+
+def train_digest(name: str) -> str:
+    """Weight digest and epoch log of a short ``train_model`` run at c07 shape."""
+    model = build_model(name, default_config(name, input_shape=(16, 32, 32, 3), classes=3,
+                                             **REDUCED[name]), seed=SEED)
+    n_train, n_val, epochs = TRAIN_SET
+    rng = np.random.default_rng([SEED, 6])
+    clips = rng.random((n_train + n_val, 16, 32, 32, 3), dtype=np.float32)
+    labels = rng.integers(0, 3, size=n_train + n_val)
+    result = train_model(model, clips[:n_train], labels[:n_train], clips[n_train:],
+                         labels[n_train:],
+                         default_train_config(name, max_epochs=epochs, seed=SEED))
+    h = hashlib.sha256(result.weight_digest.encode())
+    h.update("\n".join(result.log_lines()).encode())
+    return h.hexdigest()
 
 
 def paper_digest(name: str) -> str:
@@ -180,6 +206,8 @@ def main() -> None:
         again = c07_digest(name)
         if again != digest:
             print(f"{name:10s} c07   MISMATCH on reused memory: {again}", flush=True)
+    for name in MODEL_NAMES:
+        print(f"{name:10s} train {train_digest(name)}", flush=True)
     for name in MODEL_NAMES:
         print(f"{name:10s} paper {paper_digest(name)}", flush=True)
     for name in MODEL_NAMES:

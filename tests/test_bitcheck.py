@@ -1,5 +1,5 @@
-"""``scripts/bitcheck.py``'s reused-memory check: each model's c07 digest,
-and the preprocessing, resize and primitives digests, computed twice in
+"""``scripts/bitcheck.py``'s reused-memory check: each model's c07 and
+train digests, and the preprocessing, resize and primitives digests, computed twice in
 one process are the same, and its c07 configs are the acceptance gate's.
 The second pass runs on freed, non-zero memory, so an op that reads an
 ``np.empty`` buffer before writing it fails here. The digests themselves
@@ -27,6 +27,12 @@ def _bitcheck():
 def test_c07_digest_is_the_same_on_reused_memory(name):
     c07_digest = _bitcheck().c07_digest
     assert c07_digest(name) == c07_digest(name)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_train_digest_is_the_same_on_reused_memory(name):
+    train_digest = _bitcheck().train_digest
+    assert train_digest(name) == train_digest(name)
 
 
 def test_prep_digest_is_the_same_on_reused_memory():
