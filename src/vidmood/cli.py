@@ -2,6 +2,10 @@
 
 Exit codes are a stable scripting contract: 0 success, 2 usage or config
 error, 3 I/O error, 4 numeric failure during training or out of memory.
+Every I/O failure (a missing, corrupt or unwritable file, an output path
+under a regular file, a full disk or a file-size limit) exits 3 with
+``error: <path>: <reason>`` on stderr and no traceback, and an atomic
+write that fails leaves neither the target nor its temp file behind.
 """
 
 from __future__ import annotations
@@ -322,8 +326,12 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (VtenError, ManifestError, FileNotFoundError) as exc:
+    except (VtenError, ManifestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:
+        reason = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,10 @@
 Three conv/ReLU/maxpool blocks shrink each frame spatially while
 preserving the temporal extent; per-timestep features are flattened and
 projected, an LSTM integrates them over time, and a learned softmax over
-timesteps pools the hidden states for the linear head. Each block pools
-before its ReLU, which gives the same bits (see ``ConvBlock``) and spares
-a full-size ReLU copy of the conv output.
+timesteps pools the hidden states for the linear head. Each block is one
+fused ``tensor.conv_pool_relu``: it pools before its ReLU, which gives the
+same bits (see ``ConvBlock``), and ReLUs the pooled output in place, so
+neither a full-size conv output nor a ReLU copy of the pooled one exists.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ class CnnLstmConfig:
 
 
 class ConvBlock(Module):
-    """conv3d (3x3x3, stride 1, pad 1) -> maxpool (1, 2, 2) -> ReLU, the
-    first two as one fused ``tensor.conv_pool``: bit for bit conv -> ReLU
-    -> pool, as ReLU is monotone and zeroes the value and every gradient
-    of a window whose max is <= 0."""
+    """conv3d (3x3x3, stride 1, pad 1) -> maxpool (1, 2, 2) -> ReLU as one
+    fused ``tensor.conv_pool_relu``, one tape node: bit for bit conv ->
+    ReLU -> pool, as ReLU is monotone and zeroes the value and every
+    gradient of a window whose max is <= 0."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         fan_in = c_in * 27
@@ -55,7 +56,7 @@ class ConvBlock(Module):
         self.bias = Parameter(np.zeros(c_out))
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.relu(T.conv_pool(x, self.kernel, self.bias, 1, (1, 2, 2)))
+        return T.conv_pool_relu(x, self.kernel, self.bias, 1, (1, 2, 2))
 
 
 class LstmCell(Module):

@@ -203,7 +203,9 @@ def shifted_window_attention(x: Tensor, valid: np.ndarray, attn: MultiHeadAttent
     cyclic shift, additive relative-position bias, and validity masking.
 
     Wrapped pairs (different regions under the shift) and padded tokens get
-    exactly zero attention weight.
+    exactly zero attention weight. Each intermediate is dropped once the
+    next exists (the rolled grid, the windows, the attention output), so
+    untaped at most two of them are alive at a time.
     """
     b, nt, nh, nw, d = x.shape
     grid = (nt, nh, nw)
@@ -222,12 +224,15 @@ def shifted_window_attention(x: Tensor, valid: np.ndarray, attn: MultiHeadAttent
         x = T.roll(x, tuple(-s for s in sh), (1, 2, 3))
 
     xw = window_partition(x, win)  # [B*nW, N, d]
+    del x
     # one mask per window, shared by every batch row; built once per grid
     mask = _window_masks(grid, np.asarray(valid, dtype=bool).tobytes(), win, sh)
     bias_t = bias(win) if bias is not None else None
     out = attn(xw, mask=mask, bias=bias_t)
+    del xw
 
     x = window_reverse(out, padded, win, b)
+    del out
     if any(sh):
         x = T.roll(x, sh, (1, 2, 3))
     if any(p[1] for p in pads):
@@ -253,6 +258,7 @@ class SwinBlock(Module):
         h = shifted_window_attention(self.norm1(x), valid, self.attn, self.bias,
                                      self.window, self.shift)
         x = T.add(x, h)
+        del h
         return T.add(x, self.mlp(self.norm2(x)))
 
 

@@ -17,8 +17,9 @@ from the input itself, with zeros where a tap reads the padding, so no
 padded copy exists) whose output is max-pooled piece by piece, so no
 full-size conv output exists (the tape keeps the input and a uint8 route
 per pooled element; backward builds each chunk's column again), each one
-tape node with a hand-written backward pass. ``conv3d`` is
-``conv_pool``'s convolution with a one-element window.
+tape node with a hand-written backward pass. ``conv_pool_relu`` is
+``conv_pool`` with a ReLU run in place on each pooled piece, and
+``conv3d`` is ``conv_pool``'s convolution with a one-element window.
 
 One thread pool (``_split``), one thread per core the process may use, is
 the process's only parallel runtime: before this module's first GEMM it
@@ -26,10 +27,10 @@ pins numpy's and scipy's OpenBLAS to one thread, so BLAS never runs a
 thread pool beside it (where no OpenBLAS setter is found, it stays one
 thread wide and BLAS keeps its own threads). Work of ``POOL_MIN_BYTES``
 and more is split into ranges on that pool: the forward passes of
-``linear``, ``layer_norm``, ``mha``, ``conv3d``, ``conv_pool`` and
-``mlp``, and the backward of ``conv3d`` and ``conv_pool``. Each output
-element is computed as in one whole call, so results are the same bit for
-bit. One budget, ``CACHE_BYTES``, bounds what one thread works on at a
+``linear``, ``layer_norm``, ``mha``, ``conv3d``, ``conv_pool``,
+``conv_pool_relu`` and ``mlp``, and the backward of the three
+convolutions. Each output element is computed as in one whole call, so
+results are the same bit for bit. One budget, ``CACHE_BYTES``, bounds what one thread works on at a
 time: an attention chunk's logits, an ``mlp`` block's hidden rows and a
 conv band's column.
 
@@ -81,6 +82,7 @@ __all__ = [
     "conv3d",
     "maxpool3d",
     "conv_pool",
+    "conv_pool_relu",
     "mlp",
 ]
 
@@ -1468,7 +1470,10 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
     the bias gradient sums whole channels' conv-output gradients, rebuilt
     a few channels at a time, in ``conv3d``'s order. So the output and
     every gradient are those of the two ops bit for bit. ``conv3d`` is
-    this op's convolution with a one-element window.
+    this op's convolution with a one-element window; ``conv_pool_relu``
+    (cnn_lstm's conv blocks) is this op followed by ReLU, run in place on
+    each pooled piece, so ``relu(conv_pool(...))`` need not copy the
+    pooled output.
     """
     window = _triple(window)
     if window[0] != 1:
@@ -1476,9 +1481,28 @@ def conv_pool(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -
     return _conv_pool("conv_pool", x, kernel, bias, 1, padding, window)
 
 
+def conv_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, window) -> Tensor:
+    """``relu(conv_pool(x, kernel, bias, padding, window))`` as one op.
+
+    Each forward piece is pooled and routed as in ``conv_pool``, then
+    ReLU'd in place (``np.maximum(p, 0)``, as ``relu`` computes it) while
+    it is in cache, so no second pooled-size array exists. Taped, the op
+    keeps ``conv_pool``'s input and route and its own output, whose
+    positives are the pooled positives. Backward forms ReLU's gradient as
+    the ``relu`` node and ``_accumulate`` would, zeros plus ``g * (out >
+    0)``, then runs ``conv_pool``'s backward on it. So the output and every
+    gradient are those of the two ops bit for bit.
+    """
+    window = _triple(window)
+    if window[0] != 1:
+        raise ShapeError(f"conv_pool_relu pools within frames, but window {window} spans frames")
+    return _conv_pool("conv_pool_relu", x, kernel, bias, 1, padding, window, relu=True)
+
+
 def _conv_pool(op: str, x: Tensor, kernel: Tensor, bias: Tensor | None, stride, padding,
-               window) -> Tensor:
-    """``conv_pool`` at any ``stride``; a window of one offset keeps no route."""
+               window, relu: bool = False) -> Tensor:
+    """``conv_pool`` at any ``stride``, and with ``relu`` its ReLU after
+    the pool; a window of one offset keeps no route."""
     conv = _Conv(op, x, kernel, stride, padding, pool_rows=window[1])
     b, o, frame, dims = conv.b, conv.o, conv.frame, conv.out_dims
     if any(p > n for p, n in zip(window, dims)):
@@ -1508,6 +1532,8 @@ def _conv_pool(op: str, x: Tensor, kernel: Tensor, bias: Tensor | None, stride, 
             _window_max(y5, p, pv)
             if route is not None:
                 _route(y5, p, pv, route[:, :, t0:t1, rows], hit[:p.size].reshape(p.shape))
+            if relu:
+                np.maximum(p, 0, out=p)
 
     # each thread builds its pieces' columns and GEMM outputs in reused buffers
     _split(len(conv.pieces), conv.colbytes, run, scratch=lambda: (
@@ -1515,7 +1541,11 @@ def _conv_pool(op: str, x: Tensor, kernel: Tensor, bias: Tensor | None, stride, 
         None if route is None else conv.scratch(b * o * conv.widest // (window[1] * window[2]),
                                                 bool)))
 
+    out = pooled if conv.batched else pooled[0]
+
     def grad_fn(g):
+        if relu:  # as a relu node's gradient accumulates: zeros plus g * (out > 0)
+            g = np.add(np.zeros_like(out), g * (out > 0).astype(out.dtype))
         gb = g if conv.batched else g[None]
         hw = [n * p for n, p in zip(pdims[1:], window[1:])]  # the rows and columns pooled
         channel = b * dims[0] * frame  # one channel's conv output, every batch row
@@ -1549,4 +1579,4 @@ def _conv_pool(op: str, x: Tensor, kernel: Tensor, bias: Tensor | None, stride, 
                     gbias[o0:o0 + group] += row
             bias._accumulate(gbias)
 
-    return _make(pooled if conv.batched else pooled[0], parents, grad_fn)
+    return _make(out, parents, grad_fn)

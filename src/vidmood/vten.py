@@ -37,7 +37,8 @@ class VtenError(ValueError):
 
 def write_vten(path, array: np.ndarray) -> None:
     """Any byte order is accepted and stored little-endian; a 0-d array
-    keeps its shape (). The file appears whole or not at all."""
+    keeps its shape (). The file appears whole or not at all; a failed
+    write raises ``VtenError`` naming ``path``."""
     arr = np.asarray(array, order="C")
     code = _DTYPE_CODES.get(arr.dtype.newbyteorder("="))
     if code is None:
@@ -47,9 +48,12 @@ def write_vten(path, array: np.ndarray) -> None:
     header = MAGIC + bytes([VERSION, code, arr.ndim])
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    with atomic_write(path) as fh:
-        fh.write(header)
-        fh.write(arr.data)
+    try:
+        with atomic_write(path) as fh:
+            fh.write(header)
+            fh.write(arr.data)
+    except OSError as exc:
+        raise VtenError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def read_vten(path) -> np.ndarray:

@@ -109,13 +109,25 @@ def maxpool3d_routed_reference(x, window, g):
     return out, gx
 
 
-def conv_pool_routed_reference(x, w, b, pad, window, g):
+def conv_pool_routed_reference(x, w, b, pad, window, g, relu=False):
     """conv3d (stride 1) then a routed max-pool of [C, T, H, W], with the
     input, weight and bias gradients for upstream ``g`` on the pooled
     output: each window's gradient goes to its first maximal conv output,
-    or to its first NaN, and from there through the convolution's loops."""
+    or to its first NaN, and from there through the convolution's loops.
+
+    With ``relu``, a ReLU follows the pool, element by element: a pooled
+    value above 0 or NaN stays, any other becomes 0, and only the values
+    above 0 pass their gradient back to the pool."""
     conv = conv3d_reference(x, w, b, (1, 1, 1), pad)
-    out, gconv = maxpool3d_routed_reference(conv, window, g)
+    out = maxpool3d_routed_reference(conv, window, np.zeros_like(g))[0]
+    if relu:
+        g = g.copy()
+        for i in np.ndindex(*out.shape):
+            if not out[i] > 0:
+                g[i] = 0.0
+                if not math.isnan(out[i]):
+                    out[i] = 0.0
+    _, gconv = maxpool3d_routed_reference(conv, window, g)
     gx, gw, gb = conv3d_grads_reference(x, w, gconv, (1, 1, 1), pad)
     return out, gx, gw, gb
 

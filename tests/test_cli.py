@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -253,6 +256,77 @@ def test_out_of_memory_exits_four_without_traceback(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == ("error: out of memory: Unable to allocate 1.21 GiB for an array "
                    "with shape (1, 864, 376320)\n")
+
+
+# -- I/O failures --------------------------------------------------------------------
+
+
+def _cli_child(args, cwd, fsize=None):
+    """Run the CLI in a child process, with ``RLIMIT_FSIZE`` at ``fsize``
+    bytes set on the child alone (so a write past it fails with EFBIG)."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "vidmood.cli", *args], cwd=cwd, env=env,
+                          preexec_fn=None if fsize is None else limit, capture_output=True,
+                          text=True, timeout=300)
+
+
+def _assert_io_exit(run, path):
+    assert run.returncode == EXIT_IO, run.stderr
+    assert run.stderr.startswith(f"error: {path}: ")
+    assert "Traceback" not in run.stderr and len(run.stderr.splitlines()) == 1
+
+
+def _leftovers(root, name):
+    """Files under ``root`` named ``name``, or temp files of it."""
+    return [p for p in root.rglob("*") if p.name == name or p.name.startswith(f".{name}.")]
+
+
+def test_synth_over_file_size_limit_exits_io_naming_the_clip(tmp_path):
+    run = _cli_child(["synth", "--subjects", "1", "--frame-size", "32", "--video-frames", "30",
+                      "--out", "c"], tmp_path, fsize=20000)
+    name = "s000_t1_ON.vten"
+    _assert_io_exit(run, Path("c") / "videos" / name)
+    assert "File too large" in run.stderr
+    assert _leftovers(tmp_path, name) == [] and _leftovers(tmp_path, "manifest.json") == []
+
+
+def test_preprocess_over_file_size_limit_exits_io_naming_the_clip(tmp_path):
+    corpus = _synth(tmp_path)
+    cfg = _write_config(tmp_path)
+    run = _cli_child(["preprocess", "--config", str(cfg), "--manifest",
+                      str(corpus / "manifest.json"), "--out", "p"], tmp_path, fsize=20000)
+    name = "s000_t1_ON_clips.vten"
+    _assert_io_exit(run, Path("p") / "clips" / name)
+    assert _leftovers(tmp_path / "p", name) == []
+    assert _leftovers(tmp_path / "p", "manifest.json") == []
+
+
+def test_loso_over_file_size_limit_exits_io_naming_the_metrics(tmp_path):
+    cfg = _write_config(tmp_path)
+    prep = _preprocess(tmp_path, cfg, _synth(tmp_path))
+    run = _cli_child(["loso", "--config", str(cfg), "--manifest", str(prep / "manifest.json"),
+                      "--out", "run"], tmp_path, fsize=64)
+    _assert_io_exit(run, Path("run") / "metrics.json")
+    assert _leftovers(tmp_path / "run", "metrics.json") == []
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess"])
+def test_out_under_a_file_exits_io_naming_it(tmp_path, command):
+    corpus = _synth(tmp_path)
+    (tmp_path / "afile").write_text("")
+    args = (["synth", "--subjects", "1", "--out", "afile/x"] if command == "synth" else
+            ["preprocess", "--manifest", str(corpus / "manifest.json"), "--out", "afile"])
+    run = _cli_child(args, tmp_path)
+    assert run.returncode == EXIT_IO, run.stderr
+    assert run.stderr.startswith("error: afile/") and "Not a directory" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert (tmp_path / "afile").read_text() == ""
 
 
 # -- config handling -----------------------------------------------------------------

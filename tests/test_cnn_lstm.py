@@ -36,8 +36,9 @@ def test_conv_block_matches_loop_reference():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_block_is_bitwise_conv_relu_pool(dtype):
-    """Pooling before the ReLU gives the output and the x, kernel and bias
-    gradients of conv -> ReLU -> pool bit for bit, on a c07-sized batch
+    """The fused block (pool, then ReLU in place) gives the output and the
+    x, kernel and bias gradients of conv -> ReLU -> pool bit for bit, as
+    one tape node, on a c07-sized batch
     whose quarter-step values make pool windows tie and leave some windows
     all <= 0."""
     rng = np.random.default_rng(3)
@@ -58,6 +59,8 @@ def test_conv_block_is_bitwise_conv_relu_pool(dtype):
         return [y.data, xt.grad, blk.kernel.grad, blk.bias.grad]
 
     got = run(blk)
+    y = blk(Tensor(x, requires_grad=True))
+    assert [p._grad_fn for p in y._parents] == [None] * 3  # one node: x, kernel and bias
     want = run(lambda xt: T.maxpool3d(T.relu(conv(xt)), (1, 2, 2)))
     for a, b in zip(got, want):
         assert a.dtype == dtype
@@ -70,6 +73,32 @@ def test_conv_block_is_bitwise_conv_relu_pool(dtype):
     top = windows.max(axis=-1)
     assert ((windows == top[..., None]).sum(axis=-1) > 1)[top > 0].any()  # positive ties
     assert (top <= 0).mean() > 0.05  # windows the ReLU zeroes
+
+
+def test_untaped_conv_block_allocates_no_second_pooled_array():
+    """Untaped, a block's peak is its pooled output plus one piece's column
+    and GEMM output: the ReLU runs in place on the pooled pieces, with no
+    second pooled-size array (a ReLU copy peaked at two pooled outputs).
+    One input channel and 128 output channels make the pooled output three
+    times the column scratch; the column is under ``POOL_MIN_BYTES``, so
+    one thread runs it."""
+    import tracemalloc
+
+    rng = np.random.default_rng(4)
+    blk = ConvBlock(1, 128, rng)
+    x = Tensor(rng.random((1, 1, 16, 32, 32), dtype=np.float32))
+    with T.no_grad():
+        blk(x)  # fills the tap caches
+        tracemalloc.start()
+        try:
+            y = blk(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    scratch = (27 + 128) * 32 * 32 * 4  # one frame's column and GEMM output
+    bound = y.data.nbytes + scratch + (256 << 10)
+    assert bound < 2 * y.data.nbytes
+    assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
 
 
 def test_conv_block_preserves_time_halves_space():

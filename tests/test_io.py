@@ -223,25 +223,34 @@ class _DiskFull:
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("write", [
-        lambda p: write_vten(p, np.arange(1000, dtype=np.float32)),
-        lambda p: save_manifest(p, [VideoRecord(**make_record())]),
-        lambda p: _write_json(p, {"accuracy": 1.0, "folds": []}),
-    ], ids=["vten", "manifest", "metrics"])
-    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, write):
+    @pytest.mark.parametrize("write, error", [
+        pytest.param(lambda p: write_vten(p, np.arange(1000, dtype=np.float32)), VtenError,
+                     id="vten"),
+        pytest.param(lambda p: save_manifest(p, [VideoRecord(**make_record())]), OSError,
+                     id="manifest"),
+        pytest.param(lambda p: _write_json(p, {"accuracy": 1.0, "folds": []}), OSError,
+                     id="metrics"),
+    ])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, write, error):
         """A write that fails partway creates no target and leaves an
-        existing one as it was; no temp file stays behind either way."""
+        existing one as it was; no temp file stays behind either way. The
+        error names the target, not the temp file: ``write_vten`` raises
+        ``VtenError``, the others an ``OSError`` whose filename it is."""
         target = tmp_path / "out"
         monkeypatch.setattr(atomic, "open", _DiskFull, raising=False)
-        with pytest.raises(OSError, match="No space left"):
+        with pytest.raises(error, match="No space left") as raised:
             write(target)
+        assert str(target) in str(raised.value) and ".tmp" not in str(raised.value)
+        if error is OSError:
+            assert raised.value.filename == str(target)
+            assert raised.value.errno == errno.ENOSPC
         assert list(tmp_path.iterdir()) == []
 
         monkeypatch.undo()
         write(target)
         whole = target.read_bytes()
         monkeypatch.setattr(atomic, "open", _DiskFull, raising=False)
-        with pytest.raises(OSError, match="No space left"):
+        with pytest.raises(error, match="No space left"):
             write(target)
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_bytes() == whole

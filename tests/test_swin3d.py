@@ -333,6 +333,60 @@ def test_block_matches_manual_composition_on_full_window():
     np.testing.assert_allclose(got, want, atol=1e-8)
 
 
+def _untaped_peak(fn, *args):
+    """tracemalloc peak of ``fn(*args)`` under no_grad, after a warm-up call
+    that fills the mask and bias-index caches."""
+    import tracemalloc
+
+    with T.no_grad():
+        fn(*args)
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """mha chunks and mlp blocks of 64 KiB, split over at most two threads,
+    so the grid-sized arrays a block holds, not the chunks' buffers, set
+    its peak."""
+    pool, threads = T._runtime()
+    monkeypatch.setattr(T, "_runtime", lambda: (pool, min(threads, 2)))
+    monkeypatch.setattr(T, "POOL_MIN_BYTES", 64 << 10)
+    monkeypatch.setattr(T, "CACHE_BYTES", 64 << 10)
+
+
+def test_untaped_shifted_window_attention_holds_two_grids(small_chunks):
+    """A shifted window attention over 256 windows, its [1, 8, 64, 64, 32]
+    input held by the caller, peaks below 2.5 arrays of the input's size:
+    each intermediate (rolled grid, windows, attention output, reversed
+    grid) is dropped once the next exists (2.32 measured). Keeping each
+    until the function returned peaked at 4.03."""
+    rng = np.random.default_rng(20)
+    blk = SwinBlock(32, 2, 64, window=(2, 8, 8), shifted=True, rng=rng)
+    x = T.tensor(rng.normal(size=(1, 8, 64, 64, 32)).astype(np.float32))
+    valid = np.ones(x.shape[1:4], dtype=bool)
+    peak = _untaped_peak(shifted_window_attention, x, valid, blk.attn, blk.bias, blk.window,
+                         blk.shift)
+    assert peak < 2.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f} grids"
+
+
+def test_untaped_shifted_block_holds_three_grids(small_chunks):
+    """A shifted block over the same 256 windows peaks below 3.5 arrays of
+    its input's size beyond the input: the attention's output is dropped
+    after the residual add, so the MLP runs beside the sum, its norm and
+    its output only (3.21 measured). Keeping it, and the attention's
+    intermediates, peaked at 4.21."""
+    rng = np.random.default_rng(21)
+    blk = SwinBlock(32, 2, 64, window=(2, 8, 8), shifted=True, rng=rng)
+    x = T.tensor(rng.normal(size=(1, 8, 64, 64, 32)).astype(np.float32))
+    peak = _untaped_peak(blk, x)
+    assert peak < 3.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f} grids"
+
+
 # -- patch embed / merge ------------------------------------------------------
 
 

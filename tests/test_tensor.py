@@ -469,6 +469,17 @@ class TestGradients:
         check(lambda: T.sum_(T.mul(T.conv_pool(x, w, None, (0, 1, 1), (1, 2, 3)), wt1)),
               {"x": x, "w": w})
 
+    def test_conv_pool_relu_grads(self):
+        # as test_conv_pool_grads, with a bias that leaves some windows <= 0
+        x = Tensor(rnd((1, 2, 3, 5, 6), 160), requires_grad=True)
+        w = Tensor(rnd((3, 2, 3, 3, 3), 161), requires_grad=True)
+        b = Tensor(rnd(3, 162) - 0.5, requires_grad=True)
+        wt = rnd((1, 3, 3, 2, 3), 163)
+        y = T.conv_pool_relu(x, w, b, 1, (1, 2, 2))
+        assert (y.data == 0).any() and (y.data > 0).any()
+        check(lambda: T.sum_(T.mul(T.conv_pool_relu(x, w, b, 1, (1, 2, 2)), wt)),
+              {"x": x, "w": w, "b": b})
+
     def test_mlp_grads(self):
         x = Tensor(rnd((2, 3, 4), 164), requires_grad=True)
         params = {name: Tensor(rnd(shape, 165 + i), requires_grad=True) for i, (name, shape) in
@@ -875,24 +886,27 @@ class TestConvPool:
     """``conv_pool`` against its loop oracle, and bit for bit against the
     ``conv3d`` -> ``maxpool3d`` chain it fuses."""
 
-    def test_ties_and_nans_match_routed_loop_reference(self):
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_ties_and_nans_match_routed_loop_reference(self, relu):
         """Integer inputs and kernel, so many windows tie and every sum is
         exact; a NaN input makes windows whose first NaN is not their first
-        element. Values and gradients equal the oracle's exactly."""
+        element. Values and gradients equal the oracle's exactly, for
+        ``conv_pool`` and for ``conv_pool_relu`` (whose -1 biases leave
+        windows at and below 0)."""
         gen = np.random.default_rng(170)
         xd = gen.integers(0, 2, size=(2, 2, 3, 6, 6)).astype(np.float64)
         xd[0, 0, 1, 2, 2] = np.nan  # conv outputs 1-3 down and across read it
         wd = gen.integers(0, 2, size=(3, 2, 3, 3, 3)).astype(np.float64)
         bd = gen.integers(-1, 2, size=3).astype(np.float64)
         x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
-        y = T.conv_pool(x, w, b, 1, (1, 2, 2))
+        y = (T.conv_pool_relu if relu else T.conv_pool)(x, w, b, 1, (1, 2, 2))
         g = gen.integers(-4, 5, size=y.shape) / 4
         with np.errstate(invalid="ignore"):
             T.sum_(T.mul(y, g)).backward()
         want_w, want_b = np.zeros_like(wd), np.zeros_like(bd)
         for i in range(2):
             want_y, want_x, gw, gb = conv_pool_routed_reference(xd[i], wd, bd, (1, 1, 1),
-                                                                (1, 2, 2), g[i])
+                                                                (1, 2, 2), g[i], relu)
             np.testing.assert_array_equal(y.data[i], want_y)
             np.testing.assert_array_equal(x.grad[i], want_x)
             want_w += gw
@@ -941,6 +955,36 @@ class TestConvPool:
             want = _step(chain, (xd, wd, bd), g, taped)
         _assert_bits_equal(got, want)
         assert np.isnan(got[0]).any()
+
+    @pytest.mark.parametrize("dtype, frames", [(np.float32, 17), (np.float64, 9)])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_relu_bit_equals_relu_of_conv_pool(self, dtype, frames, batch):
+        """``conv_pool_relu`` gives the output and the x, kernel and bias
+        gradients of ``relu(conv_pool(...))`` bit for bit, on [batch, 2,
+        frames, 256, 256] inputs of more than ``POOL_MIN_BYTES`` per batch
+        row (split across the pool; batch 2 runs the backward row-wise,
+        batch 1 column-wise) of quarter steps, so windows tie and sums are
+        exact, with -0 and, in channel 0, +-inf and NaN; the upstream
+        gradient is negative where ReLU blocks it, so the blocked products
+        are -0, which the chain's accumulation turns into +0."""
+        gen = np.random.default_rng([213, batch])
+        xd = (gen.integers(-4, 5, size=(batch, 2, frames, 256, 256)) / 4).astype(dtype)
+        assert xd[0].nbytes > T.POOL_MIN_BYTES
+        xd[:, 1].flat[::7] = -0.0
+        xd[:, 0].flat[3::1009] = np.inf
+        xd[:, 0].flat[5::1013] = -np.inf
+        xd[:, 0].flat[::997] = np.nan
+        wd = (gen.integers(-2, 3, size=(3, 2, 3, 3, 3)) / 4).astype(dtype)
+        bd = np.array([-0.25, 0.0, 0.25], dtype)
+        g = -np.abs(gen.standard_normal((batch, 3, frames, 128, 128))).astype(dtype)
+        g[..., ::3] = -0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _step(lambda x, w, b: T.conv_pool_relu(x, w, b, 1, (1, 2, 2)), (xd, wd, bd), g)
+            want = _step(lambda x, w, b: T.relu(T.conv_pool(x, w, b, 1, (1, 2, 2))),
+                         (xd, wd, bd), g)
+        _assert_bits_equal(got, want)
+        y = got[0]
+        assert np.isnan(y).any() and (y == 0).any() and (y > 0).any()
 
     @pytest.mark.parametrize("frame, bands", [
         ((16, 64), {(1, 2, 2): [6, 10], (1, 3, 3): [6, 10]}),
@@ -1039,6 +1083,8 @@ class TestConvPool:
             T.conv_pool(x, w, None, 1, (1, 7, 2))
         with pytest.raises(ShapeError, match="channel mismatch"):
             T.conv_pool(Tensor(rnd((1, 3, 4, 6, 6), 178)), w, None, 1, (1, 2, 2))
+        with pytest.raises(ShapeError, match="spans frames"):
+            T.conv_pool_relu(x, w, None, 1, (2, 2, 2))
 
     def test_untaped_paper_block_never_holds_the_conv_output(self):
         """cnn_lstm's block 0 on one 30 x 224 x 224 clip: the traced peak is
