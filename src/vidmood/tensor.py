@@ -188,8 +188,10 @@ class Tensor:
         The graph is released as it runs: once a node's gradient has
         gone to its inputs, the node drops its gradient closure (and the
         arrays it saved) and its inputs, so memory falls as backward
-        proceeds. A second ``backward`` through a released node raises
-        ``RuntimeError``; build the graph again instead.
+        proceeds. An interior node's gradient goes to its closure alone,
+        so a closure that replaces it (``conv_pool_relu``'s ReLU step)
+        frees it there. A second ``backward`` through a released node
+        raises ``RuntimeError``; build the graph again instead.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -218,13 +220,20 @@ class Tensor:
             if node._grad_fn is None:
                 continue
             if node.grad is not None:
-                node._grad_fn(node.grad)
-                if not node.requires_grad:
-                    node.grad = None  # free interior buffers
+                # an interior node hands its gradient buffer to the closure,
+                # which may then free it before it returns
+                node._grad_fn(node.grad if node.requires_grad else _hand_over(node))
             node._grad_fn, node._parents = _released, ()
 
     def __getitem__(self, key):
         return take(self, key)
+
+
+def _hand_over(node: Tensor) -> np.ndarray:
+    """``node``'s gradient, cleared from the node: passed straight into a
+    call, the callee's parameter holds the only reference."""
+    g, node.grad = node.grad, None
+    return g
 
 
 def _released(g):
@@ -1490,8 +1499,9 @@ def conv_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor | None, padding, wind
     keeps ``conv_pool``'s input and route and its own output, whose
     positives are the pooled positives. Backward forms ReLU's gradient as
     the ``relu`` node and ``_accumulate`` would, zeros plus ``g * (out >
-    0)``, then runs ``conv_pool``'s backward on it. So the output and every
-    gradient are those of the two ops bit for bit.
+    0)``, drops ``g`` and runs ``conv_pool``'s backward on it. So the
+    output and every gradient are those of the two ops bit for bit, and a
+    taped step peaks no higher.
     """
     window = _triple(window)
     if window[0] != 1:
@@ -1544,8 +1554,8 @@ def _conv_pool(op: str, x: Tensor, kernel: Tensor, bias: Tensor | None, stride, 
     out = pooled if conv.batched else pooled[0]
 
     def grad_fn(g):
-        if relu:  # as a relu node's gradient accumulates: zeros plus g * (out > 0)
-            g = np.add(np.zeros_like(out), g * (out > 0).astype(out.dtype))
+        if relu:  # a relu node's gradient, as its input node would receive it
+            g = _fresh_grad(out, g * (out > 0).astype(out.dtype))
         gb = g if conv.batched else g[None]
         hw = [n * p for n, p in zip(pdims[1:], window[1:])]  # the rows and columns pooled
         channel = b * dims[0] * frame  # one channel's conv output, every batch row

@@ -986,6 +986,39 @@ class TestConvPool:
         y = got[0]
         assert np.isnan(y).any() and (y == 0).any() and (y > 0).any()
 
+    def test_relu_taped_step_peaks_as_the_chain(self):
+        """A taped c07 block-0 step through ``conv_pool_relu`` peaks no
+        higher than through ``relu(conv_pool(...))``: it keeps one pooled
+        output where the chain keeps two, and its backward frees the
+        incoming gradient once it has the ReLU's (backward hands an
+        interior node's gradient to its closure). Keeping both gradients
+        through the convolution's backward peaked 1 MiB higher (30.22
+        against 29.22 MiB)."""
+        gen = np.random.default_rng(214)
+        xd = gen.random((8, 3, 16, 32, 32), dtype=np.float32)
+        wd = gen.normal(size=(8, 3, 3, 3, 3)).astype(np.float32)
+        bd = np.zeros(8, np.float32)
+        g = gen.normal(size=(8, 8, 16, 16, 16)).astype(np.float32)
+
+        def peak(op):
+            x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+            tracemalloc.start()
+            try:
+                T.sum_(T.mul(op(x, w, b), g)).backward()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def fused(x, w, b):
+            return T.conv_pool_relu(x, w, b, 1, (1, 2, 2))
+
+        def chain(x, w, b):
+            return T.relu(T.conv_pool(x, w, b, 1, (1, 2, 2)))
+
+        peak(fused), peak(chain)  # fills the tap caches
+        got, want = peak(fused), peak(chain)
+        assert got <= want + (64 << 10), f"{got / 2 ** 20:.2f} MiB vs {want / 2 ** 20:.2f} MiB"
+
     @pytest.mark.parametrize("frame, bands", [
         ((16, 64), {(1, 2, 2): [6, 10], (1, 3, 3): [6, 10]}),
         ((32, 36), {(1, 2, 2): [12, 20], (1, 3, 3): [12, 20]}),  # rows of 36: 4 rows a unit
