@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import contextlib
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 __all__ = ["atomic_write"]
@@ -25,7 +24,7 @@ def atomic_write(path, mode: str = "wb"):
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):  # no temp file, or none that can go
+        with suppress(OSError):  # no temp file, or none that can go
             tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename in (None, tmp, str(tmp)):
             raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc

@@ -30,9 +30,9 @@ and more is split into ranges on that pool: the forward passes of
 ``linear``, ``layer_norm``, ``mha``, ``conv3d``, ``conv_pool``,
 ``conv_pool_relu`` and ``mlp``, and the backward of the three
 convolutions. Each output element is computed as in one whole call, so
-results are the same bit for bit. One budget, ``CACHE_BYTES``, bounds what one thread works on at a
-time: an attention chunk's logits, an ``mlp`` block's hidden rows and a
-conv band's column.
+results are the same bit for bit. One budget, ``CACHE_BYTES``, bounds
+what one thread works on at a time: an attention chunk's logits, an
+``mlp`` block's hidden rows and a conv band's column.
 
 When that runtime starts (``_runtime``, at the first split or GEMM, not
 at import), it also has glibc serve large arrays from its heap and keep

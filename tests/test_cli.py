@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -264,8 +265,6 @@ def test_out_of_memory_exits_four_without_traceback(monkeypatch, capsys):
 def _cli_child(args, cwd, fsize=None):
     """Run the CLI in a child process, with ``RLIMIT_FSIZE`` at ``fsize``
     bytes set on the child alone (so a write past it fails with EFBIG)."""
-    import resource
-
     def limit():
         resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +83,6 @@ def test_untaped_conv_block_allocates_no_second_pooled_array():
     One input channel and 128 output channels make the pooled output three
     times the column scratch; the column is under ``POOL_MIN_BYTES``, so
     one thread runs it."""
-    import tracemalloc
-
     rng = np.random.default_rng(4)
     blk = ConvBlock(1, 128, rng)
     x = Tensor(rng.random((1, 1, 16, 32, 32), dtype=np.float32))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,8 +338,6 @@ def test_block_matches_manual_composition_on_full_window():
 def _untaped_peak(fn, *args):
     """tracemalloc peak of ``fn(*args)`` under no_grad, after a warm-up call
     that fills the mask and bias-index caches."""
-    import tracemalloc
-
     with T.no_grad():
         fn(*args)
         tracemalloc.start()

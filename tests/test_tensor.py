@@ -886,13 +886,19 @@ class TestConvPool:
     """``conv_pool`` against its loop oracle, and bit for bit against the
     ``conv3d`` -> ``maxpool3d`` chain it fuses."""
 
-    @pytest.mark.parametrize("relu", [False, True])
-    def test_ties_and_nans_match_routed_loop_reference(self, relu):
+    def test_ties_and_nans_match_routed_loop_reference(self):
         """Integer inputs and kernel, so many windows tie and every sum is
         exact; a NaN input makes windows whose first NaN is not their first
-        element. Values and gradients equal the oracle's exactly, for
-        ``conv_pool`` and for ``conv_pool_relu`` (whose -1 biases leave
-        windows at and below 0)."""
+        element. Values and gradients equal the oracle's exactly."""
+        self._routed_loop_case(relu=False)
+
+    def test_relu_ties_and_nans_match_routed_loop_reference(self):
+        """The same case through ``conv_pool_relu``, against the oracle's
+        ReLU loop; the -1 biases leave windows at and below 0."""
+        self._routed_loop_case(relu=True)
+
+    @staticmethod
+    def _routed_loop_case(relu):
         gen = np.random.default_rng(170)
         xd = gen.integers(0, 2, size=(2, 2, 3, 6, 6)).astype(np.float64)
         xd[0, 0, 1, 2, 2] = np.nan  # conv outputs 1-3 down and across read it
