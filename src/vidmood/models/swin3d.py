@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,11 +135,29 @@ def compute_region_ids(grid, window, shift) -> np.ndarray:
     return (lt[:, None, None] * 9 + lh[None, :, None] * 3 + lw[None, None, :])
 
 
+@functools.lru_cache(maxsize=None)
+def _bias_rows(window, eff_window) -> np.ndarray:
+    """Each token pair's row of a ``window`` bias table, [1, N, N] for the
+    effective window: a function of the two window shapes alone, so every
+    block, model and instance shares this one read-only array."""
+    wt, wh, ww = window
+    axes = [np.arange(e) for e in eff_window]
+    coords = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(3, -1)
+    rel = coords[:, :, None] - coords[:, None, :]
+    idx = ((rel[0] + wt - 1) * (2 * wh - 1) * (2 * ww - 1)
+           + (rel[1] + wh - 1) * (2 * ww - 1)
+           + (rel[2] + ww - 1))
+    idx.flags.writeable = False
+    return idx[None]
+
+
 class RelativePositionBias(Module):
     """Learned additive attention bias indexed by 3D token-pair offset.
 
     The table covers every offset of the configured window; smaller
-    effective windows (clamped at forward time) index a subset.
+    effective windows (clamped at forward time) index a subset. The row
+    index is held once per process for each (window, effective window),
+    not once per block.
     """
 
     def __init__(self, window, heads: int, rng: np.random.Generator):
@@ -147,26 +166,33 @@ class RelativePositionBias(Module):
         self.heads = heads
         self.table = Parameter(
             trunc_normal(rng, ((2 * wt - 1) * (2 * wh - 1) * (2 * ww - 1), heads)))
-        self._index_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def _index(self, eff_window) -> tuple[np.ndarray, np.ndarray]:
-        """The ``take`` key of the [heads, N, N] bias, cached per effective
-        window: each token pair's table row, [1, N, N], and each head's
+        """The ``take`` key of the [heads, N, N] bias: each token pair's
+        table row, [1, N, N] (shared and read-only), and each head's
         column, [heads, 1, 1]."""
-        key = tuple(eff_window)
-        if key not in self._index_cache:
-            wt, wh, ww = self.window
-            axes = [np.arange(e) for e in eff_window]
-            coords = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(3, -1)
-            rel = coords[:, :, None] - coords[:, None, :]
-            idx = ((rel[0] + wt - 1) * (2 * wh - 1) * (2 * ww - 1)
-                   + (rel[1] + wh - 1) * (2 * ww - 1)
-                   + (rel[2] + ww - 1))
-            self._index_cache[key] = (idx[None], np.arange(self.heads)[:, None, None])
-        return self._index_cache[key]
+        return (_bias_rows(self.window, tuple(eff_window)),
+                np.arange(self.heads)[:, None, None])
 
     def forward(self, eff_window) -> Tensor:
         return T.take(self.table, self._index(eff_window))  # [heads, N, N]
+
+
+# every distinct mask pattern alive in the process, keyed by (N, packed
+# pattern); an entry goes when the last _window_masks result holding it does
+_MASKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _interned_mask(allowed: np.ndarray) -> np.ndarray:
+    """The read-only [1, N, N] 0/-inf mask of an [N, N] allowed pattern,
+    one array per pattern however many grids, stages and blocks use it."""
+    key = (allowed.shape[0], np.packbits(allowed).tobytes())
+    mask = _MASKS.get(key)
+    if mask is None:
+        full = np.where(allowed, np.float32(0), np.float32(-np.inf))
+        full.flags.writeable = False
+        mask = _MASKS[key] = full[None]
+    return mask
 
 
 @functools.lru_cache(maxsize=32)
@@ -175,25 +201,20 @@ def _window_masks(grid, valid_bytes: bytes, win, sh) -> tuple | None:
     window_partition order: [1, N, N] of 0 where a pair may attend and -inf
     for pairs from different shift regions or with a padded or invalid
     key; None for a window with nothing to mask, and None overall when no
-    window has. Windows with the same pattern share one read-only array,
-    so a grid holds a few [N, N] masks rather than [nW, N, N]."""
+    window has. Each distinct pattern is one read-only array shared by
+    every window, grid, stage and block that has it (stages 0-2 of a
+    paper-scale Swin repeat the same shifted patterns), alive while a
+    cached result holds it."""
     valid = np.frombuffer(valid_bytes, dtype=bool).reshape(grid)
     pads = tuple((0, -g % w) for g, w in zip(grid, win))
     valid = np.roll(np.pad(valid, pads, constant_values=False), tuple(-s for s in sh), (0, 1, 2))
     vw = _partition_np(valid, win)  # [nW, N]
     region = _partition_np(compute_region_ids(valid.shape, win, sh), win)
-    masks, shared = [], {}
+    masks = []
     for reg, ok in zip(region, vw):
         allowed = (reg[:, None] == reg[None, :]) & ok[None, :]
-        if allowed.all():
-            masks.append(None)
-            continue
-        pattern = allowed.tobytes()
-        if pattern not in shared:
-            shared[pattern] = np.where(allowed, np.float32(0), np.float32(-np.inf))[None]
-            shared[pattern].flags.writeable = False
-        masks.append(shared[pattern])
-    return tuple(masks) if shared else None
+        masks.append(None if allowed.all() else _interned_mask(allowed))
+    return None if all(m is None for m in masks) else tuple(masks)
 
 
 def shifted_window_attention(x: Tensor, valid: np.ndarray, attn: MultiHeadAttention,

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vidmood import tensor as T
 from vidmood.models.swin3d import (PatchEmbed, PatchMerge, RelativePositionBias,
-                                   SwinBlock, SwinConfig, SwinModel,
+                                   SwinBlock, SwinConfig, SwinModel, _window_masks,
                                    compute_region_ids, get_window_size,
                                    shifted_window_attention, token_counts_ceil,
                                    window_partition, window_reverse)
@@ -298,6 +299,56 @@ def test_bias_gradient_hits_exactly_the_used_rows():
     assert np.all(g[used] != 0)
     untouched = np.setdiff1d(np.arange(rpb.table.shape[0]), used)
     assert np.all(g[untouched] == 0)
+
+
+def test_bias_index_is_one_read_only_array_per_window():
+    win = (2, 3, 3)
+    a = RelativePositionBias(win, heads=2, rng=np.random.default_rng(12))
+    b = RelativePositionBias(win, heads=3, rng=np.random.default_rng(13))
+    rows, heads = b._index(win)
+    assert a._index(win)[0] is rows
+    assert heads.shape == (3, 1, 1)
+    with pytest.raises(ValueError):
+        rows[0, 0, 0] = 0
+
+
+# -- window constants ---------------------------------------------------------
+
+
+def test_window_masks_share_one_array_per_pattern():
+    """Stages 0-2 of a paper-scale grid repeat the same 7 shifted-window
+    patterns; each pattern is one read-only array across the three grids,
+    not one per grid (21)."""
+    seen = {}
+    for grid in ((15, 56, 56), (15, 28, 28), (15, 14, 14)):
+        win, sh = get_window_size(grid, (8, 7, 7), (4, 3, 3))
+        masks = _window_masks(grid, np.ones(grid, dtype=bool).tobytes(), win, sh)
+        for m in masks:
+            if m is None:
+                continue
+            assert not m.flags.writeable
+            assert seen.setdefault(m.tobytes(), m) is m
+    assert len(seen) == 7
+
+
+def test_paper_forward_leaves_one_copy_of_each_window_constant():
+    """An untaped 30x224x224 forward keeps its masks and bias indices
+    after it returns, but each distinct one once: 6.1 MiB (one
+    [1, 392, 392] row index and 8 mask patterns), not the 27.1 MiB of one
+    index per block and one mask per pattern per grid."""
+    model = SwinModel(SwinConfig(embed_dim=24), np.random.default_rng(14))
+    clip = T.tensor(np.zeros((1, 30, 224, 224, 3), dtype=np.float32))
+    _window_masks.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            model(clip)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left < 10 << 20, f"left {left / 2**20:.2f} MiB"
 
 
 # -- swin block ---------------------------------------------------------------
